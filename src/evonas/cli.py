@@ -109,6 +109,10 @@ def _load_genotype_file(path) -> Genotype:
 
 def cmd_search(args) -> int:
     try:
+        workers = evalpool.resolve_worker_count(args.workers)
+    except ValueError as exc:
+        raise evolution.ConfigError(str(exc)) from None
+    try:
         config_doc = json.loads(Path(args.config).read_text())
     except json.JSONDecodeError as exc:
         raise evolution.ConfigError(f"{args.config}: not valid JSON: {exc}") from None
@@ -134,7 +138,6 @@ def cmd_search(args) -> int:
             f"config input_shape implies {flat_input} features, dataset has {dataset.feature_count}"
         )
 
-    workers = evalpool.resolve_worker_count(args.workers)
     evaluator = trainer.make_evaluator(
         dataset,
         cfg.problem,
@@ -187,6 +190,11 @@ def cmd_search(args) -> int:
     print(
         f"search done: {len(archive.entries)} experiment(s), winner perf "
         f"{winner.perf:.4f}, {winner.size} parameters, cost {winner.cost:.4f}"
+    )
+    blas = evalpool.blas_threads(workers)
+    print(
+        f"evaluation: {workers} worker(s) x {'unmanaged' if blas is None else blas} "
+        f"BLAS thread(s) on {evalpool.usable_cores()} core(s)"
     )
     print(f"artifacts in {out_dir}")
     return EXIT_OK

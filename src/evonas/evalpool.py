@@ -7,19 +7,29 @@ so results are identical for any worker count and any completion order. A
 single-machine pool is the only transport here, but jobs and results are the
 whole wire contract, so a remote transport could be swapped in behind
 :func:`evaluate_all`.
+
+This module owns the process's thread budget: pool workers times BLAS
+threads stays within the usable cores. While a pool of ``W > 1`` workers
+runs, numpy's OpenBLAS is held at ``min(current, max(1, cores // W))``
+threads and restored afterwards, so workers do not stack on BLAS threads
+that spin for the same cores. A single worker keeps every BLAS thread.
+Without a recognisable OpenBLAS the budget is left unmanaged.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import hashlib
 import json
 import logging
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable
+from typing import Callable, NamedTuple
 
 from .genotype import Genotype
 
@@ -36,16 +46,98 @@ def derive_seed(root_seed: int, *parts: int) -> int:
 
 
 def resolve_worker_count(cli_value: int | None, default: int = 1) -> int:
-    """Worker count from the CLI flag, else the environment, else ``default``."""
+    """Worker count from the CLI flag, else the environment, else ``default``.
+
+    A count below 1 from either source is rejected, not clamped.
+    """
     if cli_value is not None:
-        return max(1, cli_value)
+        if cli_value < 1:
+            raise ValueError(f"--workers must be at least 1, got {cli_value}")
+        return cli_value
     env = os.environ.get(WORKERS_ENV)
     if env:
         try:
-            return max(1, int(env))
+            count = int(env)
         except ValueError:
             raise ValueError(f"{WORKERS_ENV}={env!r} is not an integer") from None
+        if count < 1:
+            raise ValueError(f"{WORKERS_ENV} must be at least 1, got {count}")
+        return count
     return default
+
+
+def usable_cores() -> int:
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has affinity masks
+        return os.cpu_count() or 1
+
+
+class _Blas(NamedTuple):
+    set_threads: Callable[[int], None]
+    get_threads: Callable[[], int]
+
+
+# (setter, getter) exports of OpenBLAS builds, numpy's bundled one first.
+_BLAS_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+@functools.cache
+def _openblas() -> _Blas | None:
+    """Thread-count controls of the OpenBLAS loaded in this process, if any."""
+    import numpy  # noqa: F401  (maps the OpenBLAS numpy links against)
+
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = dict.fromkeys(
+                line.split()[-1] for line in fh if "openblas" in line.rsplit("/", 1)[-1]
+            )
+    except OSError:
+        paths = {}
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for set_name, get_name in _BLAS_SYMBOLS:
+            if hasattr(lib, set_name) and hasattr(lib, get_name):
+                setter, getter = getattr(lib, set_name), getattr(lib, get_name)
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                return _Blas(setter, getter)
+    log.debug("no OpenBLAS found; BLAS threads are left unmanaged")
+    return None
+
+
+def blas_threads(worker_count: int) -> int | None:
+    """BLAS threads each of ``worker_count`` workers runs with; None if unmanaged."""
+    blas = _openblas()
+    if blas is None:
+        return None
+    current = blas.get_threads()
+    if worker_count == 1:
+        return current
+    return min(current, max(1, usable_cores() // worker_count))
+
+
+@contextmanager
+def _thread_budget(worker_count: int):
+    """Hold BLAS at :func:`blas_threads` for the block; restore it even on error."""
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    before = blas.get_threads()
+    blas.set_threads(blas_threads(worker_count))
+    try:
+        yield
+    finally:
+        blas.set_threads(before)
 
 
 @dataclass(frozen=True)
@@ -55,7 +147,6 @@ class EvalJob:
     job_id: tuple[int, int, int]  # (experiment, generation, index)
     genotype: Genotype
     seed: int
-    train_config: Any = None
 
 
 @dataclass(frozen=True)
@@ -108,7 +199,7 @@ def evaluate_all(
     if worker_count == 1 or len(jobs) <= 1:
         results = [_run_job(job, evaluator) for job in jobs]
     else:
-        with ThreadPoolExecutor(max_workers=worker_count) as pool:
+        with _thread_budget(worker_count), ThreadPoolExecutor(max_workers=worker_count) as pool:
             results = list(pool.map(lambda j: _run_job(j, evaluator), jobs))
     results.sort(key=lambda r: r.job_id)
 

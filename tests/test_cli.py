@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from evonas import count_params, parse, serialize
+from evonas import count_params, evalpool, parse, serialize
 from evonas.cli import main, read_runs
 
 from conftest import mlp_classifier
@@ -67,6 +67,10 @@ def surrogate_make_evaluator(dataset, problem, input_dim, cv_ratio, epochs, **kw
         return 1.0 / (1.0 + w / 5000.0), w
 
     return evaluate
+
+
+def search_args(workdir, out):
+    return ["search", str(workdir / "config.json"), str(workdir / "data.json"), "--out", str(out)]
 
 
 class TestSearchCommand:
@@ -203,6 +207,28 @@ class TestSearchCommand:
         records = read_runs(out / "runs.csv")
         assert len(trace_lines) == len(records)
         assert all(json.loads(line)["status"] == "ok" for line in trace_lines)
+
+    def test_zero_workers_flag_exits_2(self, workdir, capsys):
+        out = workdir / "zero"
+        assert main([*search_args(workdir, out), "--workers", "0"]) == 2
+        assert not out.exists()
+        assert "--workers must be at least 1" in capsys.readouterr().err
+
+    def test_negative_workers_env_exits_2(self, workdir, monkeypatch, capsys):
+        monkeypatch.setenv("EVONAS_WORKERS", "-1")
+        assert main(search_args(workdir, workdir / "x")) == 2
+        assert "EVONAS_WORKERS must be at least 1" in capsys.readouterr().err
+
+    def test_prints_thread_split(self, workdir, monkeypatch, capsys):
+        monkeypatch.setattr("evonas.trainer.make_evaluator", surrogate_make_evaluator)
+        args = [*search_args(workdir, workdir / "w"), "--workers", "2"]
+        blas, cores = evalpool.blas_threads(2), evalpool.usable_cores()
+        assert main(args) == 0
+        shown = "unmanaged" if blas is None else blas
+        assert f"evaluation: 2 worker(s) x {shown} BLAS thread(s) on {cores} core(s)" in capsys.readouterr().out
+        monkeypatch.setattr("evonas.evalpool._openblas", lambda: None)
+        assert main(args) == 0
+        assert f"2 worker(s) x unmanaged BLAS thread(s) on {cores} core(s)" in capsys.readouterr().out
 
     def test_feature_width_mismatch_is_config_error(self, workdir):
         doc = json.loads((workdir / "config.json").read_text())

@@ -6,8 +6,18 @@ import time
 import numpy as np
 import pytest
 
-from evonas import Activation, EvalJob, count_params, derive_seed, evaluate_all
+from evonas import (
+    Activation,
+    Dataset,
+    EvalJob,
+    ProblemKind,
+    count_params,
+    derive_seed,
+    evalpool,
+    evaluate_all,
+)
 from evonas.evalpool import WORKERS_ENV, resolve_worker_count
+from evonas.trainer import make_evaluator
 
 from conftest import mlp_classifier
 
@@ -120,3 +130,109 @@ class TestWorkerCountResolution:
         monkeypatch.setenv(WORKERS_ENV, "many")
         with pytest.raises(ValueError):
             resolve_worker_count(None)
+
+    @pytest.mark.parametrize("value", [0, -2])
+    def test_cli_value_below_one_rejected(self, value):
+        with pytest.raises(ValueError, match="--workers"):
+            resolve_worker_count(value)
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_env_value_below_one_rejected(self, monkeypatch, value):
+        monkeypatch.setenv(WORKERS_ENV, value)
+        with pytest.raises(ValueError, match=WORKERS_ENV):
+            resolve_worker_count(None)
+
+
+needs_openblas = pytest.mark.skipif(evalpool._openblas() is None, reason="no OpenBLAS in this process")
+
+
+@pytest.fixture
+def blas():
+    controls = evalpool._openblas()
+    before = controls.get_threads()
+    yield controls
+    controls.set_threads(before)
+
+
+def threads_seen(log):
+    def evaluator(g, seed):
+        log.append(evalpool._openblas().get_threads())
+        return sized_evaluator(g, seed)
+
+    return evaluator
+
+
+@needs_openblas
+class TestThreadBudget:
+    @pytest.mark.parametrize("cores", [evalpool.usable_cores(), 8])
+    @pytest.mark.parametrize("start", [None, 1])
+    @pytest.mark.parametrize("workers", [2, 3, 16])
+    def test_pool_workers_share_the_cores(self, blas, monkeypatch, cores, workers, start):
+        monkeypatch.setattr(evalpool, "usable_cores", lambda: cores)
+        if start is not None:
+            blas.set_threads(start)
+        before = blas.get_threads()
+        seen = []
+        evaluate_all(make_jobs(6), threads_seen(seen), worker_count=workers)
+        expected = min(before, max(1, cores // workers))
+        assert seen == [expected] * 6
+        assert evalpool.blas_threads(workers) == expected
+
+    def test_count_restored_even_when_jobs_raise(self, blas):
+        blas.set_threads(3)
+
+        def failing(g, seed):
+            raise RuntimeError("bad candidate")
+
+        for evaluator in (sized_evaluator, failing):
+            evaluate_all(make_jobs(4), evaluator, worker_count=2)
+            assert blas.get_threads() == 3
+
+        class Abort(BaseException):  # escapes the per-job isolation
+            pass
+
+        def aborting(g, seed):
+            raise Abort
+
+        with pytest.raises(Abort):
+            evaluate_all(make_jobs(4), aborting, worker_count=2)
+        assert blas.get_threads() == 3
+
+    def test_single_worker_never_touches_the_count(self, blas, monkeypatch):
+        blas.set_threads(3)
+        touched = []
+        monkeypatch.setattr(
+            evalpool, "_openblas", lambda: evalpool._Blas(touched.append, blas.get_threads)
+        )
+        seen = []
+        evaluate_all(make_jobs(4), threads_seen(seen), worker_count=1)
+        assert seen == [3] * 4
+        assert touched == []
+        assert evalpool.blas_threads(1) == 3
+
+    def test_dense_training_bit_identical_under_one_blas_thread(self, blas):
+        # big enough that OpenBLAS splits the matmuls across threads by default
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(600, 256))
+        y = (X[:, :8].sum(axis=1) > 0).astype(int)
+        dataset = Dataset(X, y, ProblemKind.CLASSIFICATION)
+        evaluate = make_evaluator(dataset, ProblemKind.CLASSIFICATION, 256, 0.2, 2, batch_size=256)
+        genotypes = [
+            mlp_classifier([(128, A.RELU), (64, A.TANH)], classes=2),
+            mlp_classifier([(32, A.SIGMOID)], classes=2),
+        ]
+        default = [evaluate(g, 17) for g in genotypes]
+        blas.set_threads(1)
+        single = [evaluate(g, 17) for g in genotypes]
+        assert single == default
+
+
+def test_pool_runs_unmanaged_without_openblas(monkeypatch):
+    jobs = make_jobs()
+    reference = evaluate_all(jobs, sized_evaluator, worker_count=1)
+    monkeypatch.setattr(evalpool, "_openblas", lambda: None)
+    assert evalpool.blas_threads(2) is None
+    parallel = evaluate_all(jobs, jittery_evaluator, worker_count=4)
+    assert [(r.job_id, r.perf, r.params, r.status) for r in parallel] == [
+        (r.job_id, r.perf, r.params, r.status) for r in reference
+    ]
