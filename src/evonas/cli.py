@@ -138,6 +138,7 @@ def cmd_search(args) -> int:
             f"config input_shape implies {flat_input} features, dataset has {dataset.feature_count}"
         )
 
+    # builds and checks the training settings: a bad flag stops here, not per evaluation
     evaluator = trainer.make_evaluator(
         dataset,
         cfg.problem,
@@ -204,19 +205,21 @@ def cmd_search(args) -> int:
 
 def cmd_train(args) -> int:
     g = _load_genotype_file(args.genotype)
+    cfg = trainer.TrainConfig.for_problem(
+        g.problem,
+        args.epochs,
+        learning_rate=args.learning_rate,
+        batch_size=args.batch_size,
+        seed=args.seed if args.seed is not None else 0,
+    )
+    if args.kfold is not None and args.kfold < 2:
+        raise evolution.ConfigError(f"--kfold needs at least 2 folds, got {args.kfold}")
     dataset = data_mod.load_manifest(args.data)
     if dataset.problem != g.problem:
         raise evolution.ConfigError(
             f"genotype problem {g.problem.value!r} does not match dataset "
             f"problem {dataset.problem.value!r}"
         )
-    cfg = trainer.TrainConfig.for_problem(
-        dataset.problem,
-        args.epochs,
-        learning_rate=args.learning_rate,
-        batch_size=args.batch_size,
-        seed=args.seed if args.seed is not None else 0,
-    )
     if args.kfold:
         mean, std = trainer.kfold_evaluate(g, dataset, args.kfold, cfg)
         print(f"{args.kfold}-fold {cfg.metric.value}: {mean:.4f} +/- {std:.4f}")

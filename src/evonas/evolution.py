@@ -41,7 +41,7 @@ from .genotype import (
     distance,
     rectify_activations,
 )
-from .trainer import Metric, SCORE_METRICS
+from .trainer import SCORE_METRICS, ConfigError, Metric
 
 log = logging.getLogger(__name__)
 
@@ -50,10 +50,6 @@ log = logging.getLogger(__name__)
 DROPOUT_RATE_GRID: tuple[float, ...] = tuple(round(0.05 * i, 2) for i in range(1, 20))
 
 FITNESS_MODES = ("raw_error", "population_l2")
-
-
-class ConfigError(ValueError):
-    """A search configuration field is missing, unknown, or out of bounds."""
 
 
 @dataclass

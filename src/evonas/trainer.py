@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 
@@ -53,6 +54,10 @@ class Loss(str, Enum):
     MEAN_SQUARED_ERROR = "mean_squared_error"
 
 
+class ConfigError(ValueError):
+    """A search or training configuration field is missing, unknown, or out of bounds."""
+
+
 class UnsupportedLayerError(GenotypeError):
     """The training backend cannot materialize a layer kind."""
 
@@ -83,18 +88,18 @@ class TrainConfig:
         self.loss = Loss(self.loss)
         self.metric = Metric(self.metric)
         if self.epochs < 0:
-            raise ValueError("epochs must be non-negative")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+            raise ConfigError("epochs must be non-negative")
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError("learning_rate must be positive and finite")
         if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
+            raise ConfigError(f"unknown optimizer {self.optimizer!r}")
         if self.batch_size < 1:
-            raise ValueError("batch_size must be positive")
+            raise ConfigError("batch_size must be positive")
         # classification pairs with cross-entropy, regression with MSE
         if self.loss == Loss.CATEGORICAL_CROSS_ENTROPY and self.metric not in SCORE_METRICS:
-            raise ValueError("cross-entropy loss pairs with classification metrics")
+            raise ConfigError("cross-entropy loss pairs with classification metrics")
         if self.loss == Loss.MEAN_SQUARED_ERROR and self.metric in SCORE_METRICS:
-            raise ValueError("squared-error loss pairs with regression metrics")
+            raise ConfigError("squared-error loss pairs with regression metrics")
 
     @classmethod
     def for_problem(cls, problem: ProblemKind, epochs: int, **kw) -> "TrainConfig":
@@ -134,24 +139,26 @@ def _activate(z, kind: Activation):
     return z  # linear
 
 
-def _activation_grad(z, a, kind: Activation):
-    # Derivative of the activation w.r.t. its input, from cached values.
+def _backprop_activation(d: np.ndarray, z, a, kind: Activation) -> np.ndarray:
+    """Scale ``d`` in place by the activation's derivative, from cached values."""
     if kind == Activation.SIGMOID:
-        return a * (1.0 - a)
-    if kind == Activation.TANH:
-        return 1.0 - a * a
-    if kind == Activation.RELU:
-        return (z > 0.0).astype(z.dtype)
-    if kind == Activation.LINEAR:
-        return np.ones_like(z)
-    raise ValueError(f"no elementwise gradient for {kind}")
+        d *= a * (1.0 - a)
+    elif kind == Activation.TANH:
+        d *= 1.0 - a * a
+    elif kind == Activation.RELU:
+        d *= z > 0.0
+    elif kind != Activation.LINEAR:  # linear: the derivative is 1
+        raise ValueError(f"no elementwise gradient for {kind}")
+    return d
 
 
 class _DenseLayer:
-    def __init__(self, W: np.ndarray, b: np.ndarray, activation: Activation):
-        self.W = W
-        self.b = b
+    """An affine+activation layer; ``W`` and ``b`` are views into its network's ``flat``."""
+
+    def __init__(self, fan_in: int, units: int, activation: Activation):
+        self.shape = (fan_in, units)
         self.activation = activation
+        self.W = self.b = None
 
 
 class _DropoutLayer:
@@ -160,33 +167,45 @@ class _DropoutLayer:
 
 
 class DenseNetwork:
-    """A stack of affine+activation layers with optional inverted dropout."""
+    """A stack of affine+activation layers with optional inverted dropout.
+
+    Every parameter lives in one float64 vector, ``flat``: each dense
+    layer's weights (row-major) and then its biases, in layer order. The
+    layers' ``W`` and ``b`` are views into it, so the optimizer and model
+    export work on the vector while the passes read the views.
+    """
 
     def __init__(self, layers, input_dim: int):
         self.layers = layers
         self.input_dim = input_dim
+        self.dense = [layer for layer in layers if isinstance(layer, _DenseLayer)]
+        self.flat = np.zeros(sum((layer.shape[0] + 1) * layer.shape[1] for layer in self.dense))
+        for layer, (W, b) in zip(self.dense, self.views(self.flat)):
+            layer.W, layer.b = W, b
+
+    def views(self, vec: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per dense layer, ``(weights, bias)`` views into a vector laid out like ``flat``."""
+        out, at = [], 0
+        for layer in self.dense:
+            fan, units = layer.shape
+            W = vec[at : at + fan * units].reshape(fan, units)
+            at += fan * units
+            out.append((W, vec[at : at + units]))
+            at += units
+        return out
 
     @property
     def param_count(self) -> int:
-        return sum(
-            layer.W.size + layer.b.size
-            for layer in self.layers
-            if isinstance(layer, _DenseLayer)
-        )
+        return self.flat.size
 
     @property
     def output_units(self) -> int:
-        for layer in reversed(self.layers):
-            if isinstance(layer, _DenseLayer):
-                return layer.b.size
-        raise ValueError("network has no dense layers")
+        if not self.dense:
+            raise ValueError("network has no dense layers")
+        return self.dense[-1].shape[1]
 
     def parameters(self) -> list[np.ndarray]:
-        out = []
-        for layer in self.layers:
-            if isinstance(layer, _DenseLayer):
-                out.extend((layer.W, layer.b))
-        return out
+        return [p for layer in self.dense for p in (layer.W, layer.b)]
 
     def forward(self, batch: np.ndarray, training: bool = False, rng=None) -> np.ndarray:
         """Predictions for a batch; dropout is active only while training."""
@@ -205,7 +224,8 @@ class DenseNetwork:
         caches = []
         for layer in self.layers:
             if isinstance(layer, _DenseLayer):
-                z = a @ layer.W + layer.b
+                z = a @ layer.W
+                z += layer.b
                 out = _activate(z, layer.activation)
                 caches.append((layer, a, z, out))
                 a = out
@@ -235,20 +255,21 @@ def materialize(g: Genotype, input_dim: int, seed: int) -> DenseNetwork:
             raise UnsupportedLayerError(
                 f"layer {i}: {gene.kind.label()} layers have no training backend here"
             )
-    rng = np.random.default_rng(seed)
     layers = []
     fan = int(input_dim)
     for gene in g.layers:
         if gene.kind == LayerKind.FULLY_CONNECTED:
-            limit = np.sqrt(6.0 / (fan + gene.units))
-            W = rng.uniform(-limit, limit, size=(fan, gene.units))
-            b = np.zeros(gene.units)
-            layers.append(_DenseLayer(W, b, gene.activation))
+            layers.append(_DenseLayer(fan, gene.units, gene.activation))
             fan = gene.units
         else:
             layers.append(_DropoutLayer(gene.dropout_rate))
     net = DenseNetwork(layers, int(input_dim))
     assert net.param_count == count_params(g, int(input_dim))
+    rng = np.random.default_rng(seed)
+    for layer in net.dense:  # biases stay zero
+        fan, units = layer.shape
+        limit = np.sqrt(6.0 / (fan + units))
+        layer.W[...] = rng.uniform(-limit, limit, size=layer.shape)
     return net
 
 
@@ -261,78 +282,114 @@ def _loss_value(outputs: np.ndarray, Y: np.ndarray, loss: Loss) -> float:
     return float(0.5 * np.sum((outputs - Y) ** 2) / n)
 
 
-def loss_and_gradients(net: DenseNetwork, X, Y, loss: Loss, training=False, rng=None):
-    """Loss on a batch and its gradient for every weight matrix and bias."""
+def loss_and_gradients(net: DenseNetwork, X, Y, loss: Loss, training=False, rng=None, out=None):
+    """Loss on a batch and its gradient for every weight matrix and bias.
+
+    The gradients are written into ``out``, a vector laid out like
+    ``net.flat``, and returned as per-parameter views of it in the order of
+    ``net.parameters()``. Without ``out`` a fresh vector is allocated, so
+    gradients returned earlier are never overwritten.
+    """
     outputs, caches = net._forward_cached(X, training, rng)
     n = len(outputs)
     value = _loss_value(outputs, Y, loss)
+    if out is None:
+        out = np.empty_like(net.flat)
+    grads = net.views(out)
 
     last = caches[-1]
-    grads: list[tuple[np.ndarray, np.ndarray]] = []
+    delta = outputs - Y
+    delta /= n  # d loss / d outputs
     if loss == Loss.CATEGORICAL_CROSS_ENTROPY:
         layer = last[0]
         if not isinstance(layer, _DenseLayer) or layer.activation != Activation.SOFTMAX:
             raise ValueError("cross-entropy training expects a softmax output layer")
-        delta = (outputs - Y) / n  # d loss / d logits, softmax and CE fused
+        # softmax and cross-entropy fused: delta is already d loss / d logits
     else:
-        dA = (outputs - Y) / n
         layer, _, z, a = last
-        delta = dA * _activation_grad(z, a, layer.activation)
+        _backprop_activation(delta, z, a, layer.activation)
 
+    k = len(grads)
     d_prev = None
     for cache in reversed(caches):
         layer = cache[0]
         if isinstance(layer, _DenseLayer):
-            if d_prev is not None:
-                _, _, z, a = cache
-                delta = d_prev * _activation_grad(z, a, layer.activation)
-            a_in = cache[1]
-            grads.append((a_in.T @ delta, delta.sum(axis=0)))
+            _, a_in, z, a = cache
+            if delta is None:
+                delta = _backprop_activation(d_prev, z, a, layer.activation)
+            k -= 1
+            gW, gb = grads[k]
+            np.matmul(a_in.T, delta, out=gW)
+            np.sum(delta, axis=0, out=gb)
+            if k == 0:
+                break  # nothing below the first dense layer needs its input gradient
             d_prev = delta @ layer.W.T
             delta = None
-        else:
-            mask = cache[1]
-            if mask is not None:
-                d_prev = d_prev * mask
-    grads.reverse()
-    flat: list[np.ndarray] = []
-    for gW, gb in grads:
-        flat.extend((gW, gb))
-    return value, flat
+        elif cache[1] is not None:
+            d_prev *= cache[1]
+    return value, [g for pair in grads for g in pair]
 
 
 class _Sgd:
-    def __init__(self, params, lr):
-        self.params = params
+    """Plain gradient descent on a flat parameter vector."""
+
+    def __init__(self, flat: np.ndarray, lr: float):
+        self.flat = flat
         self.lr = lr
 
-    def step(self, grads):
-        for p, g in zip(self.params, grads):
-            p -= self.lr * g
+    def step(self, grad: np.ndarray):
+        """Update ``flat`` in place; ``grad`` is used as scratch and overwritten."""
+        grad *= self.lr
+        self.flat -= grad
 
 
 class _Adam:
-    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.params = params
+    """Adam (Kingma & Ba 2015) on a flat parameter vector, updated in place.
+
+    A step makes a dozen elementwise passes; it makes them one chunk of the
+    vector at a time, so each pass rereads the chunk from cache instead of
+    the whole vector from memory.
+    """
+
+    #: Elements per chunk: 128 KiB per array, so the five arrays a step
+    #: touches stay in a core's L2 cache.
+    CHUNK = 1 << 14
+
+    def __init__(self, flat: np.ndarray, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.flat = flat
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.m = np.zeros_like(flat)
+        self.v = np.zeros_like(flat)
+        self.scratch = np.empty(min(flat.size, self.CHUNK))
         self.t = 0
 
-    def step(self, grads):
+    def step(self, grad: np.ndarray):
+        """Update ``flat`` in place; ``grad`` is used as scratch and overwritten."""
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        correction = np.sqrt(1.0 - b2**self.t) / (1.0 - b1**self.t)
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
+        rate = self.lr * (np.sqrt(1.0 - b2**self.t) / (1.0 - b1**self.t))
+        for at in range(0, self.flat.size, self.CHUNK):
+            part = slice(at, at + self.CHUNK)
+            p, m, v, g = self.flat[part], self.m[part], self.v[part], grad[part]
+            s = self.scratch[: g.size]
+            # m*b1 + g*(1-b1), v*b2 + (g*(1-b2))*g, then (m*rate) /
+            # (sqrt(v) + eps): every elementwise op rounds once, so keeping
+            # this order keeps every bit of the update.
             m *= b1
-            m += (1.0 - b1) * g
+            m += np.multiply(g, 1.0 - b1, out=s)
             v *= b2
-            v += (1.0 - b2) * g * g
-            p -= self.lr * correction * m / (np.sqrt(v) + self.eps)
+            np.multiply(g, 1.0 - b2, out=s)
+            s *= g
+            v += s
+            denom = np.sqrt(v, out=g)
+            denom += self.eps
+            np.multiply(m, rate, out=s)
+            s /= denom
+            p -= s
 
 
-def make_optimizer(name: str, params, lr: float):
-    return _Adam(params, lr) if name == "adam" else _Sgd(params, lr)
+def make_optimizer(name: str, flat: np.ndarray, lr: float):
+    return _Adam(flat, lr) if name == "adam" else _Sgd(flat, lr)
 
 
 def one_hot(labels: np.ndarray, classes: int) -> np.ndarray:
@@ -359,7 +416,8 @@ def train(net: DenseNetwork, dataset_split, cfg: TrainConfig) -> PerfReport:
     Y = _target_matrix(net, train_ds)
     X = train_ds.features
     rng = np.random.default_rng(cfg.seed)
-    optimizer = make_optimizer(cfg.optimizer, net.parameters(), cfg.learning_rate)
+    optimizer = make_optimizer(cfg.optimizer, net.flat, cfg.learning_rate)
+    grad = np.empty_like(net.flat)  # reused by every minibatch
 
     started = time.perf_counter()
     curve: list[float] = []
@@ -369,12 +427,12 @@ def train(net: DenseNetwork, dataset_split, cfg: TrainConfig) -> PerfReport:
         for at in range(0, len(X), cfg.batch_size):
             idx = perm[at : at + cfg.batch_size]
             with np.errstate(over="ignore", invalid="ignore"):
-                value, grads = loss_and_gradients(
-                    net, X[idx], Y[idx], cfg.loss, training=True, rng=rng
+                value, _ = loss_and_gradients(
+                    net, X[idx], Y[idx], cfg.loss, training=True, rng=rng, out=grad
                 )
             if not np.isfinite(value):
                 raise DivergedError(epoch)
-            optimizer.step(grads)
+            optimizer.step(grad)
             epoch_losses.append(value)
         curve.append(float(np.mean(epoch_losses)))
 
@@ -480,18 +538,14 @@ def make_evaluator(
     so evaluation order and parallelism cannot change any result. Returns a
     ``(validation metric, parameter count)`` pair.
     """
+    base = TrainConfig.for_problem(
+        problem, epochs, learning_rate=learning_rate, batch_size=batch_size
+    )
     split_pair = data_mod.split(dataset, cv_ratio, split_seed)
 
     def evaluate(genotype: Genotype, seed: int) -> tuple[float, int]:
         net = materialize(genotype, input_dim, seed)
-        cfg = TrainConfig.for_problem(
-            problem,
-            epochs,
-            learning_rate=learning_rate,
-            batch_size=batch_size,
-            seed=seed,
-        )
-        report = train(net, split_pair, cfg)
+        report = train(net, split_pair, replace(base, seed=seed))
         return report.value, net.param_count
 
     return evaluate
@@ -509,23 +563,14 @@ def save_model(net: DenseNetwork, g: Genotype, history: list[float], base_path) 
     header = {
         "genotype": to_dict(g),
         "input_dim": net.input_dim,
-        "shapes": [
-            list(layer.W.shape)
-            for layer in net.layers
-            if isinstance(layer, _DenseLayer)
-        ],
+        "shapes": [list(layer.shape) for layer in net.dense],
         "loss_history": history,
         "param_count": net.param_count,
     }
     json_path = base.with_suffix(".json")
     bin_path = base.with_suffix(".bin")
     json_path.write_text(json.dumps(header, indent=2))
-    blob = bytearray()
-    for layer in net.layers:
-        if isinstance(layer, _DenseLayer):
-            blob += layer.W.astype("<f4").tobytes()
-            blob += layer.b.astype("<f4").tobytes()
-    bin_path.write_bytes(bytes(blob))
+    bin_path.write_bytes(net.flat.astype("<f4").tobytes())
     return json_path, bin_path
 
 
@@ -536,17 +581,10 @@ def load_model(base_path) -> tuple[Genotype, DenseNetwork, dict]:
     g = from_dict(header["genotype"])
     blob = base.with_suffix(".bin").read_bytes()
     net = materialize(g, header["input_dim"], seed=0)
-    floats = np.frombuffer(blob, dtype="<f4").astype(np.float64)
-    expected = net.param_count
-    if floats.size != expected:
-        raise ValueError(f"parameter blob has {floats.size} floats, header promises {expected}")
-    at = 0
-    for layer in net.layers:
-        if isinstance(layer, _DenseLayer):
-            w_n = layer.W.size
-            layer.W = floats[at : at + w_n].reshape(layer.W.shape)
-            at += w_n
-            b_n = layer.b.size
-            layer.b = floats[at : at + b_n].copy()
-            at += b_n
+    floats = np.frombuffer(blob, dtype="<f4")
+    if floats.size != net.param_count:
+        raise ValueError(
+            f"parameter blob has {floats.size} floats, header promises {net.param_count}"
+        )
+    net.flat[:] = floats  # in place: the layers' W and b are views of net.flat
     return g, net, header

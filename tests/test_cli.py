@@ -230,6 +230,24 @@ class TestSearchCommand:
         assert main(args) == 0
         assert f"2 worker(s) x unmanaged BLAS thread(s) on {cores} core(s)" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [
+            ("--batch-size", "0", "batch_size"),
+            ("--learning-rate", "-1", "learning_rate"),
+            ("--learning-rate", "inf", "learning_rate"),
+        ],
+    )
+    def test_bad_training_flag_exits_2_before_any_evaluation(
+        self, workdir, monkeypatch, capsys, flag, value, field
+    ):
+        calls = []
+        monkeypatch.setattr("evonas.trainer.train", lambda *a: calls.append(a))
+        out = workdir / "bad"
+        assert main([*search_args(workdir, out), flag, value]) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists() and not calls
+
     def test_feature_width_mismatch_is_config_error(self, workdir):
         doc = json.loads((workdir / "config.json").read_text())
         doc["input_shape"] = 9
@@ -387,6 +405,23 @@ class TestTrainCommand:
         assert "validation accuracy" in stdout
         assert (workdir / "model.json").exists()
         assert (workdir / "model.bin").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--kfold", "1", "--kfold"),
+            ("--kfold", "0", "--kfold"),
+            ("--epochs", "-1", "epochs"),
+            ("--batch-size", "0", "batch_size"),
+        ],
+    )
+    def test_bad_flag_exits_2_before_data_loads(self, workdir, capsys, flag, value, message):
+        gpath = workdir / "g.json"
+        gpath.write_text(serialize(mlp_classifier([(16, A.RELU)], classes=2)))
+        # the manifest does not exist: a data error (exit 3) would mean it was read first
+        code = main(["train", str(gpath), str(workdir / "missing.json"), flag, value])
+        assert code == 2
+        assert message in capsys.readouterr().err
 
     def test_zero_epochs_still_reports(self, workdir, capsys):
         g = mlp_classifier([(16, A.RELU)], classes=2)

@@ -37,15 +37,15 @@ from evonas.trainer import (
     save_model,
 )
 
-from conftest import genotypes, mlp_classifier
+from conftest import genotypes, mlp_classifier, mlp_regressor
 
 A = Activation
 
 
 def linear_unit(weight: float, bias: float) -> DenseNetwork:
-    W = np.array([[weight]], dtype=np.float64)
-    b = np.array([bias], dtype=np.float64)
-    return DenseNetwork([_DenseLayer(W, b, A.LINEAR)], input_dim=1)
+    net = DenseNetwork([_DenseLayer(1, 1, A.LINEAR)], input_dim=1)
+    net.flat[:] = (weight, bias)
+    return net
 
 
 class TestMaterialize:
@@ -190,14 +190,59 @@ class TestGradients:
         assert gradient_agreement(net, X, Y, Loss.MEAN_SQUARED_ERROR) >= 0.99
 
 
+class TestGradientVector:
+    def setup_method(self):
+        g = mlp_classifier([(16, A.RELU), 0.5, (8, A.TANH)], classes=3)
+        self.net = materialize(g, 6, seed=1)
+        rng = np.random.default_rng(5)
+        self.X = rng.normal(size=(20, 6))
+        self.Y = np.eye(3)[rng.integers(3, size=20)]
+
+    def grads(self, X, out=None):
+        return loss_and_gradients(self.net, X, self.Y, Loss.CATEGORICAL_CROSS_ENTROPY, out=out)[1]
+
+    def test_returned_gradients_survive_a_later_call(self):
+        first = self.grads(self.X)
+        kept = [g.copy() for g in first]
+        self.grads(-self.X)
+        for g, k in zip(first, kept):
+            np.testing.assert_array_equal(g, k)
+
+    def test_out_vector_holds_the_gradients_in_parameter_layout(self):
+        out = np.full_like(self.net.flat, np.nan)
+        views = self.grads(self.X, out=out)
+        assert all(np.shares_memory(v, out) for v in views)
+        assert [v.shape for v in views] == [p.shape for p in self.net.parameters()]
+        np.testing.assert_array_equal(out, np.concatenate([v.ravel() for v in views]))
+        for v, fresh in zip(views, self.grads(self.X)):
+            np.testing.assert_array_equal(v, fresh)
+
+
 class TestOptimizers:
     def test_zero_gradient_is_a_no_op(self):
         for make in (lambda p: _Sgd(p, 0.1), lambda p: _Adam(p, 0.1)):
-            params = [np.arange(6, dtype=np.float64).reshape(2, 3)]
-            before = params[0].copy()
-            opt = make(params)
-            opt.step([np.zeros_like(params[0])])
-            np.testing.assert_array_equal(params[0], before)
+            flat = np.arange(6, dtype=np.float64)
+            before = flat.copy()
+            opt = make(flat)
+            opt.step(np.zeros_like(flat))
+            np.testing.assert_array_equal(flat, before)
+
+    def test_adam_matches_the_textbook_update_exactly(self):
+        rng = np.random.default_rng(0)
+        n = 2 * _Adam.CHUNK + 7  # two full chunks and a partial one
+        flat = rng.normal(size=n)
+        ref, m, v = flat.copy(), np.zeros(n), np.zeros(n)
+        opt = _Adam(flat, 0.01)
+        for t in range(1, 4):
+            g = rng.normal(size=n)
+            opt.step(g.copy())
+            m *= 0.9
+            m += (1.0 - 0.9) * g
+            v *= 0.999
+            v += (1.0 - 0.999) * g * g
+            correction = np.sqrt(1.0 - 0.999**t) / (1.0 - 0.9**t)
+            ref -= 0.01 * correction * m / (np.sqrt(v) + 1e-8)
+            np.testing.assert_array_equal(flat, ref)
 
     def test_full_batch_sgd_loss_non_increasing(self):
         g = mlp_classifier([(16, A.TANH)], classes=3)
@@ -205,12 +250,13 @@ class TestOptimizers:
         rng = np.random.default_rng(2)
         X = rng.normal(size=(30, 6))
         Y = np.eye(3)[rng.integers(3, size=30)]
-        opt = _Sgd(net.parameters(), lr=1e-4)
+        opt = _Sgd(net.flat, lr=1e-4)
+        grad = np.empty_like(net.flat)
         losses = []
         for _ in range(6):
-            value, grads = loss_and_gradients(net, X, Y, Loss.CATEGORICAL_CROSS_ENTROPY)
+            value, _ = loss_and_gradients(net, X, Y, Loss.CATEGORICAL_CROSS_ENTROPY, out=grad)
             losses.append(value)
-            opt.step(grads)
+            opt.step(grad)
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
 
@@ -275,6 +321,56 @@ class TestTrain:
             reports.append(train(net, (tr, va), TrainConfig(10, seed=7, batch_size=32)))
         assert reports[0].value == reports[1].value
         assert reports[0].loss_curve == reports[1].loss_curve
+
+
+C, R = ProblemKind.CLASSIFICATION, ProblemKind.REGRESSION
+
+#: ``train`` results recorded before the trainer moved to one flat parameter
+#: vector, as (validation metric, loss curve). The flat layout, the in-place
+#: optimizer updates and the skipped first-layer input gradient do the same
+#: floating-point operations in the same order, so the numbers must match
+#: exactly. They depend on the BLAS kernels: recorded with numpy 2.4 and
+#: OpenBLAS 0.3.31 on x86-64.
+GOLDEN = {
+    "sigmoid-dropout-ce-adam": (
+        [(16, A.SIGMOID), 0.3, (8, A.SIGMOID)], C, "adam",
+        0.3888888888888889, [1.206423101454184, 1.1312664155410996, 1.0729598091446675],
+    ),
+    "tanh-ce-sgd": (
+        [(16, A.TANH)], C, "sgd",
+        0.2222222222222222, [1.2133548559275575, 1.1476643829859514, 1.156501211408415],
+    ),
+    "relu-dropout-ce-adam": (
+        [(16, A.RELU), 0.5, (8, A.RELU)], C, "adam",
+        0.2777777777777778, [1.313286511905056, 1.1652754280262556, 1.1552920306024264],
+    ),
+    "relu-tanh-mse-adam": (
+        [(16, A.RELU), (8, A.TANH)], R, "adam",
+        0.8058219518636123, [1.9117096512422833, 1.0631492484075935, 0.8770359034470733],
+    ),
+    "sigmoid-dropout-mse-sgd": (
+        [(8, A.SIGMOID), 0.2], R, "sgd",
+        1.5860431856542965, [2.015008583750083, 1.7355999565863243, 1.5645810225004284],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_train_reproduces_recorded_numbers(name):
+    hidden, problem, optimizer, value, curve = GOLDEN[name]
+    rng = np.random.default_rng(21)
+    X = rng.normal(size=(90, 6))
+    if problem == C:
+        y, g = rng.integers(3, size=90), mlp_classifier(hidden, classes=3)
+    else:
+        y, g = X @ rng.normal(size=6), mlp_regressor(hidden)
+    tr, va = split(Dataset(X, y, problem), 0.2, seed=1)
+    cfg = TrainConfig.for_problem(
+        problem, 3, optimizer=optimizer, learning_rate=0.01, batch_size=32, seed=5
+    )
+    report = train(materialize(g, 6, seed=4), (tr, va), cfg)
+    assert report.value == value
+    assert report.loss_curve == curve
 
 
 class TestTrainConfig:
@@ -379,6 +475,22 @@ class TestModelExport:
         assert header["param_count"] == net.param_count
         X = va.features
         np.testing.assert_allclose(net2.forward(X), net.forward(X), rtol=1e-5, atol=1e-6)
+
+    def test_loaded_model_trains_and_round_trips_exactly(self, tmp_path, blob_dataset):
+        tr, va = split(blob_dataset, 0.2, seed=1)
+        g = mlp_classifier([(16, A.RELU), 0.25], classes=2)
+        net = materialize(g, 4, seed=0)
+        train(net, (tr, va), TrainConfig(2, seed=0, batch_size=32))
+        save_model(net, g, [], tmp_path / "a")
+        _, loaded, _ = load_model(tmp_path / "a")
+        weights = [p.copy() for p in loaded.parameters()]
+        train(loaded, (tr, va), TrainConfig(2, seed=1, batch_size=32))
+        assert all(not np.array_equal(p, w) for p, w in zip(loaded.parameters(), weights))
+        save_model(loaded, g, [], tmp_path / "b")
+        _, again, _ = load_model(tmp_path / "b")
+        np.testing.assert_array_equal(again.flat, loaded.flat.astype(np.float32))
+        save_model(again, g, [], tmp_path / "c")
+        assert (tmp_path / "c.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
 
     def test_blob_length_checked(self, tmp_path):
         g = mlp_classifier([(8, A.RELU)], classes=2)
