@@ -137,6 +137,12 @@ def cmd_search(args) -> int:
         raise evolution.ConfigError(
             f"config input_shape implies {flat_input} features, dataset has {dataset.feature_count}"
         )
+    if cfg.problem == ProblemKind.CLASSIFICATION:
+        top_label = int(dataset.targets.max(initial=0))
+        if top_label >= cfg.output_size:
+            raise evolution.ConfigError(
+                f"config output_size {cfg.output_size} is too small for dataset label {top_label}"
+            )
 
     # builds and checks the training settings: a bad flag stops here, not per evaluation
     evaluator = trainer.make_evaluator(

@@ -13,22 +13,15 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .evalpool import EvalJob, Evaluator, derive_seed, evaluate_all
 from .genotype import (
-    ARCH_LAYER_KINDS,
-    FOLLOWERS,
     HIDDEN_ACTIVATIONS,
-    FILTER_CHOICES,
-    KERNEL_SIZE_CHOICES,
-    KERNEL_STRIDE_CHOICES,
     MAX_LAYERS,
-    POOL_SIZE_CHOICES,
-    REACHES_OUTPUT,
     UNIT_CHOICES,
     Activation,
     ArchKind,
@@ -80,6 +73,10 @@ class SearchConfig:
     def __post_init__(self):
         self.problem = ProblemKind(self.problem)
         self.arch = ArchKind(self.arch)
+        if self.arch != ArchKind.MLP:
+            raise ConfigError(
+                f"arch {self.arch.value!r} has no training backend; only 'mlp' can be searched"
+            )
         if isinstance(self.input_shape, list):
             self.input_shape = tuple(self.input_shape)
 
@@ -124,22 +121,15 @@ class SearchConfig:
         need(2 <= self.max_layers <= MAX_LAYERS, f"max_layers must be in 2..{MAX_LAYERS}")
         need(self.fitness_mode in FITNESS_MODES, f"fitness_mode must be one of {FITNESS_MODES}")
 
-    _JSON_KEYS = (
-        "problem", "arch", "input_shape", "output_size", "cv_ratio",
-        "mutation_prob", "crossover_prob", "more_layers_prob", "alpha",
-        "population_size", "tournament_size", "crossover_trials",
-        "convergence_pairs", "convergence_threshold", "train_epochs",
-        "max_generations", "experiments", "max_layers", "fitness_mode", "seed",
-    )
-
     @classmethod
     def from_dict(cls, doc: dict) -> "SearchConfig":
         if not isinstance(doc, dict):
             raise ConfigError("search configuration must be a JSON object")
-        unknown = sorted(set(doc) - set(cls._JSON_KEYS))
+        keys = fields(cls)
+        unknown = sorted(set(doc) - {f.name for f in keys})
         if unknown:
             raise ConfigError(f"unknown configuration key(s): {', '.join(unknown)}")
-        missing = [k for k in ("problem", "arch", "input_shape", "output_size") if k not in doc]
+        missing = [f.name for f in keys if f.default is MISSING and f.name not in doc]
         if missing:
             raise ConfigError(f"missing required configuration key(s): {', '.join(missing)}")
         try:
@@ -150,29 +140,12 @@ class SearchConfig:
             raise ConfigError(str(exc)) from None
 
     def to_dict(self) -> dict:
-        shape = self.input_shape
-        return {
-            "problem": self.problem.value,
-            "arch": self.arch.value,
-            "input_shape": list(shape) if isinstance(shape, tuple) else shape,
-            "output_size": self.output_size,
-            "cv_ratio": self.cv_ratio,
-            "mutation_prob": self.mutation_prob,
-            "crossover_prob": self.crossover_prob,
-            "more_layers_prob": self.more_layers_prob,
-            "alpha": self.alpha,
-            "population_size": self.population_size,
-            "tournament_size": self.tournament_size,
-            "crossover_trials": self.crossover_trials,
-            "convergence_pairs": self.convergence_pairs,
-            "convergence_threshold": self.convergence_threshold,
-            "train_epochs": self.train_epochs,
-            "max_generations": self.max_generations,
-            "experiments": self.experiments,
-            "max_layers": self.max_layers,
-            "fitness_mode": self.fitness_mode,
-            "seed": self.seed,
-        }
+        """JSON-ready form with the same keys, in field order, that from_dict accepts."""
+        doc = asdict(self)
+        doc.update(problem=self.problem.value, arch=self.arch.value)
+        if isinstance(self.input_shape, tuple):
+            doc["input_shape"] = list(self.input_shape)
+        return doc
 
     @property
     def metric_kind(self) -> Metric:
@@ -209,29 +182,6 @@ def sample_stop_variate(u: float) -> float:
     return 1.0 - math.sqrt(1.0 - u)
 
 
-def _random_layer(kind: LayerKind, acts: dict, rng) -> LayerGene:
-    def act_for(k: LayerKind) -> Activation:
-        # layers of the same kind share one activation across the model
-        if k not in acts:
-            acts[k] = _pick(rng, HIDDEN_ACTIVATIONS)
-        return acts[k]
-
-    if kind == LayerKind.FULLY_CONNECTED:
-        return LayerGene.dense(_pick(rng, UNIT_CHOICES), act_for(kind))
-    if kind == LayerKind.RECURRENT:
-        return LayerGene.recurrent(_pick(rng, UNIT_CHOICES), act_for(kind))
-    if kind == LayerKind.CONVOLUTIONAL:
-        return LayerGene.conv(
-            _pick(rng, FILTER_CHOICES),
-            _pick(rng, KERNEL_SIZE_CHOICES),
-            _pick(rng, KERNEL_STRIDE_CHOICES),
-            act_for(kind),
-        )
-    if kind == LayerKind.POOLING:
-        return LayerGene.pooling(_pick(rng, POOL_SIZE_CHOICES))
-    return LayerGene.dropout(_pick(rng, DROPOUT_RATE_GRID))
-
-
 def _output_layer(cfg: SearchConfig) -> LayerGene:
     if cfg.problem == ProblemKind.CLASSIFICATION:
         return LayerGene.dense(cfg.output_size, Activation.SOFTMAX)
@@ -241,23 +191,25 @@ def _output_layer(cfg: SearchConfig) -> LayerGene:
 def random_genotype(cfg: SearchConfig, rng) -> Genotype:
     """Stack random layers until the stop variate fires, then cap with the output layer.
 
-    The first layer's kind is fixed by the architecture family and every
-    further kind is drawn uniformly from the legal followers of the previous
-    layer, restricted to the family's own kinds and to kinds from which the
-    output layer stays reachable. Larger ``more_layers_prob`` yields deeper
-    models.
+    The first layer is dense. After a dense layer the next kind is dense or
+    dropout, drawn uniformly; after a dropout layer it is dense. Every hidden
+    dense layer shares the first layer's activation. Larger
+    ``more_layers_prob`` yields deeper models.
     """
-    acts: dict[LayerKind, Activation] = {}
-    family = ARCH_LAYER_KINDS[cfg.arch]
-    layers = [_random_layer(cfg.arch.first_layer_kind, acts, rng)]
+    units = _pick(rng, UNIT_CHOICES)
+    activation = _pick(rng, HIDDEN_ACTIVATIONS)
+    layers = [LayerGene.dense(units, activation)]
     while (
         sample_stop_variate(rng.random()) < cfg.more_layers_prob
         and len(layers) + 1 < cfg.max_layers
     ):
-        options = sorted(
-            k for k in FOLLOWERS[layers[-1].kind] if k in family and k in REACHES_OUTPUT
-        )
-        layers.append(_random_layer(_pick(rng, options), acts, rng))
+        kind = LayerKind.FULLY_CONNECTED
+        if layers[-1].kind == LayerKind.FULLY_CONNECTED:
+            kind = _pick(rng, (LayerKind.FULLY_CONNECTED, LayerKind.DROPOUT))
+        if kind == LayerKind.DROPOUT:
+            layers.append(LayerGene.dropout(_pick(rng, DROPOUT_RATE_GRID)))
+        else:
+            layers.append(LayerGene.dense(_pick(rng, UNIT_CHOICES), activation))
     layers.append(_output_layer(cfg))
     return Genotype(tuple(layers), cfg.arch, cfg.problem)
 
@@ -399,34 +351,18 @@ def crossover(s1: Genotype, s2: Genotype, cfg: SearchConfig, rng) -> Genotype:
 
 # --- mutation -----------------------------------------------------------------
 
-_PARAM_FIELDS = {
-    LayerKind.FULLY_CONNECTED: ("units",),
-    LayerKind.RECURRENT: ("units",),
-    LayerKind.CONVOLUTIONAL: ("filters", "kernel_size", "kernel_stride"),
-    LayerKind.POOLING: ("pool_size",),
-    LayerKind.DROPOUT: ("dropout_rate",),
+#: The searchable layer kinds, each with the parameter mutation resamples
+#: and that parameter's grid of legal values.
+_LAYER_GRID: dict[LayerKind, tuple[str, tuple]] = {
+    LayerKind.FULLY_CONNECTED: ("units", UNIT_CHOICES),
+    LayerKind.DROPOUT: ("dropout_rate", DROPOUT_RATE_GRID),
 }
-
-_FIELD_CHOICES = {
-    "units": UNIT_CHOICES,
-    "filters": FILTER_CHOICES,
-    "kernel_size": KERNEL_SIZE_CHOICES,
-    "kernel_stride": KERNEL_STRIDE_CHOICES,
-    "pool_size": POOL_SIZE_CHOICES,
-    "dropout_rate": DROPOUT_RATE_GRID,
-}
-
-_ACTIVATION_KINDS = (
-    LayerKind.FULLY_CONNECTED,
-    LayerKind.CONVOLUTIONAL,
-    LayerKind.RECURRENT,
-)
 
 
 def _applicable_edits(g: Genotype, i: int, cfg: SearchConfig) -> list[str]:
     gene = g.layers[i]
     edits = ["param"]
-    if gene.kind in _ACTIVATION_KINDS:
+    if gene.activation is not None:
         edits.append("activation")
     if (
         len(g.layers) + 1 <= cfg.max_layers
@@ -439,10 +375,8 @@ def _applicable_edits(g: Genotype, i: int, cfg: SearchConfig) -> list[str]:
 
 def _edit_param(g: Genotype, i: int, rng) -> Genotype:
     gene = g.layers[i]
-    fields = _PARAM_FIELDS[gene.kind]
-    name = _pick(rng, fields)
-    current = getattr(gene, name)
-    choices = [c for c in _FIELD_CHOICES[name] if c != current]
+    name, grid = _LAYER_GRID[gene.kind]
+    choices = [c for c in grid if c != getattr(gene, name)]
     new_gene = replace(gene, **{name: _pick(rng, choices)})
     layers = g.layers[:i] + (new_gene,) + g.layers[i + 1 :]
     return Genotype(layers, g.arch, g.problem)
@@ -473,6 +407,7 @@ def mutate(g: Genotype, cfg: SearchConfig, rng) -> Genotype:
     non-output layer: resample one of its parameters, change its activation
     (re-aligning same-kind layers), or insert a dropout layer after it. A
     layer with no applicable edit triggers a re-pick, at most three times.
+    ``g`` holds only the dense and dropout layers the search generates.
     """
     if rng.random() >= cfg.mutation_prob:
         return g
@@ -508,12 +443,6 @@ def nominal_convergence(pop: Sequence[Genotype], m_c: int, d_t: float) -> bool:
 OnEval = Callable[[int, int, int, Individual, int], None]
 
 
-def _worst_case_perf(ok_perfs: list[float], metric_kind: Metric) -> float:
-    if metric_kind in SCORE_METRICS:
-        return min(ok_perfs) if ok_perfs else 0.0
-    return max(ok_perfs) if ok_perfs else 1e9
-
-
 def _assign_costs(individuals: list[Individual], cfg: SearchConfig) -> None:
     costs = compute_costs(
         [(ind.perf, ind.size) for ind in individuals],
@@ -538,7 +467,8 @@ def run_search(
     count)`` pair. Per-candidate seeds are derived from (config seed,
     experiment, generation, index), never from scheduling, so results are
     bit-identical for any worker count. A failing evaluation is logged and
-    assigned the worst performance seen in its generation.
+    assigned the worst performance seen in its generation; a generation in
+    which every evaluation fails raises ``RuntimeError``.
 
     Each experiment evolves a fresh random population until the generation
     cap or nominal convergence, carrying the previous generation's best over
@@ -563,7 +493,14 @@ def run_search(
                 for i, g in enumerate(population)
             ]
             results = evaluate_all(jobs, evaluator, workers, trace_path=trace_path)
-            fallback = _worst_case_perf([r.perf for r in results if r.ok], cfg.metric_kind)
+            ok_perfs = [r.perf for r in results if r.ok]
+            if not ok_perfs:
+                raise RuntimeError(
+                    f"experiment {exp}, generation {gen}: every evaluation failed "
+                    f"(first: {results[0].status})"
+                )
+            worst = min if cfg.metric_kind in SCORE_METRICS else max
+            fallback = worst(ok_perfs)
             individuals = []
             for job, r in zip(jobs, results):
                 perf = r.perf if r.ok else fallback

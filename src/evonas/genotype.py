@@ -108,29 +108,6 @@ def can_follow(a: LayerKind, b: LayerKind) -> bool:
     return b in FOLLOWERS[a]
 
 
-def _reachable_output_kinds() -> frozenset[LayerKind]:
-    # Kinds from which a fully connected layer is reachable by stacking.
-    reaches = set()
-    for start in LayerKind:
-        seen, frontier = {start}, [start]
-        while frontier:
-            k = frontier.pop()
-            if LayerKind.FULLY_CONNECTED in FOLLOWERS[k]:
-                reaches.add(start)
-                break
-            for nxt in FOLLOWERS[k]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-    return frozenset(reaches)
-
-
-#: Kinds from which the (fully connected) output layer can eventually be
-#: reached. With the current follower rule this is every kind; generation
-#: code checks it anyway so the rule table stays the single source of truth.
-REACHES_OUTPUT: frozenset[LayerKind] = _reachable_output_kinds()
-
-
 class ArchKind(str, Enum):
     MLP = "mlp"
     CNN = "cnn"
@@ -145,24 +122,6 @@ _FIRST_LAYER = {
     ArchKind.MLP: LayerKind.FULLY_CONNECTED,
     ArchKind.CNN: LayerKind.CONVOLUTIONAL,
     ArchKind.RNN: LayerKind.RECURRENT,
-}
-
-#: Layer kinds each architecture family is built from. The chosen family
-#: fixes the first layer and keeps generated models inside the family, e.g.
-#: a fully connected run never grows convolutional layers.
-ARCH_LAYER_KINDS: dict[ArchKind, frozenset[LayerKind]] = {
-    ArchKind.MLP: frozenset({LayerKind.FULLY_CONNECTED, LayerKind.DROPOUT}),
-    ArchKind.CNN: frozenset(
-        {
-            LayerKind.CONVOLUTIONAL,
-            LayerKind.POOLING,
-            LayerKind.DROPOUT,
-            LayerKind.FULLY_CONNECTED,
-        }
-    ),
-    ArchKind.RNN: frozenset(
-        {LayerKind.RECURRENT, LayerKind.DROPOUT, LayerKind.FULLY_CONNECTED}
-    ),
 }
 
 

@@ -210,7 +210,6 @@ from evonas.genotype import (  # noqa: E402
     KERNEL_SIZE_CHOICES,
     KERNEL_STRIDE_CHOICES,
     POOL_SIZE_CHOICES,
-    REACHES_OUTPUT,
     UNIT_CHOICES,
 )
 
@@ -250,7 +249,7 @@ def genotypes(
     kind = arch.first_layer_kind
     genes = [draw(layer_genes(kind))]
     for _ in range(draw(st.integers(0, max_hidden - 1))):
-        kind = draw(st.sampled_from(sorted(k for k in FOLLOWERS[kind] if k in REACHES_OUTPUT)))
+        kind = draw(st.sampled_from(sorted(FOLLOWERS[kind])))
         genes.append(draw(layer_genes(kind)))
     if problem == ProblemKind.CLASSIFICATION:
         genes.append(LayerGene.dense(draw(st.integers(2, 16)), A.SOFTMAX))

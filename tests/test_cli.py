@@ -264,6 +264,53 @@ class TestSearchCommand:
         assert code == 2
 
 
+    def test_output_size_below_label_range_is_config_error(self, workdir, capsys, monkeypatch):
+        def forbidden(*_a, **_k):
+            raise AssertionError("the check must run before any evaluator is built")
+
+        monkeypatch.setattr("evonas.trainer.make_evaluator", forbidden)
+        doc = json.loads((workdir / "config.json").read_text())
+        doc["output_size"] = 1  # the blob labels are 0 and 1
+        (workdir / "narrow.json").write_text(json.dumps(doc))
+        out = workdir / "x"
+        code = main(
+            ["search", str(workdir / "narrow.json"), str(workdir / "data.json"), "--out", str(out)]
+        )
+        assert code == 2
+        assert "output_size 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("arch", ["cnn", "rnn"])
+    def test_untrainable_arch_exits_2_before_data_loads(self, workdir, capsys, arch):
+        doc = json.loads((workdir / "config.json").read_text())
+        doc["arch"] = arch
+        (workdir / "family.json").write_text(json.dumps(doc))
+        out = workdir / "x"
+        # the manifest does not exist: a data error (exit 3) would mean it was read first
+        code = main(
+            ["search", str(workdir / "family.json"), str(workdir / "missing.json"), "--out", str(out)]
+        )
+        assert code == 2
+        assert "no training backend" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_generation_without_success_exits_4_without_best(self, workdir, capsys, monkeypatch):
+        def failing_make_evaluator(*_a, **_k):
+            def evaluate(genotype, seed):
+                raise RuntimeError("backend down")
+
+            return evaluate
+
+        monkeypatch.setattr("evonas.trainer.make_evaluator", failing_make_evaluator)
+        out = workdir / "run"
+        assert main(search_args(workdir, out)) == 4
+        err = capsys.readouterr().err
+        assert "experiment 0, generation 0" in err
+        assert "backend down" in err
+        assert read_runs(out / "runs.csv") == []
+        assert not (out / "archive.json").exists()
+        assert not (out / "best.json").exists()
+
 class TestRegressionPipeline:
     @pytest.fixture
     def rul_workdir(self, tmp_path):

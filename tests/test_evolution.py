@@ -1,8 +1,10 @@
 """Tests for the search operators and the evolutionary loop."""
 
+import json
 import logging
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -210,7 +212,7 @@ class TestRandomGenotype:
         assert g.layers[-1].units == 1
         assert g.layers[-1].activation == A.LINEAR
 
-    @pytest.mark.parametrize("arch", list(ArchKind))
+    @pytest.mark.parametrize("arch", [ArchKind.MLP])
     def test_first_layer_matches_architecture(self, mnist_search_config, arch):
         cfg = replace(mnist_search_config, arch=arch)
         rng = np.random.default_rng(3)
@@ -220,7 +222,7 @@ class TestRandomGenotype:
             assert validate(g).ok
 
     def test_same_kind_layers_share_activation(self, mnist_search_config):
-        cfg = replace(mnist_search_config, more_layers_prob=0.9, arch=ArchKind.CNN)
+        cfg = replace(mnist_search_config, more_layers_prob=0.9)
         rng = np.random.default_rng(4)
         for _ in range(100):
             g = random_genotype(cfg, rng)
@@ -231,15 +233,12 @@ class TestRandomGenotype:
             assert all(len(acts) == 1 for acts in per_kind.values())
 
     def test_generated_models_stay_inside_their_family(self, mnist_search_config):
-        from evonas.genotype import ARCH_LAYER_KINDS
-
         rng = np.random.default_rng(14)
-        for arch in ArchKind:
-            cfg = replace(mnist_search_config, arch=arch, more_layers_prob=0.8)
-            for _ in range(100):
-                g = random_genotype(cfg, rng)
-                kinds = {gene.kind for gene in g.layers}
-                assert kinds <= ARCH_LAYER_KINDS[arch] | {LayerKind.FULLY_CONNECTED}
+        cfg = replace(mnist_search_config, more_layers_prob=0.8)
+        for _ in range(100):
+            g = random_genotype(cfg, rng)
+            kinds = {gene.kind for gene in g.layers}
+            assert kinds <= {LayerKind.FULLY_CONNECTED, LayerKind.DROPOUT}
 
     def test_deeper_with_larger_stop_parameter(self, mnist_search_config):
         shallow_cfg = replace(mnist_search_config, more_layers_prob=0.1)
@@ -469,7 +468,7 @@ class TestSearchConfig:
 
     def test_json_roundtrip(self, mnist_search_config):
         doc = mnist_search_config.to_dict()
-        assert set(doc) == set(SearchConfig._JSON_KEYS)
+        assert list(doc) == [f.name for f in fields(SearchConfig)]
         assert SearchConfig.from_dict(doc) == mnist_search_config
 
     @pytest.mark.parametrize(
@@ -489,6 +488,23 @@ class TestSearchConfig:
         doc = mnist_search_config.to_dict()
         doc.update(patch)
         with pytest.raises(ConfigError):
+            SearchConfig.from_dict(doc)
+
+    def test_readme_block_lists_every_key_with_real_defaults(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("### Search configuration", 1)[1]
+        block = json.loads(section.split("```json", 1)[1].split("```", 1)[0])
+        assert list(block) == [f.name for f in fields(SearchConfig)]
+        required = {k: block[k] for k in ("problem", "arch", "input_shape", "output_size")}
+        assert SearchConfig.from_dict(block) == SearchConfig(**required)
+
+    @pytest.mark.parametrize("arch", ["cnn", "rnn"])
+    def test_untrainable_arch_rejected(self, mnist_search_config, arch):
+        with pytest.raises(ConfigError, match="no training backend"):
+            replace(mnist_search_config, arch=arch)
+        doc = mnist_search_config.to_dict()
+        doc["arch"] = arch
+        with pytest.raises(ConfigError, match="no training backend"):
             SearchConfig.from_dict(doc)
 
     def test_unknown_and_missing_keys(self, mnist_search_config):
@@ -597,6 +613,29 @@ class TestRunSearch:
         failed = [ind for ind in rows if len(ind.genotype.layers) > 2]
         if failed and ok_perfs:
             assert all(ind.perf == pytest.approx(min(ok_perfs)) for ind in failed)
+
+    def test_generation_without_success_raises_before_recording(self):
+        cfg = small_search_config(experiments=1, max_generations=3, convergence_pairs=15)
+        calls = []
+
+        def fails_after_first_generation(g, seed):
+            calls.append(seed)
+            if len(calls) > cfg.population_size:
+                raise ValueError("backend lost")
+            return surrogate_by_size()(g, seed)
+
+        recorded = []
+        with pytest.raises(
+            RuntimeError, match=r"experiment 0, generation 1: .*ValueError\('backend lost'\)"
+        ):
+            run_search(
+                cfg,
+                fails_after_first_generation,
+                on_eval=lambda e, gen, i, ind, ms: recorded.append(gen),
+            )
+        # the failed generation never reaches on_eval with imputed perfs
+        assert recorded == [0] * cfg.population_size
+        assert len(calls) == 2 * cfg.population_size
 
     def test_population_l2_mode_runs(self):
         cfg = small_search_config(fitness_mode="population_l2", experiments=1)

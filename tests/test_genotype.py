@@ -310,15 +310,13 @@ class TestSerializeParse:
         assert parse(serialize(g)) == g
 
     def test_roundtrip_bulk_random(self, mnist_search_config):
-        # a large seeded sweep across all architecture families
+        # a large seeded sweep over generated genotypes of both problem kinds
         from evonas import random_genotype
         from dataclasses import replace
 
         rng = np.random.default_rng(123)
         configs = [
             mnist_search_config,
-            replace(mnist_search_config, arch=ArchKind.CNN, input_shape=(28, 28, 1)),
-            replace(mnist_search_config, arch=ArchKind.RNN),
             replace(
                 mnist_search_config,
                 problem=ProblemKind.REGRESSION,
