@@ -11,8 +11,9 @@ import csv
 import json
 import logging
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
+from typing import get_type_hints
 
 from . import data as data_mod
 from . import evalpool, evolution, trainer
@@ -34,12 +35,14 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_RUNTIME = 4
 
-RUNS_CSV_FIELDS = ("experiment", "generation", "index", "genotype", "perf", "params", "cost", "millis")
-
 
 @dataclass(frozen=True)
 class RunRecord:
-    """One evaluation of one candidate during a search."""
+    """One evaluation of one candidate during a search.
+
+    This is the ``runs.csv`` schema: one row per record, one column per
+    field, in field order, each cell read back with the field's type.
+    """
 
     experiment: int
     generation: int
@@ -51,47 +54,30 @@ class RunRecord:
     millis: int
 
 
-def write_runs_header(fh) -> csv.writer:
-    writer = csv.writer(fh)
-    writer.writerow(RUNS_CSV_FIELDS)
-    return writer
+RUNS_CSV_FIELDS = tuple(f.name for f in fields(RunRecord))
 
 
 def write_run_record(writer, record: RunRecord) -> None:
-    writer.writerow(
-        [
-            record.experiment,
-            record.generation,
-            record.index,
-            record.genotype,
-            record.perf,
-            record.params,
-            record.cost,
-            record.millis,
-        ]
-    )
+    writer.writerow(astuple(record))
 
 
 def read_runs(path) -> list[RunRecord]:
     """Parse a runs.csv produced by the search command."""
-    with Path(path).open(newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or tuple(rows[0]) != RUNS_CSV_FIELDS:
-        raise data_mod.DataError(f"{path}: not a runs.csv file")
+    types = list(get_type_hints(RunRecord).values())  # field order
     out = []
-    for row in rows[1:]:
-        out.append(
-            RunRecord(
-                experiment=int(row[0]),
-                generation=int(row[1]),
-                index=int(row[2]),
-                genotype=row[3],
-                perf=float(row[4]),
-                params=int(row[5]),
-                cost=float(row[6]),
-                millis=int(row[7]),
-            )
-        )
+    with Path(path).open(newline="") as fh:
+        reader = csv.reader(fh)
+        if tuple(next(reader, ())) != RUNS_CSV_FIELDS:
+            raise data_mod.DataError(f"{path}: not a runs.csv file")
+        for row in reader:
+            if len(row) != len(types):
+                raise data_mod.DataError(
+                    f"{path}: line {reader.line_num} has {len(row)} cells, expected {len(types)}"
+                )
+            try:
+                out.append(RunRecord(*(t(cell) for t, cell in zip(types, row))))
+            except ValueError as exc:
+                raise data_mod.DataError(f"{path}: line {reader.line_num}: {exc}") from None
     return out
 
 
@@ -165,7 +151,8 @@ def cmd_search(args) -> int:
 
     runs_path = out_dir / "runs.csv"
     with runs_path.open("w", newline="") as fh:
-        writer = write_runs_header(fh)
+        writer = csv.writer(fh)
+        writer.writerow(RUNS_CSV_FIELDS)
 
         def on_eval(exp, gen, idx, ind, millis):
             write_run_record(

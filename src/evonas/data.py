@@ -57,6 +57,8 @@ class Dataset:
             raise DataError("features contain non-finite values")
         if targets.dtype.kind == "f" and not np.all(np.isfinite(targets)):
             raise DataError("targets contain non-finite values")
+        if targets.dtype.kind == "i" and targets.min(initial=0) < 0:
+            raise DataError(f"class labels must be 0 or more, got {targets.min()}")
         feats.setflags(write=False)
         targets.setflags(write=False)
         object.__setattr__(self, "features", feats)

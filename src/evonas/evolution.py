@@ -26,6 +26,7 @@ from .genotype import (
     Activation,
     ArchKind,
     Genotype,
+    GenotypeError,
     LayerGene,
     LayerKind,
     ProblemKind,
@@ -407,8 +408,12 @@ def mutate(g: Genotype, cfg: SearchConfig, rng) -> Genotype:
     non-output layer: resample one of its parameters, change its activation
     (re-aligning same-kind layers), or insert a dropout layer after it. A
     layer with no applicable edit triggers a re-pick, at most three times.
-    ``g`` holds only the dense and dropout layers the search generates.
+    A non-output layer of a kind the search does not generate (see
+    ``_LAYER_GRID``) raises ``GenotypeError`` before any draw.
     """
+    for i, gene in enumerate(g.layers[:-1]):
+        if gene.kind not in _LAYER_GRID:
+            raise GenotypeError(f"layer {i}: mutate cannot edit a {gene.kind.label()} layer")
     if rng.random() >= cfg.mutation_prob:
         return g
     non_output = len(g.layers) - 1

@@ -102,6 +102,27 @@ POOL_SIZE_CHOICES: tuple[int, ...] = tuple(2**x for x in range(1, 7))
 #: Hard cap on genotype length (layers, output included).
 MAX_LAYERS = 64
 
+# Parameter slot -> (key in the named document form, type, legal-value test,
+# violation text), in slot order.
+_SLOTS = {
+    "units": ("units", int, UNIT_CHOICES.__contains__, "not a multiple of 8 in [8, 1024]"),
+    "filters": ("filters", int, FILTER_CHOICES.__contains__, "not a multiple of 8 in [8, 512]"),
+    "kernel_size": ("kernel_size", int, KERNEL_SIZE_CHOICES.__contains__, "not a power of 3 in [3, 729]"),
+    "kernel_stride": ("stride", int, KERNEL_STRIDE_CHOICES.__contains__, "not in 1..6"),
+    "pool_size": ("pool_size", int, POOL_SIZE_CHOICES.__contains__, "not a power of 2 in [2, 64]"),
+    "dropout_rate": ("rate", float, lambda r: 0.0 <= r <= 1.0, "outside [0, 1]"),
+}
+
+# Layer kind -> (the parameter slots it uses, in slot order; whether it takes
+# an activation). Every other slot of the kind must stay zero.
+_KIND_SLOTS: dict[LayerKind, tuple[tuple[str, ...], bool]] = {
+    LayerKind.FULLY_CONNECTED: (("units",), True),
+    LayerKind.CONVOLUTIONAL: (("filters", "kernel_size", "kernel_stride"), True),
+    LayerKind.POOLING: (("pool_size",), False),
+    LayerKind.RECURRENT: (("units",), True),
+    LayerKind.DROPOUT: (("dropout_rate",), False),
+}
+
 
 def can_follow(a: LayerKind, b: LayerKind) -> bool:
     """True when a layer of kind ``b`` may be stacked directly after ``a``."""
@@ -189,7 +210,7 @@ class LayerGene:
         """Rebuild a gene from its 8-slot array view.
 
         The kind slot decides which remaining slots are read; an activation
-        slot of 0 on a dense/recurrent/convolutional layer means sigmoid.
+        slot of 0 on a kind that takes an activation means sigmoid.
         """
         if len(vec) != 8:
             raise ParseError(f"layer array must have 8 slots, got {len(vec)}")
@@ -197,12 +218,7 @@ class LayerGene:
             kind = LayerKind(int(vec[0]))
         except ValueError:
             raise ParseError(f"unknown layer kind code {vec[0]!r}") from None
-        has_activation = kind in (
-            LayerKind.FULLY_CONNECTED,
-            LayerKind.CONVOLUTIONAL,
-            LayerKind.RECURRENT,
-        )
-        if has_activation:
+        if _KIND_SLOTS[kind][1]:
             try:
                 activation = Activation(int(vec[2]))
             except ValueError:
@@ -236,17 +252,6 @@ class Genotype:
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
 
-    def __len__(self) -> int:
-        return len(self.layers)
-
-    @property
-    def hidden_count(self) -> int:
-        return len(self.layers) - 1
-
-    @property
-    def output_layer(self) -> LayerGene:
-        return self.layers[-1]
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -273,73 +278,25 @@ class ValidityReport:
 
 
 def _check_fields(i: int, gene: LayerGene, is_output: bool, out: list[Violation]):
-    kind = gene.kind
-
-    def zero(field: str, value) -> None:
-        if value:
-            out.append(
-                Violation(i, f"{field} must be zero for a {kind.label()} layer")
-            )
-
-    if kind in (LayerKind.FULLY_CONNECTED, LayerKind.RECURRENT):
-        if gene.activation is None:
-            out.append(Violation(i, "missing activation"))
-        if is_output:
-            if gene.units < 1:
+    slots, takes_activation = _KIND_SLOTS[gene.kind]
+    label = gene.kind.label()
+    for slot, (_, _, legal, text) in _SLOTS.items():
+        value = getattr(gene, slot)
+        if slot not in slots:
+            if value:
+                out.append(Violation(i, f"{slot} must be zero for a {label} layer"))
+        elif is_output and slot == "units":
+            if value < 1:
                 out.append(Violation(i, "output layer needs at least one unit"))
-        elif gene.units not in UNIT_CHOICES:
-            out.append(
-                Violation(
-                    i,
-                    f"units {gene.units} not a multiple of 8 in [8, 1024]",
-                )
-            )
-        if not is_output and gene.activation not in HIDDEN_ACTIVATIONS:
-            out.append(
-                Violation(
-                    i,
-                    f"activation {gene.activation} is reserved for output layers",
-                )
-            )
-        zero("filters", gene.filters)
-        zero("kernel_size", gene.kernel_size)
-        zero("kernel_stride", gene.kernel_stride)
-        zero("pool_size", gene.pool_size)
-        zero("dropout_rate", gene.dropout_rate)
-    elif kind == LayerKind.CONVOLUTIONAL:
-        if gene.filters not in FILTER_CHOICES:
-            out.append(Violation(i, f"filters {gene.filters} not a multiple of 8 in [8, 512]"))
-        if gene.kernel_size not in KERNEL_SIZE_CHOICES:
-            out.append(
-                Violation(i, f"kernel_size {gene.kernel_size} not a power of 3 in [3, 729]")
-            )
-        if gene.kernel_stride not in KERNEL_STRIDE_CHOICES:
-            out.append(Violation(i, f"kernel_stride {gene.kernel_stride} not in 1..6"))
-        if gene.activation not in HIDDEN_ACTIVATIONS:
-            out.append(Violation(i, f"activation {gene.activation} not valid for a hidden layer"))
-        zero("units", gene.units)
-        zero("pool_size", gene.pool_size)
-        zero("dropout_rate", gene.dropout_rate)
-    elif kind == LayerKind.POOLING:
-        if gene.pool_size not in POOL_SIZE_CHOICES:
-            out.append(Violation(i, f"pool_size {gene.pool_size} not a power of 2 in [2, 64]"))
+        elif not legal(value):
+            out.append(Violation(i, f"{slot} {value} {text}"))
+    if not takes_activation:
         if gene.activation is not None:
-            out.append(Violation(i, "activation not applicable to a pooling layer"))
-        zero("units", gene.units)
-        zero("filters", gene.filters)
-        zero("kernel_size", gene.kernel_size)
-        zero("kernel_stride", gene.kernel_stride)
-        zero("dropout_rate", gene.dropout_rate)
-    elif kind == LayerKind.DROPOUT:
-        if not 0.0 <= gene.dropout_rate <= 1.0:
-            out.append(Violation(i, f"dropout_rate {gene.dropout_rate} outside [0, 1]"))
-        if gene.activation is not None:
-            out.append(Violation(i, "activation not applicable to a dropout layer"))
-        zero("units", gene.units)
-        zero("filters", gene.filters)
-        zero("kernel_size", gene.kernel_size)
-        zero("kernel_stride", gene.kernel_stride)
-        zero("pool_size", gene.pool_size)
+            out.append(Violation(i, f"activation not applicable to a {label} layer"))
+    elif gene.activation is None:
+        out.append(Violation(i, "missing activation"))
+    elif not is_output and gene.activation not in HIDDEN_ACTIVATIONS:
+        out.append(Violation(i, f"activation {gene.activation} is reserved for output layers"))
 
 
 def validate(g: Genotype) -> ValidityReport:
@@ -484,21 +441,13 @@ def rectify_activations(target: Genotype, reference: Genotype) -> Genotype:
 # --- canonical text encoding ------------------------------------------------
 
 def _named_form(gene: LayerGene) -> dict:
-    if gene.kind == LayerKind.FULLY_CONNECTED:
-        return {"kind": 1, "units": gene.units, "activation": int(gene.activation)}
-    if gene.kind == LayerKind.CONVOLUTIONAL:
-        return {
-            "kind": 2,
-            "filters": gene.filters,
-            "kernel_size": gene.kernel_size,
-            "stride": gene.kernel_stride,
-            "activation": int(gene.activation),
-        }
-    if gene.kind == LayerKind.POOLING:
-        return {"kind": 3, "pool_size": gene.pool_size}
-    if gene.kind == LayerKind.RECURRENT:
-        return {"kind": 4, "units": gene.units, "activation": int(gene.activation)}
-    return {"kind": 5, "rate": gene.dropout_rate}
+    slots, takes_activation = _KIND_SLOTS[gene.kind]
+    doc = {"kind": int(gene.kind)}
+    for slot in slots:
+        doc[_SLOTS[slot][0]] = getattr(gene, slot)
+    if takes_activation:
+        doc["activation"] = int(gene.activation)
+    return doc
 
 
 def to_dict(g: Genotype) -> dict:
@@ -570,21 +519,15 @@ def _gene_from_named(i: int, entry: dict) -> LayerGene:
         kind = LayerKind(int(entry["kind"]))
     except (TypeError, ValueError):
         raise ParseError(f"layer {i}: unknown layer kind {entry['kind']!r}") from None
+    slots, takes_activation = _KIND_SLOTS[kind]
     try:
-        if kind == LayerKind.FULLY_CONNECTED:
-            return LayerGene.dense(int(entry["units"]), Activation(int(entry["activation"])))
-        if kind == LayerKind.CONVOLUTIONAL:
-            return LayerGene.conv(
-                int(entry["filters"]),
-                int(entry["kernel_size"]),
-                int(entry["stride"]),
-                Activation(int(entry["activation"])),
-            )
-        if kind == LayerKind.POOLING:
-            return LayerGene.pooling(int(entry["pool_size"]))
-        if kind == LayerKind.RECURRENT:
-            return LayerGene.recurrent(int(entry["units"]), Activation(int(entry["activation"])))
-        return LayerGene.dropout(float(entry["rate"]))
+        params = {}
+        for slot in slots:
+            key, cast, _, _ = _SLOTS[slot]
+            params[slot] = cast(entry[key])
+        if takes_activation:
+            params["activation"] = Activation(int(entry["activation"]))
+        return LayerGene(kind, **params)
     except KeyError as exc:
         raise ParseError(f"layer {i}: missing field {exc.args[0]!r}") from None
     except (TypeError, ValueError) as exc:

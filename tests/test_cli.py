@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from evonas import count_params, evalpool, parse, serialize
-from evonas.cli import main, read_runs
+from evonas.cli import RUNS_CSV_FIELDS, main, read_runs
 
 from conftest import mlp_classifier
 from evonas import Activation
@@ -280,6 +280,18 @@ class TestSearchCommand:
         assert "output_size 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_class_labels_exit_3_before_any_evaluation(self, workdir, capsys, monkeypatch):
+        def forbidden(*_a, **_k):
+            raise AssertionError("the labels must be rejected before any evaluator is built")
+
+        monkeypatch.setattr("evonas.trainer.make_evaluator", forbidden)
+        blobs = workdir / "blobs.csv"
+        blobs.write_text(blobs.read_text().replace(",0\n", ",-1\n"))
+        out = workdir / "x"
+        assert main(search_args(workdir, out)) == 3
+        assert "class labels must be 0 or more, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("arch", ["cnn", "rnn"])
     def test_untrainable_arch_exits_2_before_data_loads(self, workdir, capsys, arch):
         doc = json.loads((workdir / "config.json").read_text())
@@ -494,6 +506,21 @@ class TestTrainCommand:
         code = main(["train", str(gpath), str(workdir / "data.json"), "--epochs", "1"])
         assert code == 4
 
+    def test_negative_class_labels_exit_3_before_training(self, workdir, capsys, monkeypatch):
+        def forbidden(*_a, **_k):
+            raise AssertionError("the labels must be rejected before any training")
+
+        monkeypatch.setattr("evonas.trainer.train", forbidden)
+        blobs = workdir / "blobs.csv"
+        blobs.write_text(blobs.read_text().replace(",0\n", ",-1\n"))
+        gpath = workdir / "g.json"
+        gpath.write_text(serialize(mlp_classifier([(16, A.RELU)], classes=2)))
+        model = workdir / "model"
+        code = main(["train", str(gpath), str(workdir / "data.json"), "--out-model", str(model)])
+        assert code == 3
+        assert "class labels must be 0 or more" in capsys.readouterr().err
+        assert list(workdir.glob("model*")) == []
+
 
 class TestInspectCommand:
     def test_prints_layer_table_with_params(self, workdir, capsys, crossover_child):
@@ -581,10 +608,36 @@ class TestPlotDataCommand:
         rows = [line.split(",") for line in out_csv.read_text().splitlines()[1:]]
         assert rows and all(row[2] == "0.3" for row in rows)
 
+    @pytest.mark.parametrize(
+        "mangle, message",
+        [
+            (lambda row: row.rsplit(",", 1)[0], "line 3 has 7 cells, expected 8"),
+            (lambda row: row.rsplit(",", 1)[0] + ",fast", "line 3: invalid literal for int()"),
+        ],
+        ids=["short-row", "non-numeric-cell"],
+    )
+    def test_malformed_runs_csv_exits_3_naming_the_line(
+        self, workdir, monkeypatch, capsys, mangle, message
+    ):
+        monkeypatch.setattr("evonas.trainer.make_evaluator", surrogate_make_evaluator)
+        run = self._run_alpha(workdir, 0.5, "bad")
+        lines = (run / "runs.csv").read_text().splitlines()
+        lines[2] = mangle(lines[2])
+        (run / "runs.csv").write_text("\n".join(lines) + "\n")
+        assert main(["plot-data", str(run), "--out", str(workdir / "x.csv")]) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and message in err
+
     def test_empty_directory_exits_3(self, workdir):
         empty = workdir / "empty"
         empty.mkdir()
         assert main(["plot-data", str(empty), "--out", str(workdir / "x.csv")]) == 3
+
+
+def test_readme_lists_the_runs_csv_columns():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("- `runs.csv` — one row per evaluation", 1)[1]
+    assert section.split("`", 2)[1] == ",".join(RUNS_CSV_FIELDS)
 
 
 def test_every_subcommand_accepts_seed(workdir, crossover_child, monkeypatch):

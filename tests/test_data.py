@@ -246,6 +246,11 @@ class TestDatasetInvariants:
         with pytest.raises(DataError, match="finite"):
             Dataset(X, np.ones(2), ProblemKind.REGRESSION)
 
+    def test_negative_class_labels_rejected(self):
+        with pytest.raises(DataError, match="class labels must be 0 or more, got -1"):
+            Dataset(np.ones((2, 2)), np.array([-1, 1]), ProblemKind.CLASSIFICATION)
+        Dataset(np.ones((2, 2)), np.array([-1.0, 1.0]), ProblemKind.REGRESSION)
+
     def test_features_become_read_only(self):
         ds = Dataset(np.ones((2, 2)), np.ones(2), ProblemKind.REGRESSION)
         with pytest.raises(ValueError):

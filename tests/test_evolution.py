@@ -17,6 +17,7 @@ from evonas import (
     Archive,
     ConfigError,
     Genotype,
+    GenotypeError,
     Individual,
     LayerGene,
     Metric,
@@ -419,6 +420,30 @@ class TestMutate:
         out = mutate(g, mnist_search_config, rng)
         assert out.layers[0].units != 64
         assert validate(out).ok
+
+    @pytest.mark.parametrize("prob", [1.0, 0.0])
+    @pytest.mark.parametrize(
+        "tail, message",
+        [
+            ((LayerGene.recurrent(32, A.RELU),), "layer 2: mutate cannot edit a Recurrent layer"),
+            (
+                (LayerGene.conv(8, 3, 1, A.RELU), LayerGene.pooling(2)),
+                "layer 2: mutate cannot edit a Convolutional layer",
+            ),
+        ],
+        ids=["recurrent", "convolutional"],
+    )
+    def test_unsearchable_layer_kind_raises_before_any_draw(
+        self, mnist_search_config, prob, tail, message
+    ):
+        layers = (LayerGene.dense(64, A.RELU), LayerGene.dropout(0.5), *tail)
+        g = Genotype(layers + (LayerGene.dense(10, A.SOFTMAX),), ArchKind.MLP, ProblemKind.CLASSIFICATION)
+        assert validate(g).ok
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        with pytest.raises(GenotypeError, match=message):
+            mutate(g, replace(mnist_search_config, mutation_prob=prob), rng)
+        assert rng.bit_generator.state == state
 
     def test_fuzz_validity_and_mutation_rate(self, mnist_search_config):
         rng = np.random.default_rng(21)

@@ -304,6 +304,47 @@ class TestSerializeParse:
         assert doc["raw"][1] == [5, 0, 0, 0, 0, 0, 0, 0.65]
         assert doc["layers"][0] == {"kind": 1, "units": 264, "activation": 2}
 
+    def test_document_form_of_every_layer_kind(self):
+        g = Genotype(
+            (
+                LayerGene.conv(16, 3, 2, A.RELU),
+                LayerGene.pooling(2),
+                LayerGene.conv(8, 9, 1, A.TANH),
+                LayerGene.dropout(0.25),
+                LayerGene.recurrent(32, A.SIGMOID),
+                LayerGene.dense(10, A.SOFTMAX),
+            ),
+            ArchKind.CNN,
+            ProblemKind.CLASSIFICATION,
+        )
+        expected = {
+            "arch": "cnn",
+            "problem": "classification",
+            "layers": [
+                {"kind": 2, "filters": 16, "kernel_size": 3, "stride": 2, "activation": 2},
+                {"kind": 3, "pool_size": 2},
+                {"kind": 2, "filters": 8, "kernel_size": 9, "stride": 1, "activation": 1},
+                {"kind": 5, "rate": 0.25},
+                {"kind": 4, "units": 32, "activation": 0},
+                {"kind": 1, "units": 10, "activation": 3},
+            ],
+            "raw": [
+                [2, 0, 2, 16, 3, 2, 0, 0],
+                [3, 0, 0, 0, 0, 0, 2, 0],
+                [2, 0, 1, 8, 9, 1, 0, 0],
+                [5, 0, 0, 0, 0, 0, 0, 0.25],
+                [4, 32, 0, 0, 0, 0, 0, 0],
+                [1, 10, 3, 0, 0, 0, 0, 0],
+            ],
+        }
+        doc = to_dict(g)
+        assert doc == expected
+        # dict equality ignores key order and 0 == 0.0; the text does not
+        assert serialize(g) == json.dumps(expected, separators=(",", ":"))
+        for form in ("layers", "raw"):
+            only = {"arch": "cnn", "problem": "classification", form: expected[form]}
+            assert parse(json.dumps(only)) == g
+
     @given(genotypes())
     @settings(max_examples=200)
     def test_roundtrip_property(self, g):
