@@ -282,9 +282,14 @@ def cmd_plotdata(args) -> int:
         config_path = run_dir / "config.json"
         if not config_path.exists():
             raise data_mod.DataError(f"{run_dir}: missing config.json next to runs.csv")
-        cfg_doc = json.loads(config_path.read_text())
-        alpha = float(cfg_doc["alpha"])
-        classification = cfg_doc["problem"] == ProblemKind.CLASSIFICATION.value
+        try:
+            cfg_doc = json.loads(config_path.read_text())
+            alpha = float(cfg_doc["alpha"])
+            classification = cfg_doc["problem"] == ProblemKind.CLASSIFICATION.value
+        except KeyError as exc:
+            raise data_mod.DataError(f"{config_path}: missing key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise data_mod.DataError(f"{config_path}: not a search config: {exc}") from None
         for rec in read_runs(run_dir / "runs.csv"):
             error = 1.0 - rec.perf if classification else rec.perf
             rows.append((rec.params, error, alpha, rec.experiment, rec.cost))

@@ -44,7 +44,12 @@ class Dataset:
         if feats.ndim != 2:
             raise DataError(f"features must be 2-D (samples x features), got shape {feats.shape}")
         if self.problem == ProblemKind.CLASSIFICATION:
-            targets = np.asarray(self.targets, dtype=np.int64)
+            targets = np.asarray(self.targets)
+            if targets.dtype.kind == "f":  # reject, never truncate, a fractional label
+                bad = targets[(targets != np.floor(targets)) | ~np.isfinite(targets)]
+                if bad.size:
+                    raise DataError(f"class labels must be whole numbers, got {bad[0]:g}")
+            targets = targets.astype(np.int64, copy=False)
         else:
             targets = np.asarray(self.targets, dtype=np.float64)
         if targets.ndim != 1:
@@ -220,8 +225,6 @@ def load_csv(
             else:
                 tgts[r] = value
     feats = normalize_features(feats, normalization)
-    if problem == ProblemKind.CLASSIFICATION:
-        tgts = tgts.astype(np.int64)
     col_names = tuple(names[i] for i in feat_idx) if names else None
     return Dataset(feats, tgts, problem, col_names)
 

@@ -35,7 +35,7 @@ from .genotype import (
     distance,
     rectify_activations,
 )
-from .trainer import SCORE_METRICS, ConfigError, Metric
+from .trainer import OBJECTIVE, ConfigError, Metric
 
 log = logging.getLogger(__name__)
 
@@ -150,7 +150,7 @@ class SearchConfig:
 
     @property
     def metric_kind(self) -> Metric:
-        return Metric.ACCURACY if self.problem == ProblemKind.CLASSIFICATION else Metric.MSE
+        return OBJECTIVE[self.problem][1]
 
 
 @dataclass
@@ -235,8 +235,8 @@ def compute_costs(
 ) -> list[float]:
     """Scalarized cost ``10 * (1 - alpha) * p + alpha * scaled_size(w)`` per member.
 
-    ``pop`` holds (raw metric value, parameter count) pairs. Score-like
-    metrics are flipped into errors first. In ``population_l2`` mode the
+    ``pop`` holds (raw metric value, parameter count) pairs. Accuracy is
+    flipped into an error first. In ``population_l2`` mode the
     error vector is normalized by its L2 norm over the population before
     weighting; ``raw_error`` uses the errors as they are.
     """
@@ -247,7 +247,7 @@ def compute_costs(
     if mode not in FITNESS_MODES:
         raise ValueError(f"unknown fitness mode {mode!r}")
     metric_kind = Metric(metric_kind)
-    if metric_kind in SCORE_METRICS:
+    if metric_kind == Metric.ACCURACY:
         errors = np.array([1.0 - perf for perf, _ in pop])
     else:
         errors = np.array([float(perf) for perf, _ in pop])
@@ -504,7 +504,7 @@ def run_search(
                     f"experiment {exp}, generation {gen}: every evaluation failed "
                     f"(first: {results[0].status})"
                 )
-            worst = min if cfg.metric_kind in SCORE_METRICS else max
+            worst = min if cfg.metric_kind == Metric.ACCURACY else max
             fallback = worst(ok_perfs)
             individuals = []
             for job, r in zip(jobs, results):

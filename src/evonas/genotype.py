@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import dataclass, fields, replace
 from enum import Enum, IntEnum
 
 
@@ -124,6 +125,15 @@ _KIND_SLOTS: dict[LayerKind, tuple[tuple[str, ...], bool]] = {
 }
 
 
+def _slot_value(name: str, value, cast: type):
+    """A parsed slot's value as ``cast`` (int or float): never truncated, never from text."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ParseError(f"{name} must be a number, got {value!r}")
+    if cast is int and not isinstance(value, numbers.Integral) and not float(value).is_integer():
+        raise ParseError(f"{name} must be a whole number, got {value!r}")
+    return cast(value)
+
+
 def can_follow(a: LayerKind, b: LayerKind) -> bool:
     """True when a layer of kind ``b`` may be stacked directly after ``a``."""
     return b in FOLLOWERS[a]
@@ -214,31 +224,26 @@ class LayerGene:
         """
         if len(vec) != 8:
             raise ParseError(f"layer array must have 8 slots, got {len(vec)}")
+        kind_code, units, activation_code, filters, size, stride, pool, rate = (
+            _slot_value(f.name, value, float if f.name == "dropout_rate" else int)
+            for f, value in zip(fields(cls), vec)  # the fields are the slots, in slot order
+        )
         try:
-            kind = LayerKind(int(vec[0]))
+            kind = LayerKind(kind_code)
         except ValueError:
             raise ParseError(f"unknown layer kind code {vec[0]!r}") from None
         if _KIND_SLOTS[kind][1]:
             try:
-                activation = Activation(int(vec[2]))
+                activation = Activation(activation_code)
             except ValueError:
                 raise ParseError(f"unknown activation code {vec[2]!r}") from None
         else:
-            if vec[2]:
+            if activation_code:
                 raise ParseError(
                     f"activation slot must be zero for a {kind.label()} layer"
                 )
             activation = None
-        return cls(
-            kind=kind,
-            units=int(vec[1]),
-            activation=activation,
-            filters=int(vec[3]),
-            kernel_size=int(vec[4]),
-            kernel_stride=int(vec[5]),
-            pool_size=int(vec[6]),
-            dropout_rate=float(vec[7]),
-        )
+        return cls(kind, units, activation, filters, size, stride, pool, rate)
 
 
 @dataclass(frozen=True)
@@ -516,17 +521,19 @@ def _gene_from_named(i: int, entry: dict) -> LayerGene:
     if not isinstance(entry, dict) or "kind" not in entry:
         raise ParseError(f"layer {i}: each layer entry needs a 'kind' field")
     try:
-        kind = LayerKind(int(entry["kind"]))
-    except (TypeError, ValueError):
+        kind = LayerKind(_slot_value("kind", entry["kind"], int))
+    except ParseError as exc:
+        raise ParseError(f"layer {i}: {exc}") from None
+    except ValueError:
         raise ParseError(f"layer {i}: unknown layer kind {entry['kind']!r}") from None
     slots, takes_activation = _KIND_SLOTS[kind]
     try:
         params = {}
         for slot in slots:
             key, cast, _, _ = _SLOTS[slot]
-            params[slot] = cast(entry[key])
+            params[slot] = _slot_value(key, entry[key], cast)
         if takes_activation:
-            params["activation"] = Activation(int(entry["activation"]))
+            params["activation"] = Activation(_slot_value("activation", entry["activation"], int))
         return LayerGene(kind, **params)
     except KeyError as exc:
         raise ParseError(f"layer {i}: missing field {exc.args[0]!r}") from None

@@ -13,7 +13,6 @@ import json
 import logging
 import math
 import time
-import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -30,28 +29,27 @@ from .genotype import (
     count_params,
     from_dict,
     to_dict,
-    validate,
 )
 
 log = logging.getLogger(__name__)
 
 
 class Metric(str, Enum):
-    ACCURACY = "accuracy"
-    PRECISION = "precision"
-    RECALL = "recall"
-    F1 = "f1"
-    MSE = "mse"
-    RMSE = "rmse"
-
-
-#: Metrics where larger is better (scores); the rest are error magnitudes.
-SCORE_METRICS = frozenset({Metric.ACCURACY, Metric.PRECISION, Metric.RECALL, Metric.F1})
+    ACCURACY = "accuracy"  # a score: larger is better
+    MSE = "mse"  # an error: smaller is better
 
 
 class Loss(str, Enum):
     CATEGORICAL_CROSS_ENTROPY = "categorical_cross_entropy"
     MEAN_SQUARED_ERROR = "mean_squared_error"
+
+
+#: The one objective of each problem: the loss it trains on and the metric
+#: that scores the trained network.
+OBJECTIVE: dict[ProblemKind, tuple[Loss, Metric]] = {
+    ProblemKind.CLASSIFICATION: (Loss.CATEGORICAL_CROSS_ENTROPY, Metric.ACCURACY),
+    ProblemKind.REGRESSION: (Loss.MEAN_SQUARED_ERROR, Metric.MSE),
+}
 
 
 class ConfigError(ValueError):
@@ -70,42 +68,36 @@ class DivergedError(RuntimeError):
         self.epoch = epoch
 
 
-class UndefinedMetricWarning(UserWarning):
-    """A metric ratio had a zero denominator and was reported as 0."""
-
-
 @dataclass
 class TrainConfig:
+    """Minibatch Adam settings; the problem decides the loss and the metric."""
+
     epochs: int
     learning_rate: float = 0.001
-    optimizer: str = "adam"
-    loss: Loss = Loss.CATEGORICAL_CROSS_ENTROPY
-    metric: Metric = Metric.ACCURACY
     batch_size: int = 512
     seed: int = 0
+    problem: ProblemKind = ProblemKind.CLASSIFICATION
 
     def __post_init__(self):
-        self.loss = Loss(self.loss)
-        self.metric = Metric(self.metric)
+        self.problem = ProblemKind(self.problem)
         if self.epochs < 0:
             raise ConfigError("epochs must be non-negative")
         if not 0 < self.learning_rate < math.inf:
             raise ConfigError("learning_rate must be positive and finite")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ConfigError(f"unknown optimizer {self.optimizer!r}")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be positive")
-        # classification pairs with cross-entropy, regression with MSE
-        if self.loss == Loss.CATEGORICAL_CROSS_ENTROPY and self.metric not in SCORE_METRICS:
-            raise ConfigError("cross-entropy loss pairs with classification metrics")
-        if self.loss == Loss.MEAN_SQUARED_ERROR and self.metric in SCORE_METRICS:
-            raise ConfigError("squared-error loss pairs with regression metrics")
+
+    @property
+    def loss(self) -> Loss:
+        return OBJECTIVE[self.problem][0]
+
+    @property
+    def metric(self) -> Metric:
+        return OBJECTIVE[self.problem][1]
 
     @classmethod
     def for_problem(cls, problem: ProblemKind, epochs: int, **kw) -> "TrainConfig":
-        if problem == ProblemKind.CLASSIFICATION:
-            return cls(epochs, loss=Loss.CATEGORICAL_CROSS_ENTROPY, metric=Metric.ACCURACY, **kw)
-        return cls(epochs, loss=Loss.MEAN_SQUARED_ERROR, metric=Metric.MSE, **kw)
+        return cls(epochs, problem=problem, **kw)
 
 
 @dataclass
@@ -247,14 +239,12 @@ class DenseNetwork:
 
 def materialize(g: Genotype, input_dim: int, seed: int) -> DenseNetwork:
     """Build the network a dense genotype describes, Glorot-initialized from ``seed``."""
-    report = validate(g)
-    if not report.ok:
-        raise GenotypeError(f"cannot materialize invalid genotype: {report.summary()}")
     for i, gene in enumerate(g.layers):
         if gene.kind not in (LayerKind.FULLY_CONNECTED, LayerKind.DROPOUT):
             raise UnsupportedLayerError(
                 f"layer {i}: {gene.kind.label()} layers have no training backend here"
             )
+    params = count_params(g, int(input_dim))  # raises GenotypeError for an invalid genotype
     layers = []
     fan = int(input_dim)
     for gene in g.layers:
@@ -264,7 +254,7 @@ def materialize(g: Genotype, input_dim: int, seed: int) -> DenseNetwork:
         else:
             layers.append(_DropoutLayer(gene.dropout_rate))
     net = DenseNetwork(layers, int(input_dim))
-    assert net.param_count == count_params(g, int(input_dim))
+    assert net.param_count == params
     rng = np.random.default_rng(seed)
     for layer in net.dense:  # biases stay zero
         fan, units = layer.shape
@@ -330,19 +320,6 @@ def loss_and_gradients(net: DenseNetwork, X, Y, loss: Loss, training=False, rng=
     return value, [g for pair in grads for g in pair]
 
 
-class _Sgd:
-    """Plain gradient descent on a flat parameter vector."""
-
-    def __init__(self, flat: np.ndarray, lr: float):
-        self.flat = flat
-        self.lr = lr
-
-    def step(self, grad: np.ndarray):
-        """Update ``flat`` in place; ``grad`` is used as scratch and overwritten."""
-        grad *= self.lr
-        self.flat -= grad
-
-
 class _Adam:
     """Adam (Kingma & Ba 2015) on a flat parameter vector, updated in place.
 
@@ -388,8 +365,8 @@ class _Adam:
             p -= s
 
 
-def make_optimizer(name: str, flat: np.ndarray, lr: float):
-    return _Adam(flat, lr) if name == "adam" else _Sgd(flat, lr)
+def make_optimizer(flat: np.ndarray, lr: float) -> _Adam:
+    return _Adam(flat, lr)
 
 
 def one_hot(labels: np.ndarray, classes: int) -> np.ndarray:
@@ -416,7 +393,7 @@ def train(net: DenseNetwork, dataset_split, cfg: TrainConfig) -> PerfReport:
     Y = _target_matrix(net, train_ds)
     X = train_ds.features
     rng = np.random.default_rng(cfg.seed)
-    optimizer = make_optimizer(cfg.optimizer, net.flat, cfg.learning_rate)
+    optimizer = make_optimizer(net.flat, cfg.learning_rate)
     grad = np.empty_like(net.flat)  # reused by every minibatch
 
     started = time.perf_counter()
@@ -445,60 +422,26 @@ def train(net: DenseNetwork, dataset_split, cfg: TrainConfig) -> PerfReport:
 
 # --- metrics ----------------------------------------------------------------
 
-def _ratio(num: float, den: float, name: str) -> float:
-    if den == 0:
-        warnings.warn(f"{name} undefined (zero denominator), reporting 0", UndefinedMetricWarning)
-        return 0.0
-    return num / den
-
-
-def _binary_prf(labels: np.ndarray, targets: np.ndarray) -> tuple[float, float, float]:
-    tp = float(np.sum((labels == 1) & (targets == 1)))
-    fp = float(np.sum((labels == 1) & (targets != 1)))
-    fn = float(np.sum((labels != 1) & (targets == 1)))
-    precision = _ratio(tp, tp + fp, "precision")
-    recall = _ratio(tp, tp + fn, "recall")
-    f1 = _ratio(2.0 * precision * recall, precision + recall, "f1")
-    return precision, recall, f1
-
-
 def metric(kind: Metric, predictions, targets) -> float:
     """Score predictions against targets.
 
-    Classification metrics accept probability rows or already-argmaxed
-    labels. Precision/recall/F1 use class 1 as the positive class for
-    binary targets and macro-average one-vs-rest otherwise; a ratio with a
-    zero denominator is reported as 0 with an ``UndefinedMetricWarning``.
+    Accuracy accepts probability rows or already-argmaxed labels. MSE is
+    half the per-sample squared error, averaged, like the training loss.
     """
     kind = Metric(kind)
     preds = np.asarray(predictions)
     targets = np.asarray(targets)
     if len(preds) != len(targets):
         raise ValueError("predictions and targets differ in length")
-    if kind in (Metric.MSE, Metric.RMSE):
+    if kind == Metric.MSE:
         diff = preds.astype(np.float64).reshape(len(preds), -1) - targets.astype(
             np.float64
         ).reshape(len(targets), -1)
-        per_sample = np.sum(diff**2, axis=1)
-        if kind == Metric.MSE:
-            return float(0.5 * per_sample.mean())
-        return float(np.sqrt(per_sample.mean()))
+        return float(0.5 * np.sum(diff**2, axis=1).mean())
 
     labels = preds.argmax(axis=1) if preds.ndim == 2 and preds.shape[1] > 1 else preds
     labels = np.asarray(labels).reshape(-1).astype(np.int64)
-    targets = targets.astype(np.int64)
-    if kind == Metric.ACCURACY:
-        return float(np.mean(labels == targets))
-    classes = np.unique(targets)
-    if len(classes) <= 2:
-        p, r, f1 = _binary_prf(labels, targets)
-    else:
-        per = [
-            _binary_prf((labels == c).astype(int), (targets == c).astype(int))
-            for c in classes
-        ]
-        p, r, f1 = (float(np.mean([row[i] for row in per])) for i in range(3))
-    return {Metric.PRECISION: p, Metric.RECALL: r, Metric.F1: f1}[kind]
+    return float(np.mean(labels == targets.astype(np.int64)))
 
 
 def kfold_evaluate(g: Genotype, dataset: data_mod.Dataset, k: int, cfg: TrainConfig):

@@ -628,6 +628,24 @@ class TestPlotDataCommand:
         err = capsys.readouterr().err
         assert "data error" in err and message in err
 
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ("{bad", "not a search config"),
+            ('{"problem": "classification"}', "missing key 'alpha'"),
+            ('{"alpha": 0.5}', "missing key 'problem'"),
+        ],
+        ids=["not-json", "no-alpha", "no-problem"],
+    )
+    def test_bad_config_json_exits_3_naming_the_file(self, workdir, capsys, config, message):
+        run = workdir / "run"
+        run.mkdir()
+        (run / "runs.csv").write_text(",".join(RUNS_CSV_FIELDS) + "\n")
+        (run / "config.json").write_text(config)
+        assert main(["plot-data", str(run), "--out", str(workdir / "x.csv")]) == 3
+        err = capsys.readouterr().err
+        assert f"data error: {run / 'config.json'}: {message}" in err
+
     def test_empty_directory_exits_3(self, workdir):
         empty = workdir / "empty"
         empty.mkdir()

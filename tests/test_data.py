@@ -134,6 +134,14 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="no column named 'c'"):
             load_csv(p, ["a", "c"], "y")
 
+    def test_fractional_class_label_rejected(self, tmp_path):
+        p = self.write(tmp_path, "a,y\n1,0\n2,1.5\n3,2.0\n")
+        with pytest.raises(DataError, match="class labels must be whole numbers, got 1.5"):
+            load_csv(p, ["a"], "y", problem=ProblemKind.CLASSIFICATION)
+        p = self.write(tmp_path, "a,y\n1,0\n2,1.0\n")
+        ds = load_csv(p, ["a"], "y", problem=ProblemKind.CLASSIFICATION)
+        np.testing.assert_array_equal(ds.targets, [0, 1])
+
 
 class TestNormalization:
     @pytest.mark.parametrize("mode", ["zscore", "minmax"])
@@ -250,6 +258,13 @@ class TestDatasetInvariants:
         with pytest.raises(DataError, match="class labels must be 0 or more, got -1"):
             Dataset(np.ones((2, 2)), np.array([-1, 1]), ProblemKind.CLASSIFICATION)
         Dataset(np.ones((2, 2)), np.array([-1.0, 1.0]), ProblemKind.REGRESSION)
+
+    @pytest.mark.parametrize("label", [0.5, 1.7, np.inf, np.nan])
+    def test_class_labels_must_be_whole_numbers(self, label):
+        with pytest.raises(DataError, match="class labels must be whole numbers"):
+            Dataset(np.ones((3, 2)), np.array([label, 1.0, 2.0]), ProblemKind.CLASSIFICATION)
+        ds = Dataset(np.ones((3, 2)), np.array([0.0, 1.0, 2.0]), ProblemKind.CLASSIFICATION)
+        assert ds.targets.dtype == np.int64 and list(ds.targets) == [0, 1, 2]
 
     def test_features_become_read_only(self):
         ds = Dataset(np.ones((2, 2)), np.ones(2), ProblemKind.REGRESSION)

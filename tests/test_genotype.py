@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -402,6 +403,44 @@ class TestSerializeParse:
         doc["raw"][1][2] = 3  # dropout rows carry no activation
         with pytest.raises(ParseError, match=r"layer 1.*activation slot"):
             parse(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "slot, key, value, problem",
+        [
+            (1, "units", 16.9, "whole number, got 16.9"),
+            (1, "units", "16", "number, got '16'"),
+            (1, "units", True, "number, got True"),
+            (0, "kind", 1.5, "whole number, got 1.5"),
+        ],
+        ids=["fraction", "text", "bool", "fractional-kind"],
+    )
+    def test_integer_slot_rejected_not_truncated(self, slot, key, value, problem):
+        hidden = [1, 16, 2, 0, 0, 0, 0, 0]
+        hidden[slot] = value
+        named = [
+            {"kind": hidden[0], "units": hidden[1], "activation": 2},
+            {"kind": 1, "units": 10, "activation": 3},
+        ]
+        raw = [hidden, [1, 10, 3, 0, 0, 0, 0, 0]]
+        for form, layers in (("layers", named), ("raw", raw)):
+            doc = {"arch": "mlp", "problem": "classification", form: layers}
+            with pytest.raises(ParseError, match=re.escape(f"layer 0: {key} must be a {problem}")):
+                parse(json.dumps(doc))
+
+    def test_rate_slot_must_be_a_number(self, stacked_example):
+        doc = to_dict(stacked_example)
+        doc["raw"][1][7] = "0.5"
+        with pytest.raises(ParseError, match="layer 1: dropout_rate must be a number, got '0.5'"):
+            parse(json.dumps(doc))
+        del doc["raw"]
+        doc["layers"][1]["rate"] = "0.5"
+        with pytest.raises(ParseError, match="layer 1: rate must be a number, got '0.5'"):
+            parse(json.dumps(doc))
+
+    def test_whole_float_slots_parse_as_integers(self, stacked_example):
+        doc = to_dict(stacked_example)
+        doc["raw"] = [[float(v) for v in row] for row in doc["raw"]]
+        assert parse(json.dumps(doc)) == stacked_example
 
     def test_named_form_accepted_without_raw(self):
         doc = {
