@@ -188,7 +188,8 @@ def cmd_search(args) -> int:
     blas = evalpool.blas_threads(workers)
     print(
         f"evaluation: {workers} worker(s) x {'unmanaged' if blas is None else blas} "
-        f"BLAS thread(s) on {evalpool.usable_cores()} core(s)"
+        f"BLAS thread(s) on {evalpool.usable_cores()} core(s), "
+        f"{trainer.SEARCH_DTYPE.__name__} evaluations"
     )
     print(f"artifacts in {out_dir}")
     return EXIT_OK

@@ -40,7 +40,8 @@ class Dataset:
     column_names: tuple[str, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        feats = np.ascontiguousarray(self.features, dtype=np.float64)
+        feats = np.asarray(self.features)  # float32 stays float32; anything else becomes float64
+        feats = np.ascontiguousarray(feats, np.float32 if feats.dtype == np.float32 else np.float64)
         if feats.ndim != 2:
             raise DataError(f"features must be 2-D (samples x features), got shape {feats.shape}")
         if self.problem == ProblemKind.CLASSIFICATION:

@@ -501,11 +501,15 @@ def from_dict(doc: dict) -> Genotype:
             raise ParseError("field 'raw' must be a non-empty list of layer arrays")
         genes = []
         for i, row in enumerate(rows):
+            if not isinstance(row, list):
+                raise ParseError(f"layer {i}: layer array must be a list of 8 slots, got {row!r}")
             try:
                 genes.append(LayerGene.from_vec(row))
             except ParseError as exc:
                 raise ParseError(f"layer {i}: {exc}") from None
     elif "layers" in doc:
+        if not isinstance(doc["layers"], list):
+            raise ParseError("field 'layers' must be a list of layer objects")
         genes = [_gene_from_named(i, entry) for i, entry in enumerate(doc["layers"])]
     else:
         raise ParseError("genotype document needs a 'raw' or 'layers' field")

@@ -33,6 +33,11 @@ from .genotype import (
 
 log = logging.getLogger(__name__)
 
+#: The precision of the search's partial-training fitness. It only has to
+#: rank candidates, so it runs in single precision; ``train``, k-fold
+#: assessment and model export keep float64.
+SEARCH_DTYPE = np.float32
+
 
 class Metric(str, Enum):
     ACCURACY = "accuracy"  # a score: larger is better
@@ -110,7 +115,8 @@ class PerfReport:
 # --- network ----------------------------------------------------------------
 
 def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
+    with np.errstate(over="ignore"):  # exp overflows float32 past 88.7; 1 / (1 + inf) is 0
+        return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
 
 
 def _softmax(z):
@@ -161,17 +167,20 @@ class _DropoutLayer:
 class DenseNetwork:
     """A stack of affine+activation layers with optional inverted dropout.
 
-    Every parameter lives in one float64 vector, ``flat``: each dense
-    layer's weights (row-major) and then its biases, in layer order. The
-    layers' ``W`` and ``b`` are views into it, so the optimizer and model
-    export work on the vector while the passes read the views.
+    Every parameter lives in one vector, ``flat``: each dense layer's
+    weights (row-major) and then its biases, in layer order. The layers'
+    ``W`` and ``b`` are views into it, so the optimizer and model export
+    work on the vector while the passes read the views. The dtype of
+    ``flat`` is the network's precision: its passes, gradients and
+    optimizer state all run in it.
     """
 
-    def __init__(self, layers, input_dim: int):
+    def __init__(self, layers, input_dim: int, dtype=np.float64):
         self.layers = layers
         self.input_dim = input_dim
         self.dense = [layer for layer in layers if isinstance(layer, _DenseLayer)]
-        self.flat = np.zeros(sum((layer.shape[0] + 1) * layer.shape[1] for layer in self.dense))
+        size = sum((layer.shape[0] + 1) * layer.shape[1] for layer in self.dense)
+        self.flat = np.zeros(size, dtype=dtype)
         for layer, (W, b) in zip(self.dense, self.views(self.flat)):
             layer.W, layer.b = W, b
 
@@ -205,7 +214,7 @@ class DenseNetwork:
         return a
 
     def _forward_cached(self, batch, training, rng):
-        X = np.asarray(batch, dtype=np.float64)
+        X = np.asarray(batch, dtype=self.flat.dtype)
         if X.ndim == 1:
             X = X[None, :]
         if X.shape[1] != self.input_dim:
@@ -228,8 +237,8 @@ class DenseNetwork:
                     if layer.rate >= 1.0:
                         mask = np.zeros_like(a)
                     else:
-                        keep = rng.random(a.shape) >= layer.rate
-                        mask = keep / (1.0 - layer.rate)
+                        mask = (rng.random(a.shape) >= layer.rate).astype(a.dtype)
+                        mask /= 1.0 - layer.rate
                     a = a * mask
                 else:
                     mask = None
@@ -237,8 +246,12 @@ class DenseNetwork:
         return a, caches
 
 
-def materialize(g: Genotype, input_dim: int, seed: int) -> DenseNetwork:
-    """Build the network a dense genotype describes, Glorot-initialized from ``seed``."""
+def materialize(g: Genotype, input_dim: int, seed: int, dtype=np.float64) -> DenseNetwork:
+    """Build the network a dense genotype describes, Glorot-initialized from ``seed``.
+
+    The weights are drawn in float64 and rounded into ``dtype``, so a
+    network's weights are the same draw whatever its precision.
+    """
     for i, gene in enumerate(g.layers):
         if gene.kind not in (LayerKind.FULLY_CONNECTED, LayerKind.DROPOUT):
             raise UnsupportedLayerError(
@@ -253,7 +266,7 @@ def materialize(g: Genotype, input_dim: int, seed: int) -> DenseNetwork:
             fan = gene.units
         else:
             layers.append(_DropoutLayer(gene.dropout_rate))
-    net = DenseNetwork(layers, int(input_dim))
+    net = DenseNetwork(layers, int(input_dim), dtype)
     assert net.param_count == params
     rng = np.random.default_rng(seed)
     for layer in net.dense:  # biases stay zero
@@ -337,14 +350,15 @@ class _Adam:
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.m = np.zeros_like(flat)
         self.v = np.zeros_like(flat)
-        self.scratch = np.empty(min(flat.size, self.CHUNK))
+        self.scratch = np.empty(min(flat.size, self.CHUNK), dtype=flat.dtype)
         self.t = 0
 
     def step(self, grad: np.ndarray):
         """Update ``flat`` in place; ``grad`` is used as scratch and overwritten."""
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        rate = self.lr * (np.sqrt(1.0 - b2**self.t) / (1.0 - b1**self.t))
+        # a Python float, so it takes the vector's dtype instead of upcasting it
+        rate = float(self.lr * (np.sqrt(1.0 - b2**self.t) / (1.0 - b1**self.t)))
         for at in range(0, self.flat.size, self.CHUNK):
             part = slice(at, at + self.CHUNK)
             p, m, v, g = self.flat[part], self.m[part], self.v[part], grad[part]
@@ -369,17 +383,17 @@ def make_optimizer(flat: np.ndarray, lr: float) -> _Adam:
     return _Adam(flat, lr)
 
 
-def one_hot(labels: np.ndarray, classes: int) -> np.ndarray:
+def one_hot(labels: np.ndarray, classes: int, dtype) -> np.ndarray:
     labels = np.asarray(labels, dtype=np.int64)
     if labels.min() < 0 or labels.max() >= classes:
         raise ValueError(f"labels outside 0..{classes - 1}")
-    return np.eye(classes)[labels]
+    return np.eye(classes, dtype=dtype)[labels]
 
 
 def _target_matrix(net: DenseNetwork, ds: data_mod.Dataset) -> np.ndarray:
     if ds.problem == ProblemKind.CLASSIFICATION:
-        return one_hot(ds.targets, net.output_units)
-    return ds.targets.reshape(-1, 1)
+        return one_hot(ds.targets, net.output_units, net.flat.dtype)
+    return ds.targets.reshape(-1, 1).astype(net.flat.dtype, copy=False)
 
 
 def train(net: DenseNetwork, dataset_split, cfg: TrainConfig) -> PerfReport:
@@ -387,11 +401,12 @@ def train(net: DenseNetwork, dataset_split, cfg: TrainConfig) -> PerfReport:
 
     ``dataset_split`` is a ``(train, validation)`` pair of datasets. All
     randomness (shuffling, dropout masks) flows from ``cfg.seed``, so the
-    result is deterministic.
+    result is deterministic. Training runs in the network's dtype; features
+    already in it are not copied.
     """
     train_ds, val_ds = dataset_split
     Y = _target_matrix(net, train_ds)
-    X = train_ds.features
+    X = np.asarray(train_ds.features, dtype=net.flat.dtype)
     rng = np.random.default_rng(cfg.seed)
     optimizer = make_optimizer(net.flat, cfg.learning_rate)
     grad = np.empty_like(net.flat)  # reused by every minibatch
@@ -476,18 +491,22 @@ def make_evaluator(
 ):
     """Partial-training fitness evaluator for the search loop.
 
-    The train/validation split is fixed once from ``split_seed``; each
-    candidate's weights and shuffle stream come from the per-candidate seed,
-    so evaluation order and parallelism cannot change any result. Returns a
-    ``(validation metric, parameter count)`` pair.
+    The train/validation split is fixed once from ``split_seed`` and cast
+    once to :data:`SEARCH_DTYPE`, the precision every candidate trains in;
+    each candidate's weights and shuffle stream come from the per-candidate
+    seed, so evaluation order and parallelism cannot change any result.
+    Returns a ``(validation metric, parameter count)`` pair.
     """
     base = TrainConfig.for_problem(
         problem, epochs, learning_rate=learning_rate, batch_size=batch_size
     )
-    split_pair = data_mod.split(dataset, cv_ratio, split_seed)
+    split_pair = tuple(
+        replace(part, features=part.features.astype(SEARCH_DTYPE))
+        for part in data_mod.split(dataset, cv_ratio, split_seed)
+    )
 
     def evaluate(genotype: Genotype, seed: int) -> tuple[float, int]:
-        net = materialize(genotype, input_dim, seed)
+        net = materialize(genotype, input_dim, seed, SEARCH_DTYPE)
         report = train(net, split_pair, replace(base, seed=seed))
         return report.value, net.param_count
 

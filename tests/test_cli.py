@@ -225,7 +225,9 @@ class TestSearchCommand:
         blas, cores = evalpool.blas_threads(2), evalpool.usable_cores()
         assert main(args) == 0
         shown = "unmanaged" if blas is None else blas
-        assert f"evaluation: 2 worker(s) x {shown} BLAS thread(s) on {cores} core(s)" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert f"evaluation: 2 worker(s) x {shown} BLAS thread(s) on {cores} core(s)" in out
+        assert f"on {cores} core(s), float32 evaluations\n" in out
         monkeypatch.setattr("evonas.evalpool._openblas", lambda: None)
         assert main(args) == 0
         assert f"2 worker(s) x unmanaged BLAS thread(s) on {cores} core(s)" in capsys.readouterr().out
@@ -550,6 +552,19 @@ class TestInspectCommand:
         bad = workdir / "bad.json"
         bad.write_text("{broken")
         assert main(["inspect", str(bad)]) == 2
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ({"raw": [5, [1, 10, 3, 0, 0, 0, 0, 0]]}, "layer 0: layer array must be a list"),
+            ({"layers": 5}, "'layers' must be a list"),
+        ],
+    )
+    def test_non_list_layers_are_a_parse_error(self, workdir, capsys, extra, message):
+        bad = workdir / "bad.json"
+        bad.write_text(json.dumps({"arch": "mlp", "problem": "classification", **extra}))
+        assert main(["inspect", str(bad)]) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestPlotDataCommand:

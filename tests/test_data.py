@@ -266,6 +266,16 @@ class TestDatasetInvariants:
         ds = Dataset(np.ones((3, 2)), np.array([0.0, 1.0, 2.0]), ProblemKind.CLASSIFICATION)
         assert ds.targets.dtype == np.int64 and list(ds.targets) == [0, 1, 2]
 
+    @pytest.mark.parametrize(
+        "given, kept",
+        [(np.float32, np.float32), (np.float64, np.float64), (np.uint8, np.float64), (int, np.float64)],
+    )
+    def test_float32_features_stay_float32_and_others_become_float64(self, given, kept):
+        X = np.ones((2, 2), dtype=given)
+        ds = Dataset(X, np.ones(2), ProblemKind.REGRESSION)
+        assert ds.features.dtype == kept
+        assert ds.take([0]).features.dtype == kept
+
     def test_features_become_read_only(self):
         ds = Dataset(np.ones((2, 2)), np.ones(2), ProblemKind.REGRESSION)
         with pytest.raises(ValueError):

@@ -1,6 +1,8 @@
 """Tests for network materialization, training, gradients, and metrics."""
 
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from evonas import (
     split,
     train,
 )
+from evonas import trainer
 from evonas.trainer import (
     DenseNetwork,
     DivergedError,
@@ -338,6 +341,99 @@ def test_train_reproduces_recorded_numbers(name):
     report = train(materialize(g, 6, seed=4), (tr, va), cfg)
     assert report.value == value
     assert report.loss_curve == curve
+
+
+def golden_data(problem):
+    """The data and split of the recorded runs: 90 rows of 6 features, 3 classes."""
+    rng = np.random.default_rng(21)
+    X = rng.normal(size=(90, 6))
+    y = rng.integers(3, size=90) if problem == C else X @ rng.normal(size=6)
+    return Dataset(X, y, problem)
+
+
+class TestFloat32:
+    """Search evaluations train in float32; everything else keeps float64."""
+
+    GENOTYPE = [(16, A.RELU), 0.3, (8, A.SIGMOID)]
+
+    def test_weights_are_the_float64_draw_rounded(self):
+        g = mlp_classifier(self.GENOTYPE, classes=3)
+        single, double = materialize(g, 6, 4, np.float32), materialize(g, 6, 4)
+        assert single.flat.dtype == np.float32 and double.flat.dtype == np.float64
+        np.testing.assert_array_equal(single.flat, double.flat.astype(np.float32))
+
+    def test_one_train_step_stays_float32(self, monkeypatch):
+        seen = {}
+        make_optimizer = trainer.make_optimizer
+
+        def spy(flat, lr):
+            opt = seen["opt"] = make_optimizer(flat, lr)
+            step = opt.step
+            opt.step = lambda grad: (seen.setdefault("grad", grad.dtype), step(grad))
+            return opt
+
+        monkeypatch.setattr(trainer, "make_optimizer", spy)
+        ds = golden_data(C)
+        pair = tuple(
+            replace(part, features=part.features.astype(np.float32)) for part in split(ds, 0.2, 1)
+        )
+        net = materialize(mlp_classifier(self.GENOTYPE, classes=3), 6, 4, np.float32)
+        train(net, pair, TrainConfig(1, batch_size=128, seed=5))  # 72 rows: one step
+        opt = seen["opt"]
+        assert opt.t == 1
+        assert seen["grad"] == np.float32
+        assert {a.dtype for a in (net.flat, opt.m, opt.v, opt.scratch)} == {np.dtype(np.float32)}
+        assert net.forward(pair[1].features).dtype == np.float32
+        assert trainer._target_matrix(net, pair[0]).dtype == np.float32
+
+    @pytest.mark.parametrize("act", [A.SIGMOID, A.RELU])
+    def test_gradients_match_float64(self, act):
+        g = mlp_classifier([(16, act), 0.5, (8, act)], classes=4)
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(16, 10))
+        Y = np.eye(4)[rng.integers(4, size=16)]
+        results = []
+        for dtype in (np.float64, np.float32):
+            net = materialize(g, 10, 2, dtype)
+            results.append(
+                loss_and_gradients(
+                    net, X.astype(dtype), Y.astype(dtype), Loss.CATEGORICAL_CROSS_ENTROPY,
+                    training=True, rng=np.random.default_rng(3),  # the same dropout masks
+                )
+            )
+        (v64, g64), (v32, g32) = results
+        assert v32 == pytest.approx(v64, rel=1e-4)
+        for single, double in zip(g32, g64):
+            assert single.dtype == np.float32
+            np.testing.assert_allclose(single, double, rtol=1e-4)
+
+    def test_sigmoid_saturates_without_overflow_warnings(self):
+        net = DenseNetwork([_DenseLayer(1, 1, A.SIGMOID)], input_dim=1, dtype=np.float32)
+        net.flat[:] = (1.0, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = net.forward(np.array([[-200.0], [-101.0], [0.0], [200.0]]))
+        assert out.dtype == np.float32
+        assert np.all((out >= 0.0) & (out <= 1.0))
+        assert out[0, 0] == 0.0 and out[2, 0] == 0.5 and out[3, 0] == 1.0
+
+    #: ``make_evaluator`` results on :func:`golden_data`, recorded when search
+    #: evaluations moved to float32, as (perf, params). Like ``GOLDEN``, they
+    #: depend on the BLAS kernels: numpy 2.4 and OpenBLAS 0.3.31 on x86-64.
+    EVALUATOR_GOLDEN = {
+        C: ([(16, A.RELU), 0.3, (8, A.SIGMOID)], (0.2777777777777778, 275)),
+        R: ([(16, A.RELU), (8, A.TANH)], (0.7800775076396081, 257)),
+    }
+
+    @pytest.mark.parametrize("problem", [C, R])
+    def test_evaluator_reproduces_recorded_numbers(self, problem):
+        hidden, expected = self.EVALUATOR_GOLDEN[problem]
+        g = mlp_classifier(hidden, classes=3) if problem == C else mlp_regressor(hidden)
+        evaluate = make_evaluator(
+            golden_data(problem), problem, 6, 0.2, epochs=3, learning_rate=0.01, batch_size=32,
+            split_seed=1,
+        )
+        assert evaluate(g, 4) == expected
 
 
 class TestTrainConfig:
