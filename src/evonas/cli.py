@@ -23,6 +23,7 @@ from .genotype import (
     ParseError,
     ProblemKind,
     count_params,
+    input_fan_in,
     parse,
     serialize,
     to_dict,
@@ -81,10 +82,15 @@ def read_runs(path) -> list[RunRecord]:
     return out
 
 
-def _parse_input_dim(text: str):
-    parts = [p for p in text.replace("x", ",").split(",") if p]
-    values = [int(p) for p in parts]
-    return values[0] if len(values) == 1 else tuple(values)
+def _parse_input_dim(text: str) -> int:
+    """``--input-dim`` (a feature count, or ``H,W,C``) as the first layer's fan-in."""
+    try:
+        dims = [int(p) for p in text.replace("x", ",").split(",")]
+        return input_fan_in(dims[0] if len(dims) == 1 else dims)
+    except ValueError:
+        raise evolution.ConfigError(
+            f"--input-dim must be a positive integer or H,W,C positive integers, got {text!r}"
+        ) from None
 
 
 def _load_genotype_file(path) -> Genotype:
@@ -114,14 +120,9 @@ def cmd_search(args) -> int:
             f"config problem {cfg.problem.value!r} does not match dataset "
             f"problem {dataset.problem.value!r}"
         )
-    flat_input = (
-        cfg.input_shape
-        if isinstance(cfg.input_shape, int)
-        else int(cfg.input_shape[0] * cfg.input_shape[1] * cfg.input_shape[2])
-    )
-    if dataset.feature_count != flat_input:
+    if dataset.feature_count != cfg.input_dim:
         raise evolution.ConfigError(
-            f"config input_shape implies {flat_input} features, dataset has {dataset.feature_count}"
+            f"config input_shape implies {cfg.input_dim} features, dataset has {dataset.feature_count}"
         )
     if cfg.problem == ProblemKind.CLASSIFICATION:
         top_label = int(dataset.targets.max(initial=0))
@@ -134,7 +135,7 @@ def cmd_search(args) -> int:
     evaluator = trainer.make_evaluator(
         dataset,
         cfg.problem,
-        flat_input,
+        cfg.input_dim,
         cfg.cv_ratio,
         cfg.train_epochs,
         learning_rate=args.learning_rate,
@@ -237,16 +238,13 @@ def _inspect_rows(g: Genotype) -> list[tuple[str, str, str, str]]:
         neurons = str(gene.units) if gene.units else "n/a"
         act = gene.activation.label() if gene.activation is not None else "n/a"
         drop = f"{gene.dropout_rate:g}" if gene.kind == LayerKind.DROPOUT else "n/a"
-        if gene.kind == LayerKind.CONVOLUTIONAL:
-            neurons = f"{gene.filters} filters ({gene.kernel_size}x{gene.kernel_size}/{gene.kernel_stride})"
-        elif gene.kind == LayerKind.POOLING:
-            neurons = f"pool {gene.pool_size}"
         rows.append((gene.kind.label(), neurons, act, drop))
     return rows
 
 
 def cmd_inspect(args) -> int:
     g = _load_genotype_file(args.genotype)
+    dim = None if args.input_dim is None else _parse_input_dim(args.input_dim)
     rows = _inspect_rows(g)
     header = ("Layer type", "Neurons", "Activation", "Dropout")
     widths = [max(len(header[c]), *(len(r[c]) for r in rows)) for c in range(4)]
@@ -255,8 +253,7 @@ def cmd_inspect(args) -> int:
     print(fmt.format(*("-" * w for w in widths)))
     for row in rows:
         print(fmt.format(*row))
-    if args.input_dim is not None:
-        dim = _parse_input_dim(args.input_dim)
+    if dim is not None:
         total = count_params(g, dim)
         print(f"Total trainable parameters (input {args.input_dim}): {total}")
     return EXIT_OK

@@ -355,25 +355,31 @@ def load_manifest(path) -> Dataset:
         raise DataError(f"{path}: manifest must be an object with a 'format' field")
     base = path.parent
 
-    def resolve(p) -> Path:
-        p = Path(p)
+    fmt = doc["format"]
+
+    def required(key: str):
+        if key not in doc:
+            raise DataError(f"{path}: the {fmt!r} format needs the field {key!r}")
+        return doc[key]
+
+    def resolve(key: str) -> Path:
+        p = Path(required(key))
         return p if p.is_absolute() else base / p
 
-    fmt = doc["format"]
     if fmt == "idx":
-        ds = load_idx(resolve(doc["images"]), resolve(doc["labels"]))
+        ds = load_idx(resolve("images"), resolve("labels"))
     elif fmt == "csv":
         ds = load_csv(
-            resolve(doc["path"]),
-            feature_columns=doc["feature_columns"],
-            target_column=doc["target_column"],
+            resolve("path"),
+            feature_columns=required("feature_columns"),
+            target_column=required("target_column"),
             header=doc.get("header", True),
             normalization=doc.get("normalization", "none"),
             problem=ProblemKind(doc.get("problem", "regression")),
         )
     elif fmt == "rul":
         ds = load_rul_table(
-            resolve(doc["path"]),
+            resolve("path"),
             unit_column=doc.get("unit_column", 0),
             sensor_columns=doc.get("sensor_columns"),
             window=doc.get("window", 24),
@@ -385,7 +391,7 @@ def load_manifest(path) -> Dataset:
         raise DataError(f"{path}: unknown dataset format {fmt!r}")
     limit = doc.get("limit")
     if limit is not None:
-        if not isinstance(limit, int) or limit < 1:
+        if isinstance(limit, bool) or not isinstance(limit, int) or limit < 1:
             raise DataError(f"{path}: 'limit' must be a positive integer")
         ds = ds.take(np.arange(min(limit, ds.sample_count)))
     return ds

@@ -14,7 +14,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
-from typing import Callable, Sequence
+from typing import Callable, Sequence, get_type_hints
 
 import numpy as np
 
@@ -26,13 +26,13 @@ from .genotype import (
     Activation,
     ArchKind,
     Genotype,
-    GenotypeError,
     LayerGene,
     LayerKind,
     ProblemKind,
     can_follow,
     count_params,
     distance,
+    input_fan_in,
     rectify_activations,
 )
 from .trainer import OBJECTIVE, ConfigError, Metric
@@ -73,11 +73,12 @@ class SearchConfig:
 
     def __post_init__(self):
         self.problem = ProblemKind(self.problem)
-        self.arch = ArchKind(self.arch)
-        if self.arch != ArchKind.MLP:
+        try:
+            self.arch = ArchKind(self.arch)
+        except ValueError:
             raise ConfigError(
-                f"arch {self.arch.value!r} has no training backend; only 'mlp' can be searched"
-            )
+                f"arch {self.arch!r} has no training backend; only 'mlp' can be searched"
+            ) from None
         if isinstance(self.input_shape, list):
             self.input_shape = tuple(self.input_shape)
 
@@ -85,17 +86,16 @@ class SearchConfig:
             if not cond:
                 raise ConfigError(message)
 
-        if isinstance(self.input_shape, tuple):
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
             need(
-                len(self.input_shape) == 3
-                and all(isinstance(v, int) and v > 0 for v in self.input_shape),
-                "input_shape must be a positive integer or an [H, W, C] triple",
+                isinstance(value, int) and not isinstance(value, bool),
+                f"{name} must be an integer, got {value!r}",
             )
-        else:
-            need(
-                isinstance(self.input_shape, int) and self.input_shape > 0,
-                "input_shape must be a positive integer or an [H, W, C] triple",
-            )
+        try:
+            input_fan_in(self.input_shape)
+        except ValueError:
+            raise ConfigError("input_shape must be a positive integer or an [H, W, C] triple") from None
 
         need(self.output_size >= 1, "output_size must be at least 1")
         need(
@@ -151,6 +151,15 @@ class SearchConfig:
     @property
     def metric_kind(self) -> Metric:
         return OBJECTIVE[self.problem][1]
+
+    @property
+    def input_dim(self) -> int:
+        """The first layer's fan-in: ``input_shape`` flattened."""
+        return input_fan_in(self.input_shape)
+
+
+#: The fields annotated ``int``: each must hold an int, never a bool or a float.
+_INT_FIELDS = tuple(name for name, kind in get_type_hints(SearchConfig).items() if kind is int)
 
 
 @dataclass
@@ -352,8 +361,8 @@ def crossover(s1: Genotype, s2: Genotype, cfg: SearchConfig, rng) -> Genotype:
 
 # --- mutation -----------------------------------------------------------------
 
-#: The searchable layer kinds, each with the parameter mutation resamples
-#: and that parameter's grid of legal values.
+#: Each layer kind with the parameter mutation resamples and that
+#: parameter's grid of legal values.
 _LAYER_GRID: dict[LayerKind, tuple[str, tuple]] = {
     LayerKind.FULLY_CONNECTED: ("units", UNIT_CHOICES),
     LayerKind.DROPOUT: ("dropout_rate", DROPOUT_RATE_GRID),
@@ -408,12 +417,7 @@ def mutate(g: Genotype, cfg: SearchConfig, rng) -> Genotype:
     non-output layer: resample one of its parameters, change its activation
     (re-aligning same-kind layers), or insert a dropout layer after it. A
     layer with no applicable edit triggers a re-pick, at most three times.
-    A non-output layer of a kind the search does not generate (see
-    ``_LAYER_GRID``) raises ``GenotypeError`` before any draw.
     """
-    for i, gene in enumerate(g.layers[:-1]):
-        if gene.kind not in _LAYER_GRID:
-            raise GenotypeError(f"layer {i}: mutate cannot edit a {gene.kind.label()} layer")
     if rng.random() >= cfg.mutation_prob:
         return g
     non_output = len(g.layers) - 1
@@ -509,7 +513,7 @@ def run_search(
             individuals = []
             for job, r in zip(jobs, results):
                 perf = r.perf if r.ok else fallback
-                size = r.params if r.ok else count_params(job.genotype, cfg.input_shape)
+                size = r.params if r.ok else count_params(job.genotype, cfg.input_dim)
                 individuals.append(Individual(job.genotype, perf, size, eval_seed=job.seed))
             _assign_costs(individuals, cfg)
             if on_eval is not None:

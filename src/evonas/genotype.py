@@ -6,10 +6,13 @@ losslessly convertible to a fixed 8-slot numeric array:
     (layer kind, units, activation, filters, kernel size, kernel stride,
      pool size, dropout rate)
 
-Slots that do not apply to a layer's kind stay zero. Which layer kinds may
-be stacked after which is governed by a per-kind follower rule (see
-``FOLLOWERS``), the first layer is fixed by the architecture family, and
-every network ends in a fully connected output layer whose activation is
+The layers encoded here are the ones the trainer runs, fully connected
+and dropout, so slots 3-6 (filters, kernel size, kernel stride and pool
+size, which belong to the paper's convolutional and pooling layers) are
+always zero, and so is every other slot that does not apply to a layer's
+kind. Which kind may be stacked after which is governed by a follower
+rule (see ``FOLLOWERS``); the first layer is fully connected, and every
+network ends in a fully connected output layer whose activation is
 determined by the problem kind.
 """
 
@@ -32,22 +35,10 @@ class ParseError(GenotypeError):
 
 class LayerKind(IntEnum):
     FULLY_CONNECTED = 1
-    CONVOLUTIONAL = 2
-    POOLING = 3
-    RECURRENT = 4
     DROPOUT = 5
 
     def label(self) -> str:
-        return _KIND_LABELS[self]
-
-
-_KIND_LABELS = {
-    LayerKind.FULLY_CONNECTED: "Fully connected",
-    LayerKind.CONVOLUTIONAL: "Convolutional",
-    LayerKind.POOLING: "Pooling",
-    LayerKind.RECURRENT: "Recurrent",
-    LayerKind.DROPOUT: "Dropout",
-}
+        return "Fully connected" if self is LayerKind.FULLY_CONNECTED else "Dropout"
 
 
 class Activation(IntEnum):
@@ -71,34 +62,12 @@ HIDDEN_ACTIVATIONS: tuple[Activation, ...] = (
 
 #: Stacking rule: which layer kinds may directly follow a given kind.
 FOLLOWERS: dict[LayerKind, frozenset[LayerKind]] = {
-    LayerKind.FULLY_CONNECTED: frozenset(
-        {LayerKind.FULLY_CONNECTED, LayerKind.DROPOUT}
-    ),
-    LayerKind.CONVOLUTIONAL: frozenset(
-        {
-            LayerKind.FULLY_CONNECTED,
-            LayerKind.CONVOLUTIONAL,
-            LayerKind.POOLING,
-            LayerKind.DROPOUT,
-        }
-    ),
-    LayerKind.POOLING: frozenset(
-        {LayerKind.FULLY_CONNECTED, LayerKind.CONVOLUTIONAL}
-    ),
-    LayerKind.RECURRENT: frozenset(
-        {LayerKind.FULLY_CONNECTED, LayerKind.RECURRENT}
-    ),
-    LayerKind.DROPOUT: frozenset(
-        {LayerKind.FULLY_CONNECTED, LayerKind.CONVOLUTIONAL, LayerKind.RECURRENT}
-    ),
+    LayerKind.FULLY_CONNECTED: frozenset({LayerKind.FULLY_CONNECTED, LayerKind.DROPOUT}),
+    LayerKind.DROPOUT: frozenset({LayerKind.FULLY_CONNECTED}),
 }
 
-#: Legal values for the discrete layer parameters.
+#: Legal values for a layer's units.
 UNIT_CHOICES: tuple[int, ...] = tuple(8 * x for x in range(1, 129))
-FILTER_CHOICES: tuple[int, ...] = tuple(8 * x for x in range(1, 65))
-KERNEL_SIZE_CHOICES: tuple[int, ...] = tuple(3**x for x in range(1, 7))
-KERNEL_STRIDE_CHOICES: tuple[int, ...] = tuple(range(1, 7))
-POOL_SIZE_CHOICES: tuple[int, ...] = tuple(2**x for x in range(1, 7))
 
 #: Hard cap on genotype length (layers, output included).
 MAX_LAYERS = 64
@@ -107,21 +76,18 @@ MAX_LAYERS = 64
 # violation text), in slot order.
 _SLOTS = {
     "units": ("units", int, UNIT_CHOICES.__contains__, "not a multiple of 8 in [8, 1024]"),
-    "filters": ("filters", int, FILTER_CHOICES.__contains__, "not a multiple of 8 in [8, 512]"),
-    "kernel_size": ("kernel_size", int, KERNEL_SIZE_CHOICES.__contains__, "not a power of 3 in [3, 729]"),
-    "kernel_stride": ("stride", int, KERNEL_STRIDE_CHOICES.__contains__, "not in 1..6"),
-    "pool_size": ("pool_size", int, POOL_SIZE_CHOICES.__contains__, "not a power of 2 in [2, 64]"),
     "dropout_rate": ("rate", float, lambda r: 0.0 <= r <= 1.0, "outside [0, 1]"),
 }
 
-# Layer kind -> (the parameter slots it uses, in slot order; whether it takes
-# an activation). Every other slot of the kind must stay zero.
-_KIND_SLOTS: dict[LayerKind, tuple[tuple[str, ...], bool]] = {
-    LayerKind.FULLY_CONNECTED: (("units",), True),
-    LayerKind.CONVOLUTIONAL: (("filters", "kernel_size", "kernel_stride"), True),
-    LayerKind.POOLING: (("pool_size",), False),
-    LayerKind.RECURRENT: (("units",), True),
-    LayerKind.DROPOUT: (("dropout_rate",), False),
+# The array slots of a gene's fields, in field order; slots 3-6 always hold 0.
+_FIELD_SLOTS = (0, 1, 2, 7)
+_ZERO_SLOTS = range(3, 7)
+
+# Layer kind -> (the one parameter slot it uses, whether it takes an
+# activation). Every other slot of the kind must stay zero.
+_KIND_SLOTS: dict[LayerKind, tuple[str, bool]] = {
+    LayerKind.FULLY_CONNECTED: ("units", True),
+    LayerKind.DROPOUT: ("dropout_rate", False),
 }
 
 
@@ -141,19 +107,6 @@ def can_follow(a: LayerKind, b: LayerKind) -> bool:
 
 class ArchKind(str, Enum):
     MLP = "mlp"
-    CNN = "cnn"
-    RNN = "rnn"
-
-    @property
-    def first_layer_kind(self) -> LayerKind:
-        return _FIRST_LAYER[self]
-
-
-_FIRST_LAYER = {
-    ArchKind.MLP: LayerKind.FULLY_CONNECTED,
-    ArchKind.CNN: LayerKind.CONVOLUTIONAL,
-    ArchKind.RNN: LayerKind.RECURRENT,
-}
 
 
 class ProblemKind(str, Enum):
@@ -168,10 +121,6 @@ class LayerGene:
     kind: LayerKind
     units: int = 0
     activation: Activation | None = None
-    filters: int = 0
-    kernel_size: int = 0
-    kernel_stride: int = 0
-    pool_size: int = 0
     dropout_rate: float = 0.0
 
     @classmethod
@@ -182,56 +131,32 @@ class LayerGene:
     def dropout(cls, rate: float) -> "LayerGene":
         return cls(LayerKind.DROPOUT, dropout_rate=rate)
 
-    @classmethod
-    def conv(
-        cls, filters: int, kernel_size: int, kernel_stride: int, activation: Activation
-    ) -> "LayerGene":
-        return cls(
-            LayerKind.CONVOLUTIONAL,
-            activation=activation,
-            filters=filters,
-            kernel_size=kernel_size,
-            kernel_stride=kernel_stride,
-        )
-
-    @classmethod
-    def pooling(cls, pool_size: int) -> "LayerGene":
-        return cls(LayerKind.POOLING, pool_size=pool_size)
-
-    @classmethod
-    def recurrent(cls, units: int, activation: Activation) -> "LayerGene":
-        return cls(LayerKind.RECURRENT, units=units, activation=activation)
-
     def to_vec(self) -> tuple[float, ...]:
-        """The 8-slot array view of this gene."""
-        return (
-            float(self.kind),
-            float(self.units),
-            float(self.activation) if self.activation is not None else 0.0,
-            float(self.filters),
-            float(self.kernel_size),
-            float(self.kernel_stride),
-            float(self.pool_size),
-            float(self.dropout_rate),
-        )
+        """The 8-slot array view of this gene; slots 3-6 are always zero."""
+        activation = float(self.activation) if self.activation is not None else 0.0
+        return (float(self.kind), float(self.units), activation, 0.0, 0.0, 0.0, 0.0, float(self.dropout_rate))
 
     @classmethod
     def from_vec(cls, vec) -> "LayerGene":
         """Rebuild a gene from its 8-slot array view.
 
         The kind slot decides which remaining slots are read; an activation
-        slot of 0 on a kind that takes an activation means sigmoid.
+        slot of 0 on a kind that takes an activation means sigmoid. Slots
+        3-6 must hold 0.
         """
         if len(vec) != 8:
             raise ParseError(f"layer array must have 8 slots, got {len(vec)}")
-        kind_code, units, activation_code, filters, size, stride, pool, rate = (
-            _slot_value(f.name, value, float if f.name == "dropout_rate" else int)
-            for f, value in zip(fields(cls), vec)  # the fields are the slots, in slot order
+        kind_code, units, activation_code, rate = (
+            _slot_value(f.name, vec[slot], float if f.name == "dropout_rate" else int)
+            for f, slot in zip(fields(cls), _FIELD_SLOTS)
         )
         try:
             kind = LayerKind(kind_code)
         except ValueError:
             raise ParseError(f"unknown layer kind code {vec[0]!r}") from None
+        for slot in _ZERO_SLOTS:
+            if isinstance(vec[slot], bool) or vec[slot] != 0:
+                raise ParseError(f"slot {slot} must be 0, got {vec[slot]!r}")
         if _KIND_SLOTS[kind][1]:
             try:
                 activation = Activation(activation_code)
@@ -243,7 +168,7 @@ class LayerGene:
                     f"activation slot must be zero for a {kind.label()} layer"
                 )
             activation = None
-        return cls(kind, units, activation, filters, size, stride, pool, rate)
+        return cls(kind, units, activation, rate)
 
 
 @dataclass(frozen=True)
@@ -283,11 +208,11 @@ class ValidityReport:
 
 
 def _check_fields(i: int, gene: LayerGene, is_output: bool, out: list[Violation]):
-    slots, takes_activation = _KIND_SLOTS[gene.kind]
+    own, takes_activation = _KIND_SLOTS[gene.kind]
     label = gene.kind.label()
     for slot, (_, _, legal, text) in _SLOTS.items():
         value = getattr(gene, slot)
-        if slot not in slots:
+        if slot != own:
             if value:
                 out.append(Violation(i, f"{slot} must be zero for a {label} layer"))
         elif is_output and slot == "units":
@@ -313,13 +238,8 @@ def validate(g: Genotype) -> ValidityReport:
     if n > MAX_LAYERS:
         out.append(Violation(None, f"{n} layers exceeds the maximum of {MAX_LAYERS}"))
 
-    if n >= 1:
-        first = g.layers[0]
-        expected = g.arch.first_layer_kind
-        if first.kind != expected:
-            out.append(
-                Violation(0, f"first layer of a {g.arch.value} network must be {expected.label()}")
-            )
+    if n >= 1 and g.layers[0].kind != LayerKind.FULLY_CONNECTED:
+        out.append(Violation(0, "first layer must be fully connected"))
     if n >= 2:
         last = g.layers[-1]
         if last.kind != LayerKind.FULLY_CONNECTED:
@@ -349,58 +269,34 @@ def validate(g: Genotype) -> ValidityReport:
     return ValidityReport(ok=not out, violations=tuple(out))
 
 
-def _as_flat(shape) -> int:
-    if isinstance(shape, int):
-        return shape
-    h, w, c = shape
-    return h * w * c
+def input_fan_in(shape) -> int:
+    """The first dense layer's fan-in for an input ``shape``.
+
+    ``shape`` is a positive feature count, or an ``(H, W, C)`` triple of
+    positive integers that the first layer sees flattened to ``H * W * C``.
+    Anything else (booleans included) raises ``ValueError``.
+    """
+    dims = tuple(shape) if isinstance(shape, (list, tuple)) and len(shape) == 3 else (shape,)
+    if not all(isinstance(d, numbers.Integral) and not isinstance(d, bool) and d > 0 for d in dims):
+        raise ValueError(f"input shape must be a positive integer or an [H, W, C] triple, got {shape!r}")
+    return math.prod(int(d) for d in dims)
 
 
 def count_params(g: Genotype, input_dim) -> int:
     """Trainable parameter count of the network a genotype describes.
 
-    ``input_dim`` is either a flat feature count or an ``(H, W, C)`` image
-    shape. Dense layers contribute ``(fan_in + 1) * units``, simple
-    recurrent layers ``(fan_in + units + 1) * units``, convolutions
-    ``(k^2 * channels + 1) * filters`` with valid (no-padding) spatial
-    arithmetic, and dropout/pooling contribute nothing.
+    ``input_dim`` is a flat feature count or an ``(H, W, C)`` shape (see
+    :func:`input_fan_in`). Each dense layer contributes
+    ``(fan_in + 1) * units``; dropout contributes nothing.
     """
     report = validate(g)
     if not report.ok:
         raise GenotypeError(f"cannot count parameters of an invalid genotype: {report.summary()}")
-    state = input_dim if not isinstance(input_dim, (list, tuple)) else tuple(input_dim)
-    total = 0
-    for i, gene in enumerate(g.layers):
+    fan, total = input_fan_in(input_dim), 0
+    for gene in g.layers:
         if gene.kind == LayerKind.FULLY_CONNECTED:
-            fan = _as_flat(state)
             total += (fan + 1) * gene.units
-            state = gene.units
-        elif gene.kind == LayerKind.RECURRENT:
-            fan = _as_flat(state)
-            total += (fan + gene.units + 1) * gene.units
-            state = gene.units
-        elif gene.kind == LayerKind.CONVOLUTIONAL:
-            if isinstance(state, int):
-                raise GenotypeError(
-                    f"layer {i}: convolution needs a spatial (H, W, C) input, got flat size {state}"
-                )
-            h, w, c = state
-            k, s = gene.kernel_size, gene.kernel_stride
-            if k > h or k > w:
-                raise GenotypeError(
-                    f"layer {i}: kernel {k} larger than spatial input {h}x{w}"
-                )
-            total += (k * k * c + 1) * gene.filters
-            state = ((h - k) // s + 1, (w - k) // s + 1, gene.filters)
-        elif gene.kind == LayerKind.POOLING:
-            if isinstance(state, int):
-                raise GenotypeError(f"layer {i}: pooling needs a spatial (H, W, C) input")
-            h, w, c = state
-            p = gene.pool_size
-            if p > h or p > w:
-                raise GenotypeError(f"layer {i}: pool size {p} larger than spatial input {h}x{w}")
-            state = ((h - p) // p + 1, (w - p) // p + 1, c)
-        # dropout: passes its input through unchanged
+            fan = gene.units
     return total
 
 
@@ -446,10 +342,8 @@ def rectify_activations(target: Genotype, reference: Genotype) -> Genotype:
 # --- canonical text encoding ------------------------------------------------
 
 def _named_form(gene: LayerGene) -> dict:
-    slots, takes_activation = _KIND_SLOTS[gene.kind]
-    doc = {"kind": int(gene.kind)}
-    for slot in slots:
-        doc[_SLOTS[slot][0]] = getattr(gene, slot)
+    slot, takes_activation = _KIND_SLOTS[gene.kind]
+    doc = {"kind": int(gene.kind), _SLOTS[slot][0]: getattr(gene, slot)}
     if takes_activation:
         doc["activation"] = int(gene.activation)
     return doc
@@ -530,12 +424,10 @@ def _gene_from_named(i: int, entry: dict) -> LayerGene:
         raise ParseError(f"layer {i}: {exc}") from None
     except ValueError:
         raise ParseError(f"layer {i}: unknown layer kind {entry['kind']!r}") from None
-    slots, takes_activation = _KIND_SLOTS[kind]
+    slot, takes_activation = _KIND_SLOTS[kind]
+    key, cast, _, _ = _SLOTS[slot]
     try:
-        params = {}
-        for slot in slots:
-            key, cast, _, _ = _SLOTS[slot]
-            params[slot] = _slot_value(key, entry[key], cast)
+        params = {slot: _slot_value(key, entry[key], cast)}
         if takes_activation:
             params["activation"] = Activation(_slot_value("activation", entry["activation"], int))
         return LayerGene(kind, **params)

@@ -23,7 +23,6 @@ from . import data as data_mod
 from .genotype import (
     Activation,
     Genotype,
-    GenotypeError,
     LayerKind,
     ProblemKind,
     count_params,
@@ -59,10 +58,6 @@ OBJECTIVE: dict[ProblemKind, tuple[Loss, Metric]] = {
 
 class ConfigError(ValueError):
     """A search or training configuration field is missing, unknown, or out of bounds."""
-
-
-class UnsupportedLayerError(GenotypeError):
-    """The training backend cannot materialize a layer kind."""
 
 
 class DivergedError(RuntimeError):
@@ -247,16 +242,11 @@ class DenseNetwork:
 
 
 def materialize(g: Genotype, input_dim: int, seed: int, dtype=np.float64) -> DenseNetwork:
-    """Build the network a dense genotype describes, Glorot-initialized from ``seed``.
+    """Build the network a genotype describes, Glorot-initialized from ``seed``.
 
     The weights are drawn in float64 and rounded into ``dtype``, so a
     network's weights are the same draw whatever its precision.
     """
-    for i, gene in enumerate(g.layers):
-        if gene.kind not in (LayerKind.FULLY_CONNECTED, LayerKind.DROPOUT):
-            raise UnsupportedLayerError(
-                f"layer {i}: {gene.kind.label()} layers have no training backend here"
-            )
     params = count_params(g, int(input_dim))  # raises GenotypeError for an invalid genotype
     layers = []
     fan = int(input_dim)

@@ -205,13 +205,7 @@ def require_mnist():
 # --- hypothesis strategy for valid genotypes ------------------------------------
 
 from evonas.evolution import DROPOUT_RATE_GRID  # noqa: E402
-from evonas.genotype import (  # noqa: E402
-    FILTER_CHOICES,
-    KERNEL_SIZE_CHOICES,
-    KERNEL_STRIDE_CHOICES,
-    POOL_SIZE_CHOICES,
-    UNIT_CHOICES,
-)
+from evonas.genotype import UNIT_CHOICES  # noqa: E402
 
 
 @st.composite
@@ -220,33 +214,14 @@ def layer_genes(draw, kind: LayerKind) -> LayerGene:
         return LayerGene.dense(
             draw(st.sampled_from(UNIT_CHOICES)), draw(st.sampled_from((A.SIGMOID, A.TANH, A.RELU)))
         )
-    if kind == LayerKind.RECURRENT:
-        return LayerGene.recurrent(
-            draw(st.sampled_from(UNIT_CHOICES)), draw(st.sampled_from((A.SIGMOID, A.TANH, A.RELU)))
-        )
-    if kind == LayerKind.CONVOLUTIONAL:
-        return LayerGene.conv(
-            draw(st.sampled_from(FILTER_CHOICES)),
-            draw(st.sampled_from(KERNEL_SIZE_CHOICES)),
-            draw(st.sampled_from(KERNEL_STRIDE_CHOICES)),
-            draw(st.sampled_from((A.SIGMOID, A.TANH, A.RELU))),
-        )
-    if kind == LayerKind.POOLING:
-        return LayerGene.pooling(draw(st.sampled_from(POOL_SIZE_CHOICES)))
     return LayerGene.dropout(draw(st.sampled_from(DROPOUT_RATE_GRID)))
 
 
 @st.composite
-def genotypes(
-    draw,
-    arch: ArchKind | None = None,
-    problem: ProblemKind | None = None,
-    max_hidden: int = 8,
-) -> Genotype:
-    """Valid random genotypes that walk the layer follower rules."""
-    arch = arch or draw(st.sampled_from(list(ArchKind)))
+def genotypes(draw, problem: ProblemKind | None = None, max_hidden: int = 8) -> Genotype:
+    """Valid random dense and dropout genotypes that walk the layer follower rules."""
     problem = problem or draw(st.sampled_from(list(ProblemKind)))
-    kind = arch.first_layer_kind
+    kind = LayerKind.FULLY_CONNECTED
     genes = [draw(layer_genes(kind))]
     for _ in range(draw(st.integers(0, max_hidden - 1))):
         kind = draw(st.sampled_from(sorted(FOLLOWERS[kind])))
@@ -255,4 +230,4 @@ def genotypes(
         genes.append(LayerGene.dense(draw(st.integers(2, 16)), A.SOFTMAX))
     else:
         genes.append(LayerGene.dense(1, A.LINEAR))
-    return Genotype(tuple(genes), arch, problem)
+    return Genotype(tuple(genes), ArchKind.MLP, problem)

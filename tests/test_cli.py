@@ -189,6 +189,16 @@ class TestSearchCommand:
         assert code == 2
         assert "tournament_size" in capsys.readouterr().err
 
+    def test_non_integer_config_field_exits_2_without_run_directory(self, workdir, capsys):
+        doc = json.loads((workdir / "config.json").read_text())
+        doc["population_size"] = 5.5
+        bad = workdir / "bad.json"
+        bad.write_text(json.dumps(doc))
+        out = workdir / "x"
+        assert main(["search", str(bad), str(workdir / "data.json"), "--out", str(out)]) == 2
+        assert "population_size must be an integer, got 5.5" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_trace_flag_writes_fresh_jsonl(self, workdir, monkeypatch):
         monkeypatch.setattr("evonas.trainer.make_evaluator", surrogate_make_evaluator)
         out = workdir / "traced"
@@ -494,19 +504,23 @@ class TestTrainCommand:
         assert code == 0
         assert "validation accuracy" in capsys.readouterr().out
 
-    def test_unsupported_layer_kind_exits_4(self, workdir):
-        doc = {
-            "arch": "cnn",
-            "problem": "classification",
-            "raw": [
-                [2, 0, 2, 8, 3, 1, 0, 0],
-                [1, 2, 3, 0, 0, 0, 0, 0],
-            ],
-        }
-        gpath = workdir / "cnn.json"
+    @pytest.mark.parametrize("command", ["train", "inspect"])
+    @pytest.mark.parametrize(
+        "arch, row, message",
+        [
+            ("mlp", [2, 0, 2, 8, 3, 1, 0, 0], "layer 0: unknown layer kind code 2"),
+            ("cnn", [1, 64, 2, 0, 0, 0, 0, 0], "unknown architecture 'cnn'"),
+        ],
+        ids=["kind-2", "arch-cnn"],
+    )
+    def test_layer_kind_without_backend_is_a_parse_error(self, workdir, capsys, command, arch, row, message):
+        doc = {"arch": arch, "problem": "classification", "raw": [row, [1, 2, 3, 0, 0, 0, 0, 0]]}
+        gpath = workdir / "g.json"
         gpath.write_text(json.dumps(doc))
-        code = main(["train", str(gpath), str(workdir / "data.json"), "--epochs", "1"])
-        assert code == 4
+        # the manifest does not exist: a data error (exit 3) would mean it was read first
+        args = [str(workdir / "missing.json"), "--epochs", "1"] if command == "train" else []
+        assert main([command, str(gpath), *args]) == 2
+        assert message in capsys.readouterr().err
 
     def test_negative_class_labels_exit_3_before_training(self, workdir, capsys, monkeypatch):
         def forbidden(*_a, **_k):
@@ -547,6 +561,22 @@ class TestInspectCommand:
         ]
         assert len(data_rows) == 6
         assert "744410" in out
+
+    @pytest.mark.parametrize("value", ["abc", "28x28", "0", "-5"])
+    def test_bad_input_dim_is_a_config_error(self, workdir, capsys, stacked_example, value):
+        gpath = workdir / "g.json"
+        gpath.write_text(serialize(stacked_example))
+        assert main(["inspect", str(gpath), "--input-dim", value]) == 2
+        captured = capsys.readouterr()
+        assert f"--input-dim must be a positive integer or H,W,C positive integers, got {value!r}" in captured.err
+        assert captured.out == ""
+
+    def test_image_input_dim_counts_flattened_features(self, workdir, capsys, stacked_example):
+        gpath = workdir / "g.json"
+        gpath.write_text(serialize(stacked_example))
+        assert main(["inspect", str(gpath), "--input-dim", "28,28,1"]) == 0
+        assert main(["inspect", str(gpath), "--input-dim", "28x28x1"]) == 0
+        assert capsys.readouterr().out.count(f"{count_params(stacked_example, 784)}\n") == 2
 
     def test_invalid_file_exits_nonzero(self, workdir, capsys):
         bad = workdir / "bad.json"

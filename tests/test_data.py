@@ -2,6 +2,7 @@
 
 import gzip
 import json
+import re
 import struct
 
 import numpy as np
@@ -327,3 +328,25 @@ class TestManifest:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DataError, match="no such manifest"):
             load_manifest(tmp_path / "missing.json")
+
+    def test_idx_manifest_without_images_names_the_field(self, tmp_path):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({"format": "idx"}))
+        with pytest.raises(DataError, match=re.escape(f"{manifest}: the 'idx' format needs the field 'images'")):
+            load_manifest(manifest)
+
+    def test_csv_manifest_without_feature_columns_names_the_field(self, tmp_path):
+        (tmp_path / "t.csv").write_text("a,b,y\n1,2,3\n")
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({"format": "csv", "path": "t.csv", "target_column": "y"}))
+        with pytest.raises(DataError, match=re.escape(f"{manifest}: the 'csv' format needs the field 'feature_columns'")):
+            load_manifest(manifest)
+
+    def test_boolean_limit_rejected(self, tmp_path, idx_pair):
+        img_path, lbl_path, _, _ = idx_pair
+        manifest = tmp_path / "m.json"
+        manifest.write_text(
+            json.dumps({"format": "idx", "images": str(img_path), "labels": str(lbl_path), "limit": True})
+        )
+        with pytest.raises(DataError, match="'limit' must be a positive integer"):
+            load_manifest(manifest)

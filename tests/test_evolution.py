@@ -17,9 +17,7 @@ from evonas import (
     Archive,
     ConfigError,
     Genotype,
-    GenotypeError,
     Individual,
-    LayerGene,
     Metric,
     ProblemKind,
     SearchConfig,
@@ -40,7 +38,7 @@ from evonas import (
 )
 from evonas.genotype import MAX_LAYERS, LayerKind
 
-from conftest import LISTED_PAIRS, genotypes, mlp_classifier
+from conftest import LISTED_PAIRS, genotypes, mlp_classifier, mlp_regressor
 
 A = Activation
 
@@ -219,7 +217,7 @@ class TestRandomGenotype:
         rng = np.random.default_rng(3)
         for _ in range(100):
             g = random_genotype(cfg, rng)
-            assert g.layers[0].kind == arch.first_layer_kind
+            assert g.layers[0].kind == LayerKind.FULLY_CONNECTED
             assert validate(g).ok
 
     def test_same_kind_layers_share_activation(self, mnist_search_config):
@@ -276,8 +274,8 @@ class TestCompatiblePairs:
         assert set(LISTED_PAIRS) <= rule
         assert (2, 4) in rule
 
-    @given(genotypes(arch=ArchKind.MLP, problem=ProblemKind.CLASSIFICATION, max_hidden=5),
-           genotypes(arch=ArchKind.MLP, problem=ProblemKind.CLASSIFICATION, max_hidden=5),
+    @given(genotypes(problem=ProblemKind.CLASSIFICATION, max_hidden=5),
+           genotypes(problem=ProblemKind.CLASSIFICATION, max_hidden=5),
            st.data())
     @settings(max_examples=150)
     def test_rule_agrees_with_oracle_on_random_inputs(self, base, donor, data):
@@ -288,17 +286,13 @@ class TestCompatiblePairs:
         )
 
     def test_incompatible_donor_yields_empty_list(self):
+        # every dense or dropout segment may stand between two dense layers,
+        # but cutting one layer of three leaves two, and max_layers=2 has no
+        # room for any segment
         base = mlp_classifier([(64, A.RELU), (32, A.RELU)])
-        donor = Genotype(
-            (
-                LayerGene.conv(8, 3, 1, A.RELU),
-                LayerGene.pooling(2),
-                LayerGene.dense(10, A.SOFTMAX),
-            ),
-            ArchKind.CNN,
-            ProblemKind.CLASSIFICATION,
-        )
-        assert compatible_pairs(base, 1, 1, donor, 64) == []
+        donor = mlp_classifier([(16, A.TANH), 0.5, (8, A.TANH)])
+        assert compatible_pairs(base, 1, 1, donor, 64)
+        assert compatible_pairs(base, 1, 1, donor, 2) == []
 
     def test_full_span_self_pair(self, stacked_example):
         last_hidden = len(stacked_example.layers) - 2
@@ -340,38 +334,19 @@ class TestCrossover:
         assert child == expected
 
     def test_exhaustion_returns_base_parent(self, mnist_search_config):
-        base = Genotype(
-            (
-                LayerGene.recurrent(16, A.TANH),
-                LayerGene.dense(32, A.TANH),
-                LayerGene.dense(64, A.TANH),
-                LayerGene.dense(10, A.SOFTMAX),
-            ),
-            ArchKind.RNN,
-            ProblemKind.CLASSIFICATION,
-        )
-        donor = Genotype(
-            (
-                LayerGene.recurrent(16, A.TANH),
-                LayerGene.recurrent(24, A.TANH),
-                LayerGene.dense(10, A.SOFTMAX),
-            ),
-            ArchKind.RNN,
-            ProblemKind.CLASSIFICATION,
-        )
-        # the layer before the cut is fully connected, whose follower rule
-        # admits no recurrent layer: all three trials come up empty
-        assert compatible_pairs(base, 2, 2, donor, 64) == []
+        base = mlp_classifier([(16, A.TANH), (32, A.TANH), (64, A.TANH)])
+        donor = mlp_classifier([(16, A.TANH), 0.5, (24, A.TANH)])
+        # cutting the last hidden layer leaves three layers, and a length
+        # budget of three admits no donor segment: all three trials come up empty
+        cfg = replace(mnist_search_config, max_layers=3)
+        assert compatible_pairs(base, 2, 2, donor, 64)
+        assert compatible_pairs(base, 2, 2, donor, cfg.max_layers) == []
         rng = ScriptedRng(integers=[2, 2, 2, 2, 2, 2])
-        assert crossover(base, donor, mnist_search_config, rng) == base
+        assert crossover(base, donor, cfg, rng) == base
 
     def test_mixed_parents_rejected(self, mnist_search_config):
         g1 = mlp_classifier([(64, A.RELU)])
-        g2 = Genotype(
-            (LayerGene.recurrent(16, A.TANH), LayerGene.dense(10, A.SOFTMAX)),
-            ArchKind.RNN,
-            ProblemKind.CLASSIFICATION,
-        )
+        g2 = mlp_regressor([(64, A.RELU)])
         with pytest.raises(ValueError):
             crossover(g1, g2, mnist_search_config, np.random.default_rng(0))
 
@@ -420,30 +395,6 @@ class TestMutate:
         out = mutate(g, mnist_search_config, rng)
         assert out.layers[0].units != 64
         assert validate(out).ok
-
-    @pytest.mark.parametrize("prob", [1.0, 0.0])
-    @pytest.mark.parametrize(
-        "tail, message",
-        [
-            ((LayerGene.recurrent(32, A.RELU),), "layer 2: mutate cannot edit a Recurrent layer"),
-            (
-                (LayerGene.conv(8, 3, 1, A.RELU), LayerGene.pooling(2)),
-                "layer 2: mutate cannot edit a Convolutional layer",
-            ),
-        ],
-        ids=["recurrent", "convolutional"],
-    )
-    def test_unsearchable_layer_kind_raises_before_any_draw(
-        self, mnist_search_config, prob, tail, message
-    ):
-        layers = (LayerGene.dense(64, A.RELU), LayerGene.dropout(0.5), *tail)
-        g = Genotype(layers + (LayerGene.dense(10, A.SOFTMAX),), ArchKind.MLP, ProblemKind.CLASSIFICATION)
-        assert validate(g).ok
-        rng = np.random.default_rng(5)
-        state = rng.bit_generator.state
-        with pytest.raises(GenotypeError, match=message):
-            mutate(g, replace(mnist_search_config, mutation_prob=prob), rng)
-        assert rng.bit_generator.state == state
 
     def test_fuzz_validity_and_mutation_rate(self, mnist_search_config):
         rng = np.random.default_rng(21)
@@ -513,6 +464,26 @@ class TestSearchConfig:
         doc = mnist_search_config.to_dict()
         doc.update(patch)
         with pytest.raises(ConfigError):
+            SearchConfig.from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("population_size", 5.5),
+            ("max_generations", 2.5),
+            ("tournament_size", 2.0),
+            ("train_epochs", 1.5),
+            ("experiments", True),
+            ("seed", "7"),
+            ("input_shape", True),
+            ("input_shape", [28, 28.0, 1]),
+            ("input_shape", [28, 28, False]),
+        ],
+    )
+    def test_integer_fields_reject_other_types(self, mnist_search_config, key, value):
+        doc = mnist_search_config.to_dict()
+        doc[key] = value
+        with pytest.raises(ConfigError, match=f"^{key} must be"):
             SearchConfig.from_dict(doc)
 
     def test_readme_block_lists_every_key_with_real_defaults(self):

@@ -3,6 +3,8 @@
 import json
 import math
 import re
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from evonas import (
     serialize,
     validate,
 )
-from evonas.genotype import FOLLOWERS, LayerKind, to_dict
+from evonas.genotype import FOLLOWERS, LayerKind, input_fan_in, to_dict
 
 from conftest import (
     BEST_ALPHA_03_TABLE,
@@ -43,26 +45,23 @@ A = Activation
 K = LayerKind
 
 # Independent transcription of the stacking rules: rows are the preceding
-# layer kind (1..5), columns the candidate follower kind (1..5).
+# layer kind, columns the candidate follower kind, both in LayerKind order.
 FOLLOW_MATRIX = [
-    # FC     Conv   Pool   Rec    Drop
-    [True, False, False, False, True],   # after fully connected
-    [True, True, True, False, True],     # after convolutional
-    [True, True, False, False, False],   # after pooling
-    [True, False, False, True, False],   # after recurrent
-    [True, True, False, True, False],    # after dropout
+    # FC    Drop
+    [True, True],    # after fully connected
+    [True, False],   # after dropout
 ]
 
 
 class TestCanFollow:
     def test_matches_transcribed_matrix(self):
-        for a in K:
-            for b in K:
-                assert can_follow(a, b) == FOLLOW_MATRIX[a - 1][b - 1], (a, b)
+        for i, a in enumerate(K):
+            for j, b in enumerate(K):
+                assert can_follow(a, b) == FOLLOW_MATRIX[i][j], (a, b)
 
     def test_spot_checks(self):
         assert can_follow(K.FULLY_CONNECTED, K.DROPOUT)
-        assert not can_follow(K.FULLY_CONNECTED, K.CONVOLUTIONAL)
+        assert can_follow(K.DROPOUT, K.FULLY_CONNECTED)
         assert not can_follow(K.DROPOUT, K.DROPOUT)
 
 
@@ -85,14 +84,10 @@ class TestValidate:
         assert bad and bad[0].index == 3
 
     def test_first_layer_must_match_architecture(self):
-        g = Genotype(
-            (LayerGene.dense(64, A.RELU), LayerGene.dense(10, A.SOFTMAX)),
-            ArchKind.CNN,
-            ProblemKind.CLASSIFICATION,
-        )
+        g = classifier(LayerGene.dropout(0.5), LayerGene.dense(64, A.RELU), LayerGene.dense(10, A.SOFTMAX))
         report = validate(g)
         assert not report.ok
-        assert report.violations[0].index == 0
+        assert str(report.violations[0]) == "layer 0: first layer must be fully connected"
 
     def test_output_layer_rules(self):
         wrong_act = classifier(LayerGene.dense(64, A.RELU), LayerGene.dense(10, A.LINEAR))
@@ -152,37 +147,18 @@ class TestCountParams:
         with pytest.raises(GenotypeError):
             count_params(g, 784)
 
-    def test_conv_pool_arithmetic_by_hand(self):
-        # 28x28x1 -> conv 8 filters 3x3 stride 1 -> 26x26x8 -> pool 2 -> 13x13x8
-        # -> flatten 1352 -> dense 10.   (9*1+1)*8 + (1352+1)*10 = 80 + 13530
-        g = Genotype(
-            (
-                LayerGene.conv(8, 3, 1, A.RELU),
-                LayerGene.pooling(2),
-                LayerGene.dense(10, A.SOFTMAX),
-            ),
-            ArchKind.CNN,
-            ProblemKind.CLASSIFICATION,
-        )
-        assert count_params(g, (28, 28, 1)) == 80 + 13530
+    def test_image_shape_flattens_into_the_first_layer(self):
+        # 28x28x1 -> 784 features: (784+1)*64 + (64+1)*10, dropout adds nothing
+        g = mlp_classifier([(64, A.RELU), 0.5])
+        assert count_params(g, (28, 28, 1)) == count_params(g, [28, 28, 1]) == 785 * 64 + 65 * 10
+        assert input_fan_in((28, 28, 3)) == input_fan_in(2352) == 2352
 
-    def test_recurrent_count_by_hand(self):
-        # (input + units + 1) * units = (12 + 16 + 1) * 16, then (16+1)*2
-        g = Genotype(
-            (LayerGene.recurrent(16, A.TANH), LayerGene.dense(2, A.SOFTMAX)),
-            ArchKind.RNN,
-            ProblemKind.CLASSIFICATION,
-        )
-        assert count_params(g, 12) == 29 * 16 + 17 * 2
-
-    def test_conv_needs_spatial_input(self):
-        g = Genotype(
-            (LayerGene.conv(8, 3, 1, A.RELU), LayerGene.dense(10, A.SOFTMAX)),
-            ArchKind.CNN,
-            ProblemKind.CLASSIFICATION,
-        )
-        with pytest.raises(GenotypeError, match="spatial"):
-            count_params(g, 784)
+    @pytest.mark.parametrize(
+        "shape", [0, -5, True, 7.0, "784", [784], (28, 28), (28, 0, 1), (28, 28, True)]
+    )
+    def test_malformed_input_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match="positive integer or an \\[H, W, C\\] triple"):
+            count_params(mlp_classifier([(64, A.RELU)]), shape)
 
 
 class TestDistance:
@@ -212,24 +188,17 @@ class TestDistance:
     def test_zero_iff_same_non_final_layers(self, g):
         assert distance(g, g) == 0.0
         bumped = list(g.layers)
-        first = bumped[0]
-        if first.units:
-            new_units = first.units + 8 if first.units + 8 <= 1024 else first.units - 8
-            bumped[0] = LayerGene(
-                first.kind, units=new_units, activation=first.activation,
-                filters=first.filters, kernel_size=first.kernel_size,
-                kernel_stride=first.kernel_stride, pool_size=first.pool_size,
-                dropout_rate=first.dropout_rate,
-            )
-            g2 = Genotype(tuple(bumped), g.arch, g.problem)
-            assert distance(g, g2) > 0.0
+        first = bumped[0]  # always dense
+        bumped[0] = replace(first, units=first.units + 8 if first.units + 8 <= 1024 else first.units - 8)
+        g2 = Genotype(tuple(bumped), g.arch, g.problem)
+        assert distance(g, g2) > 0.0
 
     @given(
         st.integers(2, 6).flatmap(
             lambda n: st.tuples(
-                genotypes(arch=ArchKind.MLP, max_hidden=n),
-                genotypes(arch=ArchKind.MLP, max_hidden=n),
-                genotypes(arch=ArchKind.MLP, max_hidden=n),
+                genotypes(max_hidden=n),
+                genotypes(max_hidden=n),
+                genotypes(max_hidden=n),
             )
         )
     )
@@ -252,15 +221,10 @@ class TestRectifyActivations:
         assert rectify_activations(stacked_example, stacked_example) == stacked_example
 
     def test_vacuous_when_reference_lacks_kind(self):
+        # the reference's only non-output layer is a dropout, so no dense
+        # activation can be copied (rectify reads kinds, not validity)
         target = mlp_classifier([(64, A.SIGMOID)])
-        reference = Genotype(
-            (
-                LayerGene.recurrent(16, A.TANH),
-                LayerGene.dense(10, A.SOFTMAX),
-            ),
-            ArchKind.RNN,
-            ProblemKind.CLASSIFICATION,
-        )
+        reference = classifier(LayerGene.dropout(0.5), LayerGene.dense(10, A.SOFTMAX))
         assert rectify_activations(target, reference) == target
 
     def test_reference_output_layer_never_leaks(self):
@@ -274,13 +238,7 @@ class TestRectifyActivations:
 class TestVecView:
     @given(genotypes())
     def test_only_applicable_slots_nonzero(self, g):
-        applicable = {
-            K.FULLY_CONNECTED: {0, 1, 2},
-            K.CONVOLUTIONAL: {0, 2, 3, 4, 5},
-            K.POOLING: {0, 6},
-            K.RECURRENT: {0, 1, 2},
-            K.DROPOUT: {0, 7},
-        }
+        applicable = {K.FULLY_CONNECTED: {0, 1, 2}, K.DROPOUT: {0, 7}}
         for gene in g.layers:
             vec = gene.to_vec()
             for slot, value in enumerate(vec):
@@ -308,34 +266,29 @@ class TestSerializeParse:
     def test_document_form_of_every_layer_kind(self):
         g = Genotype(
             (
-                LayerGene.conv(16, 3, 2, A.RELU),
-                LayerGene.pooling(2),
-                LayerGene.conv(8, 9, 1, A.TANH),
+                LayerGene.dense(16, A.SIGMOID),
                 LayerGene.dropout(0.25),
-                LayerGene.recurrent(32, A.SIGMOID),
-                LayerGene.dense(10, A.SOFTMAX),
+                LayerGene.dense(32, A.SIGMOID),
+                LayerGene.dense(1, A.LINEAR),
             ),
-            ArchKind.CNN,
-            ProblemKind.CLASSIFICATION,
+            ArchKind.MLP,
+            ProblemKind.REGRESSION,
         )
         expected = {
-            "arch": "cnn",
-            "problem": "classification",
+            "arch": "mlp",
+            "problem": "regression",
             "layers": [
-                {"kind": 2, "filters": 16, "kernel_size": 3, "stride": 2, "activation": 2},
-                {"kind": 3, "pool_size": 2},
-                {"kind": 2, "filters": 8, "kernel_size": 9, "stride": 1, "activation": 1},
+                {"kind": 1, "units": 16, "activation": 0},
                 {"kind": 5, "rate": 0.25},
-                {"kind": 4, "units": 32, "activation": 0},
-                {"kind": 1, "units": 10, "activation": 3},
+                {"kind": 1, "units": 32, "activation": 0},
+                {"kind": 1, "units": 1, "activation": 4},
             ],
+            # slots 3-6 (the paper's filters, kernel size, stride, pool size) stay zero
             "raw": [
-                [2, 0, 2, 16, 3, 2, 0, 0],
-                [3, 0, 0, 0, 0, 0, 2, 0],
-                [2, 0, 1, 8, 9, 1, 0, 0],
+                [1, 16, 0, 0, 0, 0, 0, 0],
                 [5, 0, 0, 0, 0, 0, 0, 0.25],
-                [4, 32, 0, 0, 0, 0, 0, 0],
-                [1, 10, 3, 0, 0, 0, 0, 0],
+                [1, 32, 0, 0, 0, 0, 0, 0],
+                [1, 1, 4, 0, 0, 0, 0, 0],
             ],
         }
         doc = to_dict(g)
@@ -343,7 +296,7 @@ class TestSerializeParse:
         # dict equality ignores key order and 0 == 0.0; the text does not
         assert serialize(g) == json.dumps(expected, separators=(",", ":"))
         for form in ("layers", "raw"):
-            only = {"arch": "cnn", "problem": "classification", form: expected[form]}
+            only = {"arch": "mlp", "problem": "regression", form: expected[form]}
             assert parse(json.dumps(only)) == g
 
     @given(genotypes())
@@ -382,11 +335,15 @@ class TestSerializeParse:
             "problem": "classification",
             "raw": [
                 [1, 64, 2, 0, 0, 0, 0, 0],
-                [2, 0, 2, 8, 3, 1, 0, 0],
+                [5, 0, 0, 0, 0, 0, 0, 0.5],
+                [5, 0, 0, 0, 0, 0, 0, 0.25],
                 [1, 10, 3, 0, 0, 0, 0, 0],
             ],
         }
-        with pytest.raises(ParseError, match="cannot follow Fully connected"):
+        with pytest.raises(
+            ParseError,
+            match=re.escape("layer 2: Dropout layer cannot follow Dropout (allowed followers: Fully connected)"),
+        ):
             parse(json.dumps(doc))
 
     def test_malformed_json_rejected(self):
@@ -396,6 +353,41 @@ class TestSerializeParse:
     def test_unknown_kind_code_rejected(self):
         doc = {"arch": "mlp", "problem": "classification", "raw": [[9, 0, 0, 0, 0, 0, 0, 0]]}
         with pytest.raises(ParseError, match="layer 0"):
+            parse(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "row, named",
+        [
+            ([2, 0, 2, 8, 3, 1, 0, 0], {"kind": 2, "filters": 8, "kernel_size": 3, "stride": 1, "activation": 2}),
+            ([3, 0, 0, 0, 0, 0, 2, 0], {"kind": 3, "pool_size": 2}),
+            ([4, 32, 2, 0, 0, 0, 0, 0], {"kind": 4, "units": 32, "activation": 2}),
+        ],
+        ids=["code-2", "code-3", "code-4"],
+    )
+    def test_kind_codes_without_a_backend_are_unknown(self, row, named):
+        dense, out = [1, 64, 2, 0, 0, 0, 0, 0], [1, 10, 3, 0, 0, 0, 0, 0]
+        doc = {"arch": "mlp", "problem": "classification", "raw": [dense, row, out]}
+        with pytest.raises(ParseError, match=f"layer 1: unknown layer kind code {row[0]}$"):
+            parse(json.dumps(doc))
+        del doc["raw"]
+        doc["layers"] = [{"kind": 1, "units": 64, "activation": 2}, named, {"kind": 1, "units": 10, "activation": 3}]
+        with pytest.raises(ParseError, match=f"layer 1: unknown layer kind {row[0]}$"):
+            parse(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "slot, value", [(3, 8), (4, 0.5), (5, False), (6, "0")], ids=["int", "fraction", "bool", "text"]
+    )
+    def test_nonzero_slot_3_to_6_rejected(self, stacked_example, slot, value):
+        doc = to_dict(stacked_example)
+        doc["raw"][1][slot] = value  # a dropout row
+        with pytest.raises(ParseError, match=re.escape(f"layer 1: slot {slot} must be 0, got {value!r}")):
+            parse(json.dumps(doc))
+
+    @pytest.mark.parametrize("arch", ["cnn", "rnn"])
+    def test_architecture_without_a_backend_is_unknown(self, stacked_example, arch):
+        doc = to_dict(stacked_example)
+        doc["arch"] = arch
+        with pytest.raises(ParseError, match=f"unknown architecture '{arch}'"):
             parse(json.dumps(doc))
 
     def test_inapplicable_activation_slot_rejected(self, stacked_example):
@@ -459,3 +451,12 @@ def test_follower_table_closed_over_kinds():
     assert set(FOLLOWERS) == set(K)
     for followers in FOLLOWERS.values():
         assert followers <= set(K)
+
+
+def test_readme_lists_exactly_the_layer_kinds():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    bullet = readme.split("- **`evonas.genotype`**", 1)[1].split("\n- **", 1)[0]
+    listed = re.findall(r"^  - \w+ \((\d+)\): (.*)$", bullet, re.MULTILINE)
+    assert sorted(int(code) for code, _ in listed) == sorted(K)
+    keys = {int(code): re.findall(r"`(\w+)`", rest) for code, rest in listed}
+    assert keys == {1: ["units", "activation"], 5: ["rate"]}

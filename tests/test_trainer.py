@@ -32,7 +32,6 @@ from evonas.trainer import (
     DenseNetwork,
     DivergedError,
     Loss,
-    UnsupportedLayerError,
     _Adam,
     _DenseLayer,
     load_model,
@@ -59,11 +58,9 @@ class TestMaterialize:
         assert [l.W.shape for l in dense] == [(784, 64), (64, 10)]
         assert net.param_count == 50890
 
-    @given(genotypes(arch=ArchKind.MLP, max_hidden=5))
+    @given(genotypes(max_hidden=5))
     @settings(max_examples=60)
     def test_param_count_matches_exact_count(self, g):
-        if any(l.kind not in (1, 5) for l in g.layers):
-            return
         net = materialize(g, 33, seed=1)
         assert net.param_count == count_params(g, 33)
 
@@ -77,18 +74,6 @@ class TestMaterialize:
         g = mlp_classifier([(12, A.RELU)])  # 12 units: not a multiple of 8
         with pytest.raises(GenotypeError, match="invalid genotype.*layer 0.*units"):
             materialize(g, 8, seed=0)
-
-    def test_unsupported_backend_names_layer(self):
-        g = Genotype(
-            (
-                LayerGene.conv(8, 3, 1, A.RELU),
-                LayerGene.dense(10, A.SOFTMAX),
-            ),
-            ArchKind.CNN,
-            ProblemKind.CLASSIFICATION,
-        )
-        with pytest.raises(UnsupportedLayerError, match="layer 0.*Convolutional"):
-            materialize(g, (28, 28, 1), seed=0)
 
 
 class TestForward:
