@@ -362,6 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING)
+    evalpool.set_heap_policy()
     try:
         return args.func(args)
     except (evolution.ConfigError, ParseError) as exc:

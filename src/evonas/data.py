@@ -79,10 +79,8 @@ class Dataset:
         return self.features.shape[1]
 
     def take(self, indices) -> "Dataset":
-        idx = np.asarray(indices)
-        return Dataset(
-            self.features[idx].copy(), self.targets[idx].copy(), self.problem, self.column_names
-        )
+        idx = np.asarray(indices)  # an index array, so both lookups below copy
+        return Dataset(self.features[idx], self.targets[idx], self.problem, self.column_names)
 
 
 # --- IDX --------------------------------------------------------------------
@@ -369,13 +367,20 @@ def load_manifest(path) -> Dataset:
     if fmt == "idx":
         ds = load_idx(resolve("images"), resolve("labels"))
     elif fmt == "csv":
+        try:
+            problem = ProblemKind(doc.get("problem", "regression"))
+        except ValueError:
+            allowed = ", ".join(repr(p.value) for p in ProblemKind)
+            raise DataError(
+                f"{path}: 'problem' must be one of {allowed}, got {doc['problem']!r}"
+            ) from None
         ds = load_csv(
             resolve("path"),
             feature_columns=required("feature_columns"),
             target_column=required("target_column"),
             header=doc.get("header", True),
             normalization=doc.get("normalization", "none"),
-            problem=ProblemKind(doc.get("problem", "regression")),
+            problem=problem,
         )
     elif fmt == "rul":
         ds = load_rul_table(

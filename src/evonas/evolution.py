@@ -86,12 +86,14 @@ class SearchConfig:
             if not cond:
                 raise ConfigError(message)
 
-        for name in _INT_FIELDS:
-            value = getattr(self, name)
-            need(
-                isinstance(value, int) and not isinstance(value, bool),
-                f"{name} must be an integer, got {value!r}",
-            )
+        numbers = ((_INT_FIELDS, int, "an integer"), (_FLOAT_FIELDS, (int, float), "a number"))
+        for names, kinds, noun in numbers:
+            for name in names:
+                value = getattr(self, name)
+                need(
+                    isinstance(value, kinds) and not isinstance(value, bool),
+                    f"{name} must be {noun}, got {value!r}",
+                )
         try:
             input_fan_in(self.input_shape)
         except ValueError:
@@ -160,6 +162,8 @@ class SearchConfig:
 
 #: The fields annotated ``int``: each must hold an int, never a bool or a float.
 _INT_FIELDS = tuple(name for name, kind in get_type_hints(SearchConfig).items() if kind is int)
+#: The fields annotated ``float``: each must hold an int or a float, never a bool.
+_FLOAT_FIELDS = tuple(name for name, kind in get_type_hints(SearchConfig).items() if kind is float)
 
 
 @dataclass

@@ -331,16 +331,17 @@ class _Adam:
     the whole vector from memory.
     """
 
-    #: Elements per chunk: 128 KiB per array, so the five arrays a step
-    #: touches stay in a core's L2 cache.
-    CHUNK = 1 << 14
+    #: Bytes per array per chunk, so the five arrays a step touches stay in
+    #: a core's L2 cache: 16384 float64 or 32768 float32 elements.
+    CHUNK_BYTES = 128 << 10
 
     def __init__(self, flat: np.ndarray, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
         self.flat = flat
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.m = np.zeros_like(flat)
         self.v = np.zeros_like(flat)
-        self.scratch = np.empty(min(flat.size, self.CHUNK), dtype=flat.dtype)
+        self.chunk = self.CHUNK_BYTES // flat.itemsize
+        self.scratch = np.empty(min(flat.size, self.chunk), dtype=flat.dtype)
         self.t = 0
 
     def step(self, grad: np.ndarray):
@@ -349,8 +350,8 @@ class _Adam:
         b1, b2 = self.beta1, self.beta2
         # a Python float, so it takes the vector's dtype instead of upcasting it
         rate = float(self.lr * (np.sqrt(1.0 - b2**self.t) / (1.0 - b1**self.t)))
-        for at in range(0, self.flat.size, self.CHUNK):
-            part = slice(at, at + self.CHUNK)
+        for at in range(0, self.flat.size, self.chunk):
+            part = slice(at, at + self.chunk)
             p, m, v, g = self.flat[part], self.m[part], self.v[part], grad[part]
             s = self.scratch[: g.size]
             # m*b1 + g*(1-b1), v*b2 + (g*(1-b2))*g, then (m*rate) /

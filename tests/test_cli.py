@@ -199,6 +199,16 @@ class TestSearchCommand:
         assert "population_size must be an integer, got 5.5" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_boolean_float_config_field_exits_2_without_run_directory(self, workdir, capsys):
+        doc = json.loads((workdir / "config.json").read_text())
+        doc["alpha"] = True
+        bad = workdir / "bad.json"
+        bad.write_text(json.dumps(doc))
+        out = workdir / "x"
+        assert main(["search", str(bad), str(workdir / "data.json"), "--out", str(out)]) == 2
+        assert "alpha must be a number, got True" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_trace_flag_writes_fresh_jsonl(self, workdir, monkeypatch):
         monkeypatch.setattr("evonas.trainer.make_evaluator", surrogate_make_evaluator)
         out = workdir / "traced"
@@ -521,6 +531,16 @@ class TestTrainCommand:
         args = [str(workdir / "missing.json"), "--epochs", "1"] if command == "train" else []
         assert main([command, str(gpath), *args]) == 2
         assert message in capsys.readouterr().err
+
+    def test_unknown_manifest_problem_exits_3_naming_the_manifest(self, workdir, capsys):
+        manifest = workdir / "data.json"
+        doc = json.loads(manifest.read_text())
+        manifest.write_text(json.dumps({**doc, "problem": "nonsense"}))
+        gpath = workdir / "g.json"
+        gpath.write_text(serialize(mlp_classifier([(16, A.RELU)], classes=2)))
+        assert main(["train", str(gpath), str(manifest)]) == 3
+        err = capsys.readouterr().err
+        assert f"{manifest}: 'problem' must be one of 'classification', 'regression', got 'nonsense'" in err
 
     def test_negative_class_labels_exit_3_before_training(self, workdir, capsys, monkeypatch):
         def forbidden(*_a, **_k):

@@ -282,6 +282,16 @@ class TestDatasetInvariants:
         with pytest.raises(ValueError):
             ds.features[0, 0] = 5.0
 
+    @pytest.mark.parametrize("problem", list(ProblemKind))
+    def test_take_is_a_read_only_copy(self, problem):
+        ds = Dataset(np.arange(12.0).reshape(6, 2), np.arange(6), problem)
+        part = ds.take([4, 1, 1])
+        for got, source in ((part.features, ds.features), (part.targets, ds.targets)):
+            assert not np.shares_memory(got, source)
+            assert not got.flags.writeable
+        np.testing.assert_array_equal(part.features, [[8.0, 9.0], [2.0, 3.0], [2.0, 3.0]])
+        np.testing.assert_array_equal(part.targets, [4, 1, 1])
+
 
 class TestManifest:
     def test_csv_manifest_with_relative_path(self, tmp_path):

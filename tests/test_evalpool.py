@@ -1,7 +1,13 @@
 """Tests for the deterministic evaluation pool."""
 
 import json
+import os
+import platform
+import subprocess
+import sys
 import time
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +21,9 @@ from evonas import (
     derive_seed,
     evalpool,
     evaluate_all,
+    serialize,
 )
+from evonas.cli import main
 from evonas.evalpool import WORKERS_ENV, resolve_worker_count
 from evonas.trainer import make_evaluator
 
@@ -236,3 +244,96 @@ def test_pool_runs_unmanaged_without_openblas(monkeypatch):
     assert [(r.job_id, r.perf, r.params, r.status) for r in parallel] == [
         (r.job_id, r.perf, r.params, r.status) for r in reference
     ]
+
+
+def fake_glibc(calls: list) -> SimpleNamespace:
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    return SimpleNamespace(gnu_get_libc_version=lambda: b"2.36", mallopt=mallopt)
+
+
+def inspect_runs(tmp_path, capsys) -> None:
+    gpath = tmp_path / "g.json"
+    gpath.write_text(serialize(mlp_classifier([(16, A.RELU)])))
+    assert main(["inspect", str(gpath)]) == 0
+    assert "Fully connected" in capsys.readouterr().out
+
+
+class TestHeapPolicy:
+    def test_the_cli_sets_the_three_glibc_parameters(self, monkeypatch, tmp_path, capsys):
+        calls = []
+        monkeypatch.setattr(evalpool.ctypes, "CDLL", lambda name: fake_glibc(calls))
+        inspect_runs(tmp_path, capsys)
+        # M_MMAP_THRESHOLD 32 MiB, M_TRIM_THRESHOLD 256 MiB, M_ARENA_MAX 1
+        assert calls == [(-3, 32 << 20), (-1, 256 << 20), (-8, 1)]
+
+    @pytest.mark.parametrize("libc", ["no-mallopt", "not-glibc", "no-process-library"])
+    def test_no_op_without_glibc_mallopt(self, monkeypatch, tmp_path, capsys, libc):
+        calls = []
+        libcs = {
+            "no-mallopt": SimpleNamespace(),
+            "not-glibc": SimpleNamespace(mallopt=fake_glibc(calls).mallopt),
+        }
+
+        def cdll(name):
+            if libc not in libcs:
+                raise OSError("no symbol table for this process")
+            return libcs[libc]
+
+        monkeypatch.setattr(evalpool.ctypes, "CDLL", cdll)
+        evalpool.set_heap_policy()
+        inspect_runs(tmp_path, capsys)
+        assert calls == []
+
+
+# The policy is process-wide and cannot be undone, so the tests below compare
+# fresh interpreters with and without it.
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    src = str(Path(evalpool.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120,
+        cwd=Path(__file__).parents[1],
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    return proc
+
+
+FAULTS_SCRIPT = """
+import json, resource, sys
+import numpy as np
+from evonas import Dataset, ProblemKind, SearchConfig, evalpool, make_evaluator, random_genotype
+if sys.argv[1] == "policy":
+    evalpool.set_heap_policy()
+rng = np.random.default_rng(0)
+dataset = Dataset(rng.random((300, 784)), rng.integers(10, size=300), ProblemKind.CLASSIFICATION)
+cfg = SearchConfig(problem="classification", arch="mlp", input_shape=784, output_size=10)
+evaluate = make_evaluator(dataset, cfg.problem, cfg.input_dim, 0.2, 1, split_seed=0)
+genotypes = [random_genotype(cfg, rng) for _ in range(20)]
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+results = [evaluate(g, seed) for seed, g in enumerate(genotypes)]
+after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+print(json.dumps({"faults": after - before, "results": results}))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap policy is glibc's")
+def test_policy_halves_the_page_faults_of_search_evaluations():
+    default, policy = (
+        json.loads(run_python("-c", FAULTS_SCRIPT, mode).stdout) for mode in ("default", "policy")
+    )
+    assert policy["faults"] < default["faults"] / 2, (policy["faults"], default["faults"])
+    assert policy["results"] == default["results"]
+
+
+def test_pinned_training_numbers_hold_under_the_policy():
+    script = "import sys, pytest; from evonas import evalpool; evalpool.set_heap_policy(); sys.exit(pytest.main())"
+    tests = Path(__file__).parent / "test_trainer.py"
+    proc = run_python(
+        "-c", script, "-q", "-p", "no:cacheprovider",
+        f"{tests}::TestFloat32::test_evaluator_reproduces_recorded_numbers",
+        f"{tests}::test_train_reproduces_recorded_numbers",
+    )
+    assert "5 passed" in proc.stdout

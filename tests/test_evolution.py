@@ -3,6 +3,7 @@
 import json
 import logging
 import math
+import re
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -485,6 +486,29 @@ class TestSearchConfig:
         doc[key] = value
         with pytest.raises(ConfigError, match=f"^{key} must be"):
             SearchConfig.from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("alpha", True),
+            ("mutation_prob", False),
+            ("convergence_threshold", True),
+            ("cv_ratio", "0.2"),
+            ("crossover_prob", None),
+            ("more_layers_prob", [0.4]),
+        ],
+    )
+    def test_float_fields_reject_booleans_and_non_numbers(self, mnist_search_config, key, value):
+        doc = mnist_search_config.to_dict()
+        doc[key] = value
+        with pytest.raises(ConfigError, match=f"^{key} must be a number, got {re.escape(repr(value))}$"):
+            SearchConfig.from_dict(doc)
+
+    def test_float_fields_accept_integers(self, mnist_search_config):
+        doc = mnist_search_config.to_dict()
+        doc.update(alpha=1, mutation_prob=0, convergence_threshold=2)
+        cfg = SearchConfig.from_dict(doc)
+        assert (cfg.alpha, cfg.mutation_prob, cfg.convergence_threshold) == (1, 0, 2)
 
     def test_readme_block_lists_every_key_with_real_defaults(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()

@@ -220,20 +220,23 @@ class TestOptimizers:
 
     def test_adam_matches_the_textbook_update_exactly(self):
         rng = np.random.default_rng(0)
-        n = 2 * _Adam.CHUNK + 7  # two full chunks and a partial one
-        flat = rng.normal(size=n)
-        ref, m, v = flat.copy(), np.zeros(n), np.zeros(n)
-        opt = _Adam(flat, 0.01)
-        for t in range(1, 4):
-            g = rng.normal(size=n)
-            opt.step(g.copy())
-            m *= 0.9
-            m += (1.0 - 0.9) * g
-            v *= 0.999
-            v += (1.0 - 0.999) * g * g
-            correction = np.sqrt(1.0 - 0.999**t) / (1.0 - 0.9**t)
-            ref -= 0.01 * correction * m / (np.sqrt(v) + 1e-8)
-            np.testing.assert_array_equal(flat, ref)
+        for dtype, chunk in ((np.float64, 16384), (np.float32, 32768)):  # 128 KiB each
+            n = 2 * chunk + 7  # two full chunks and a partial one
+            flat = rng.normal(size=n).astype(dtype)
+            ref, m, v = flat.copy(), np.zeros(n, dtype), np.zeros(n, dtype)
+            opt = _Adam(flat, 0.01)
+            assert opt.chunk == chunk
+            for t in range(1, 4):
+                g = rng.normal(size=n).astype(dtype)
+                opt.step(g.copy())
+                m *= 0.9
+                m += (1.0 - 0.9) * g
+                v *= 0.999
+                v += (1.0 - 0.999) * g * g
+                rate = float(0.01 * (np.sqrt(1.0 - 0.999**t) / (1.0 - 0.9**t)))
+                ref -= rate * m / (np.sqrt(v) + 1e-8)
+                assert flat.dtype == dtype
+                np.testing.assert_array_equal(flat, ref)
 
 
 class TestTrain:
