@@ -11,7 +11,7 @@ import csv
 import json
 import logging
 import sys
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 from typing import get_type_hints
 
@@ -112,7 +112,7 @@ def cmd_search(args) -> int:
         raise evolution.ConfigError(f"no such config file: {args.config}") from None
     cfg = evolution.SearchConfig.from_dict(config_doc)
     if args.seed is not None:
-        cfg.seed = args.seed
+        cfg = replace(cfg, seed=args.seed)  # validated like the config's own seed
 
     dataset = data_mod.load_manifest(args.data)
     if dataset.problem != cfg.problem:
@@ -134,8 +134,6 @@ def cmd_search(args) -> int:
     # builds and checks the training settings: a bad flag stops here, not per evaluation
     evaluator = trainer.make_evaluator(
         dataset,
-        cfg.problem,
-        cfg.input_dim,
         cfg.cv_ratio,
         cfg.train_epochs,
         learning_rate=args.learning_rate,
@@ -200,8 +198,7 @@ def cmd_search(args) -> int:
 
 def cmd_train(args) -> int:
     g = _load_genotype_file(args.genotype)
-    cfg = trainer.TrainConfig.for_problem(
-        g.problem,
+    cfg = trainer.TrainConfig(
         args.epochs,
         learning_rate=args.learning_rate,
         batch_size=args.batch_size,
@@ -215,14 +212,15 @@ def cmd_train(args) -> int:
             f"genotype problem {g.problem.value!r} does not match dataset "
             f"problem {dataset.problem.value!r}"
         )
+    metric_name = trainer.METRIC_NAME[dataset.problem]
     if args.kfold:
         mean, std = trainer.kfold_evaluate(g, dataset, args.kfold, cfg)
-        print(f"{args.kfold}-fold {cfg.metric.value}: {mean:.4f} +/- {std:.4f}")
+        print(f"{args.kfold}-fold {metric_name}: {mean:.4f} +/- {std:.4f}")
 
     train_ds, val_ds = data_mod.split(dataset, 0.2, cfg.seed)
     net = trainer.materialize(g, dataset.feature_count, cfg.seed)
     report = trainer.train(net, (train_ds, val_ds), cfg)
-    print(f"validation {cfg.metric.value}: {report.value:.4f} ({cfg.epochs} epochs)")
+    print(f"validation {metric_name}: {report.value:.4f} ({cfg.epochs} epochs)")
 
     if args.out_model:
         json_path, bin_path = trainer.save_model(net, g, report.loss_curve, args.out_model)

@@ -20,11 +20,11 @@ import numpy as np
 
 from .evalpool import EvalJob, Evaluator, derive_seed, evaluate_all
 from .genotype import (
+    ARCH,
     HIDDEN_ACTIVATIONS,
     MAX_LAYERS,
     UNIT_CHOICES,
     Activation,
-    ArchKind,
     Genotype,
     LayerGene,
     LayerKind,
@@ -35,7 +35,7 @@ from .genotype import (
     input_fan_in,
     rectify_activations,
 )
-from .trainer import OBJECTIVE, ConfigError, Metric
+from .trainer import ConfigError
 
 log = logging.getLogger(__name__)
 
@@ -51,7 +51,7 @@ class SearchConfig:
     """Every knob of the search loop; defaults are the image-classification set."""
 
     problem: ProblemKind
-    arch: ArchKind
+    arch: str
     input_shape: int | tuple[int, int, int]
     output_size: int
     cv_ratio: float = 0.2
@@ -73,12 +73,8 @@ class SearchConfig:
 
     def __post_init__(self):
         self.problem = ProblemKind(self.problem)
-        try:
-            self.arch = ArchKind(self.arch)
-        except ValueError:
-            raise ConfigError(
-                f"arch {self.arch!r} has no training backend; only 'mlp' can be searched"
-            ) from None
+        if self.arch != ARCH:
+            raise ConfigError(f"arch {self.arch!r} has no training backend; only 'mlp' can be searched")
         if isinstance(self.input_shape, list):
             self.input_shape = tuple(self.input_shape)
 
@@ -94,6 +90,8 @@ class SearchConfig:
                     isinstance(value, kinds) and not isinstance(value, bool),
                     f"{name} must be {noun}, got {value!r}",
                 )
+                # NaN fails both comparisons; config.json must stay standard JSON
+                need(kinds is int or -math.inf < value < math.inf, f"{name} must be finite, got {value!r}")
         try:
             input_fan_in(self.input_shape)
         except ValueError:
@@ -123,6 +121,7 @@ class SearchConfig:
         need(self.experiments >= 1, "experiments must be at least 1")
         need(2 <= self.max_layers <= MAX_LAYERS, f"max_layers must be in 2..{MAX_LAYERS}")
         need(self.fitness_mode in FITNESS_MODES, f"fitness_mode must be one of {FITNESS_MODES}")
+        need(self.seed >= 0, f"seed must be non-negative, got {self.seed}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SearchConfig":
@@ -145,14 +144,10 @@ class SearchConfig:
     def to_dict(self) -> dict:
         """JSON-ready form with the same keys, in field order, that from_dict accepts."""
         doc = asdict(self)
-        doc.update(problem=self.problem.value, arch=self.arch.value)
+        doc["problem"] = self.problem.value
         if isinstance(self.input_shape, tuple):
             doc["input_shape"] = list(self.input_shape)
         return doc
-
-    @property
-    def metric_kind(self) -> Metric:
-        return OBJECTIVE[self.problem][1]
 
     @property
     def input_dim(self) -> int:
@@ -225,7 +220,7 @@ def random_genotype(cfg: SearchConfig, rng) -> Genotype:
         else:
             layers.append(LayerGene.dense(_pick(rng, UNIT_CHOICES), activation))
     layers.append(_output_layer(cfg))
-    return Genotype(tuple(layers), cfg.arch, cfg.problem)
+    return Genotype(tuple(layers), cfg.problem)
 
 
 def scaled_size(w: int) -> float:
@@ -244,12 +239,13 @@ def compute_costs(
     pop: Sequence[tuple[float, int]],
     alpha: float,
     mode: str = "raw_error",
-    metric_kind: Metric = Metric.ACCURACY,
+    problem: ProblemKind = ProblemKind.CLASSIFICATION,
 ) -> list[float]:
     """Scalarized cost ``10 * (1 - alpha) * p + alpha * scaled_size(w)`` per member.
 
-    ``pop`` holds (raw metric value, parameter count) pairs. Accuracy is
-    flipped into an error first. In ``population_l2`` mode the
+    ``pop`` holds (raw metric value, parameter count) pairs. A
+    classification accuracy is flipped into an error first; a regression
+    MSE already is one. In ``population_l2`` mode the
     error vector is normalized by its L2 norm over the population before
     weighting; ``raw_error`` uses the errors as they are.
     """
@@ -259,8 +255,7 @@ def compute_costs(
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     if mode not in FITNESS_MODES:
         raise ValueError(f"unknown fitness mode {mode!r}")
-    metric_kind = Metric(metric_kind)
-    if metric_kind == Metric.ACCURACY:
+    if ProblemKind(problem) == ProblemKind.CLASSIFICATION:
         errors = np.array([1.0 - perf for perf, _ in pop])
     else:
         errors = np.array([float(perf) for perf, _ in pop])
@@ -334,7 +329,7 @@ def splice(
 ) -> Genotype:
     """Replace ``base[r1..r2]`` with ``donor[r3..r4]`` and rectify activations."""
     layers = base.layers[:r1] + donor.layers[r3 : r4 + 1] + base.layers[r2 + 1 :]
-    child = Genotype(layers, base.arch, base.problem)
+    child = Genotype(layers, base.problem)
     return rectify_activations(child, base)
 
 
@@ -347,8 +342,8 @@ def crossover(s1: Genotype, s2: Genotype, cfg: SearchConfig, rng) -> Genotype:
     segment a fresh cut is drawn, up to ``crossover_trials`` times; after
     that the base parent is returned unchanged.
     """
-    if s1.arch != s2.arch or s1.problem != s2.problem:
-        raise ValueError("crossover parents must share architecture and problem kind")
+    if s1.problem != s2.problem:
+        raise ValueError("crossover parents must share the problem kind")
     last_hidden = len(s1.layers) - 2
     for _ in range(cfg.crossover_trials):
         i = int(rng.integers(last_hidden + 1))
@@ -393,7 +388,7 @@ def _edit_param(g: Genotype, i: int, rng) -> Genotype:
     choices = [c for c in grid if c != getattr(gene, name)]
     new_gene = replace(gene, **{name: _pick(rng, choices)})
     layers = g.layers[:i] + (new_gene,) + g.layers[i + 1 :]
-    return Genotype(layers, g.arch, g.problem)
+    return Genotype(layers, g.problem)
 
 
 def _edit_activation(g: Genotype, i: int, rng) -> Genotype:
@@ -405,13 +400,13 @@ def _edit_activation(g: Genotype, i: int, rng) -> Genotype:
     for j, other in enumerate(g.layers[:-1]):
         if other.kind == gene.kind:
             layers[j] = replace(other, activation=new_act)
-    return Genotype(tuple(layers), g.arch, g.problem)
+    return Genotype(tuple(layers), g.problem)
 
 
 def _edit_insert_dropout(g: Genotype, i: int, rng) -> Genotype:
     drop = LayerGene.dropout(_pick(rng, DROPOUT_RATE_GRID))
     layers = g.layers[: i + 1] + (drop,) + g.layers[i + 1 :]
-    return Genotype(layers, g.arch, g.problem)
+    return Genotype(layers, g.problem)
 
 
 def mutate(g: Genotype, cfg: SearchConfig, rng) -> Genotype:
@@ -419,24 +414,17 @@ def mutate(g: Genotype, cfg: SearchConfig, rng) -> Genotype:
 
     The edit is drawn uniformly among those applicable to the chosen
     non-output layer: resample one of its parameters, change its activation
-    (re-aligning same-kind layers), or insert a dropout layer after it. A
-    layer with no applicable edit triggers a re-pick, at most three times.
+    (re-aligning same-kind layers), or insert a dropout layer after it.
     """
     if rng.random() >= cfg.mutation_prob:
         return g
-    non_output = len(g.layers) - 1
-    for _ in range(3):
-        i = int(rng.integers(non_output))
-        edits = _applicable_edits(g, i, cfg)
-        if not edits:
-            continue
-        edit = _pick(rng, edits)
-        if edit == "param":
-            return _edit_param(g, i, rng)
-        if edit == "activation":
-            return _edit_activation(g, i, rng)
-        return _edit_insert_dropout(g, i, rng)
-    return g
+    i = int(rng.integers(len(g.layers) - 1))
+    edit = _pick(rng, _applicable_edits(g, i, cfg))
+    if edit == "param":
+        return _edit_param(g, i, rng)
+    if edit == "activation":
+        return _edit_activation(g, i, rng)
+    return _edit_insert_dropout(g, i, rng)
 
 
 def nominal_convergence(pop: Sequence[Genotype], m_c: int, d_t: float) -> bool:
@@ -461,7 +449,7 @@ def _assign_costs(individuals: list[Individual], cfg: SearchConfig) -> None:
         [(ind.perf, ind.size) for ind in individuals],
         cfg.alpha,
         cfg.fitness_mode,
-        cfg.metric_kind,
+        cfg.problem,
     )
     for ind, c in zip(individuals, costs):
         ind.cost = c
@@ -512,7 +500,7 @@ def run_search(
                     f"experiment {exp}, generation {gen}: every evaluation failed "
                     f"(first: {results[0].status})"
                 )
-            worst = min if cfg.metric_kind == Metric.ACCURACY else max
+            worst = min if cfg.problem == ProblemKind.CLASSIFICATION else max
             fallback = worst(ok_perfs)
             individuals = []
             for job, r in zip(jobs, results):
@@ -553,7 +541,7 @@ def finalize(archive: Archive, cfg: SearchConfig) -> Individual:
         [(e.perf, e.size) for e in archive.entries],
         cfg.alpha,
         cfg.fitness_mode,
-        cfg.metric_kind,
+        cfg.problem,
     )
     for entry, c in zip(archive.entries, costs):
         entry.cost = c

@@ -72,6 +72,9 @@ UNIT_CHOICES: tuple[int, ...] = tuple(8 * x for x in range(1, 129))
 #: Hard cap on genotype length (layers, output included).
 MAX_LAYERS = 64
 
+#: The document format's ``arch`` value: the one family encoded here.
+ARCH = "mlp"
+
 # Parameter slot -> (key in the named document form, type, legal-value test,
 # violation text), in slot order.
 _SLOTS = {
@@ -103,10 +106,6 @@ def _slot_value(name: str, value, cast: type):
 def can_follow(a: LayerKind, b: LayerKind) -> bool:
     """True when a layer of kind ``b`` may be stacked directly after ``a``."""
     return b in FOLLOWERS[a]
-
-
-class ArchKind(str, Enum):
-    MLP = "mlp"
 
 
 class ProblemKind(str, Enum):
@@ -173,10 +172,9 @@ class LayerGene:
 
 @dataclass(frozen=True)
 class Genotype:
-    """An ordered stack of layer genes plus its architecture/problem tags."""
+    """An ordered stack of layer genes plus its problem tag."""
 
     layers: tuple[LayerGene, ...]
-    arch: ArchKind
     problem: ProblemKind
 
     def __post_init__(self):
@@ -336,7 +334,7 @@ def rectify_activations(target: Genotype, reference: Genotype) -> Genotype:
         wanted = by_kind.get(gene.kind)
         if wanted is not None and gene.activation != wanted:
             new_layers[i] = replace(gene, activation=wanted)
-    return Genotype(tuple(new_layers), target.arch, target.problem)
+    return Genotype(tuple(new_layers), target.problem)
 
 
 # --- canonical text encoding ------------------------------------------------
@@ -358,7 +356,7 @@ def to_dict(g: Genotype) -> dict:
         row.append(vec[7] if vec[7] else 0)
         raw.append(row)
     return {
-        "arch": g.arch.value,
+        "arch": ARCH,
         "problem": g.problem.value,
         "layers": [_named_form(gene) for gene in g.layers],
         "raw": raw,
@@ -374,45 +372,49 @@ def serialize(g: Genotype) -> str:
 
 
 def from_dict(doc: dict) -> Genotype:
-    """Rebuild a genotype from its document form; the raw array is authoritative."""
+    """Rebuild a genotype from its document form.
+
+    A document holds the named form (``layers``), the raw array form
+    (``raw``), or both; when both are present they must describe the same
+    layers.
+    """
     if not isinstance(doc, dict):
         raise ParseError("genotype document must be a JSON object")
     for key in ("arch", "problem"):
         if key not in doc:
             raise ParseError(f"missing required field {key!r}")
-    try:
-        arch = ArchKind(doc["arch"])
-    except ValueError:
-        raise ParseError(f"unknown architecture {doc['arch']!r}") from None
+    if doc["arch"] != ARCH:
+        raise ParseError(f"unknown architecture {doc['arch']!r}")
     try:
         problem = ProblemKind(doc["problem"])
     except ValueError:
         raise ParseError(f"unknown problem kind {doc['problem']!r}") from None
 
-    if "raw" in doc:
-        rows = doc["raw"]
-        if not isinstance(rows, list) or not rows:
-            raise ParseError("field 'raw' must be a non-empty list of layer arrays")
-        genes = []
-        for i, row in enumerate(rows):
-            if not isinstance(row, list):
-                raise ParseError(f"layer {i}: layer array must be a list of 8 slots, got {row!r}")
-            try:
-                genes.append(LayerGene.from_vec(row))
-            except ParseError as exc:
-                raise ParseError(f"layer {i}: {exc}") from None
-    elif "layers" in doc:
-        if not isinstance(doc["layers"], list):
-            raise ParseError("field 'layers' must be a list of layer objects")
-        genes = [_gene_from_named(i, entry) for i, entry in enumerate(doc["layers"])]
-    else:
+    forms = []
+    for key, decode in (("raw", _gene_from_raw), ("layers", _gene_from_named)):
+        if key in doc:
+            if not isinstance(doc[key], list) or not doc[key]:
+                raise ParseError(f"field {key!r} must be a list of layers, and not empty")
+            forms.append([decode(i, entry) for i, entry in enumerate(doc[key])])
+    if not forms:
         raise ParseError("genotype document needs a 'raw' or 'layers' field")
-
-    g = Genotype(tuple(genes), arch, problem)
+    g = Genotype(tuple(forms[0]), problem)
     report = validate(g)
     if not report.ok:
         raise ParseError(f"invalid genotype: {report.summary()}")
+    if forms[-1] != forms[0]:
+        i = next((i for i, (a, b) in enumerate(zip(*forms)) if a != b), min(map(len, forms)))
+        raise ParseError(f"layer {i}: the 'layers' and 'raw' forms disagree")
     return g
+
+
+def _gene_from_raw(i: int, row) -> LayerGene:
+    if not isinstance(row, list):
+        raise ParseError(f"layer {i}: layer array must be a list of 8 slots, got {row!r}")
+    try:
+        return LayerGene.from_vec(row)
+    except ParseError as exc:
+        raise ParseError(f"layer {i}: {exc}") from None
 
 
 def _gene_from_named(i: int, entry: dict) -> LayerGene:

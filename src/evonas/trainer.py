@@ -12,9 +12,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-import time
 from dataclasses import dataclass, replace
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -38,22 +36,9 @@ log = logging.getLogger(__name__)
 SEARCH_DTYPE = np.float32
 
 
-class Metric(str, Enum):
-    ACCURACY = "accuracy"  # a score: larger is better
-    MSE = "mse"  # an error: smaller is better
-
-
-class Loss(str, Enum):
-    CATEGORICAL_CROSS_ENTROPY = "categorical_cross_entropy"
-    MEAN_SQUARED_ERROR = "mean_squared_error"
-
-
-#: The one objective of each problem: the loss it trains on and the metric
-#: that scores the trained network.
-OBJECTIVE: dict[ProblemKind, tuple[Loss, Metric]] = {
-    ProblemKind.CLASSIFICATION: (Loss.CATEGORICAL_CROSS_ENTROPY, Metric.ACCURACY),
-    ProblemKind.REGRESSION: (Loss.MEAN_SQUARED_ERROR, Metric.MSE),
-}
+#: The name of the metric that scores each problem: accuracy is a score
+#: (larger is better), MSE an error (smaller is better).
+METRIC_NAME = {ProblemKind.CLASSIFICATION: "accuracy", ProblemKind.REGRESSION: "mse"}
 
 
 class ConfigError(ValueError):
@@ -70,41 +55,28 @@ class DivergedError(RuntimeError):
 
 @dataclass
 class TrainConfig:
-    """Minibatch Adam settings; the problem decides the loss and the metric."""
+    """Minibatch Adam settings; the network and the data decide loss and metric."""
 
     epochs: int
     learning_rate: float = 0.001
     batch_size: int = 512
     seed: int = 0
-    problem: ProblemKind = ProblemKind.CLASSIFICATION
 
     def __post_init__(self):
-        self.problem = ProblemKind(self.problem)
         if self.epochs < 0:
             raise ConfigError("epochs must be non-negative")
         if not 0 < self.learning_rate < math.inf:
             raise ConfigError("learning_rate must be positive and finite")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be positive")
-
-    @property
-    def loss(self) -> Loss:
-        return OBJECTIVE[self.problem][0]
-
-    @property
-    def metric(self) -> Metric:
-        return OBJECTIVE[self.problem][1]
-
-    @classmethod
-    def for_problem(cls, problem: ProblemKind, epochs: int, **kw) -> "TrainConfig":
-        return cls(epochs, problem=problem, **kw)
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass
 class PerfReport:
     value: float
     loss_curve: list[float]
-    wall_time: float
 
 
 # --- network ----------------------------------------------------------------
@@ -200,6 +172,11 @@ class DenseNetwork:
             raise ValueError("network has no dense layers")
         return self.dense[-1].shape[1]
 
+    @property
+    def softmax_output(self) -> bool:
+        """A softmax output trains on cross-entropy, any other on half the squared error."""
+        return self.dense[-1].activation == Activation.SOFTMAX
+
     def parameters(self) -> list[np.ndarray]:
         return [p for layer in self.dense for p in (layer.W, layer.b)]
 
@@ -268,16 +245,17 @@ def materialize(g: Genotype, input_dim: int, seed: int, dtype=np.float64) -> Den
 
 # --- loss and gradients -----------------------------------------------------
 
-def _loss_value(outputs: np.ndarray, Y: np.ndarray, loss: Loss) -> float:
+def _loss_value(outputs: np.ndarray, Y: np.ndarray, softmax: bool) -> float:
     n = len(outputs)
-    if loss == Loss.CATEGORICAL_CROSS_ENTROPY:
+    if softmax:
         return float(-np.sum(Y * np.log(np.clip(outputs, 1e-12, 1.0))) / n)
     return float(0.5 * np.sum((outputs - Y) ** 2) / n)
 
 
-def loss_and_gradients(net: DenseNetwork, X, Y, loss: Loss, training=False, rng=None, out=None):
-    """Loss on a batch and its gradient for every weight matrix and bias.
+def loss_and_gradients(net: DenseNetwork, X, Y, training=False, rng=None, out=None):
+    """The loss on a batch and its gradient for every weight matrix and bias.
 
+    The output layer picks the loss (see :attr:`DenseNetwork.softmax_output`).
     The gradients are written into ``out``, a vector laid out like
     ``net.flat``, and returned as per-parameter views of it in the order of
     ``net.parameters()``. Without ``out`` a fresh vector is allocated, so
@@ -285,21 +263,16 @@ def loss_and_gradients(net: DenseNetwork, X, Y, loss: Loss, training=False, rng=
     """
     outputs, caches = net._forward_cached(X, training, rng)
     n = len(outputs)
-    value = _loss_value(outputs, Y, loss)
+    softmax = net.softmax_output
+    value = _loss_value(outputs, Y, softmax)
     if out is None:
         out = np.empty_like(net.flat)
     grads = net.views(out)
 
-    last = caches[-1]
     delta = outputs - Y
     delta /= n  # d loss / d outputs
-    if loss == Loss.CATEGORICAL_CROSS_ENTROPY:
-        layer = last[0]
-        if not isinstance(layer, _DenseLayer) or layer.activation != Activation.SOFTMAX:
-            raise ValueError("cross-entropy training expects a softmax output layer")
-        # softmax and cross-entropy fused: delta is already d loss / d logits
-    else:
-        layer, _, z, a = last
+    if not softmax:  # softmax and cross-entropy fused: delta is already d loss / d logits
+        layer, _, z, a = caches[-1]
         _backprop_activation(delta, z, a, layer.activation)
 
     k = len(grads)
@@ -393,16 +366,23 @@ def train(net: DenseNetwork, dataset_split, cfg: TrainConfig) -> PerfReport:
     ``dataset_split`` is a ``(train, validation)`` pair of datasets. All
     randomness (shuffling, dropout masks) flows from ``cfg.seed``, so the
     result is deterministic. Training runs in the network's dtype; features
-    already in it are not copied.
+    already in it are not copied. The output layer picks the loss and the
+    validation data's problem the metric; a softmax output needs
+    classification data, and classification data a softmax output.
     """
     train_ds, val_ds = dataset_split
+    for ds in dataset_split:
+        if net.softmax_output != (ds.problem == ProblemKind.CLASSIFICATION):
+            raise ValueError(
+                f"a {net.dense[-1].activation.name.lower()} output layer cannot train on "
+                f"{ds.problem.value} data: softmax outputs and classification data go together"
+            )
     Y = _target_matrix(net, train_ds)
     X = np.asarray(train_ds.features, dtype=net.flat.dtype)
     rng = np.random.default_rng(cfg.seed)
     optimizer = make_optimizer(net.flat, cfg.learning_rate)
     grad = np.empty_like(net.flat)  # reused by every minibatch
 
-    started = time.perf_counter()
     curve: list[float] = []
     for epoch in range(cfg.epochs):
         perm = rng.permutation(len(X))
@@ -410,9 +390,7 @@ def train(net: DenseNetwork, dataset_split, cfg: TrainConfig) -> PerfReport:
         for at in range(0, len(X), cfg.batch_size):
             idx = perm[at : at + cfg.batch_size]
             with np.errstate(over="ignore", invalid="ignore"):
-                value, _ = loss_and_gradients(
-                    net, X[idx], Y[idx], cfg.loss, training=True, rng=rng, out=grad
-                )
+                value, _ = loss_and_gradients(net, X[idx], Y[idx], training=True, rng=rng, out=grad)
             if not np.isfinite(value):
                 raise DivergedError(epoch)
             optimizer.step(grad)
@@ -420,26 +398,24 @@ def train(net: DenseNetwork, dataset_split, cfg: TrainConfig) -> PerfReport:
         curve.append(float(np.mean(epoch_losses)))
 
     preds = net.forward(val_ds.features, training=False)
-    if val_ds.problem == ProblemKind.REGRESSION:
-        preds = preds[:, 0]
-    value = metric(cfg.metric, preds, val_ds.targets)
-    return PerfReport(value, curve, time.perf_counter() - started)
+    return PerfReport(metric(val_ds.problem, preds, val_ds.targets), curve)
 
 
 # --- metrics ----------------------------------------------------------------
 
-def metric(kind: Metric, predictions, targets) -> float:
-    """Score predictions against targets.
+def metric(problem: ProblemKind, predictions, targets) -> float:
+    """Score predictions against targets with the problem's metric.
 
-    Accuracy accepts probability rows or already-argmaxed labels. MSE is
-    half the per-sample squared error, averaged, like the training loss.
+    Accuracy (classification) accepts probability rows or already-argmaxed
+    labels. MSE (regression) is half the per-sample squared error,
+    averaged, like the training loss.
     """
-    kind = Metric(kind)
+    problem = ProblemKind(problem)
     preds = np.asarray(predictions)
     targets = np.asarray(targets)
     if len(preds) != len(targets):
         raise ValueError("predictions and targets differ in length")
-    if kind == Metric.MSE:
+    if problem == ProblemKind.REGRESSION:
         diff = preds.astype(np.float64).reshape(len(preds), -1) - targets.astype(
             np.float64
         ).reshape(len(targets), -1)
@@ -464,7 +440,7 @@ def kfold_evaluate(g: Genotype, dataset: data_mod.Dataset, k: int, cfg: TrainCon
         net = materialize(g, dataset.feature_count, cfg.seed)
         report = train(net, (dataset.take(train_idx), dataset.take(fold)), cfg)
         values.append(report.value)
-        log.debug("fold %d/%d: %s=%.4f", i + 1, k, cfg.metric.value, report.value)
+        log.debug("fold %d/%d: %s=%.4f", i + 1, k, METRIC_NAME[dataset.problem], report.value)
     return float(np.mean(values)), float(np.std(values))
 
 
@@ -472,8 +448,6 @@ def kfold_evaluate(g: Genotype, dataset: data_mod.Dataset, k: int, cfg: TrainCon
 
 def make_evaluator(
     dataset: data_mod.Dataset,
-    problem: ProblemKind,
-    input_dim: int,
     cv_ratio: float,
     epochs: int,
     learning_rate: float = 0.001,
@@ -488,16 +462,14 @@ def make_evaluator(
     seed, so evaluation order and parallelism cannot change any result.
     Returns a ``(validation metric, parameter count)`` pair.
     """
-    base = TrainConfig.for_problem(
-        problem, epochs, learning_rate=learning_rate, batch_size=batch_size
-    )
+    base = TrainConfig(epochs, learning_rate=learning_rate, batch_size=batch_size)
     split_pair = tuple(
         replace(part, features=part.features.astype(SEARCH_DTYPE))
         for part in data_mod.split(dataset, cv_ratio, split_seed)
     )
 
     def evaluate(genotype: Genotype, seed: int) -> tuple[float, int]:
-        net = materialize(genotype, input_dim, seed, SEARCH_DTYPE)
+        net = materialize(genotype, dataset.feature_count, seed, SEARCH_DTYPE)
         report = train(net, split_pair, replace(base, seed=seed))
         return report.value, net.param_count
 

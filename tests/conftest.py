@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from evonas import (
     Activation,
-    ArchKind,
     Dataset,
     Genotype,
     LayerGene,
@@ -23,12 +22,12 @@ from evonas.genotype import FOLLOWERS, LayerKind
 A = Activation
 
 
-def classifier(*genes: LayerGene, arch: ArchKind = ArchKind.MLP) -> Genotype:
-    return Genotype(tuple(genes), arch, ProblemKind.CLASSIFICATION)
+def classifier(*genes: LayerGene) -> Genotype:
+    return Genotype(tuple(genes), ProblemKind.CLASSIFICATION)
 
 
-def regressor(*genes: LayerGene, arch: ArchKind = ArchKind.MLP) -> Genotype:
-    return Genotype(tuple(genes), arch, ProblemKind.REGRESSION)
+def regressor(*genes: LayerGene) -> Genotype:
+    return Genotype(tuple(genes), ProblemKind.REGRESSION)
 
 
 def mlp_classifier(spec, classes: int = 10) -> Genotype:
@@ -136,7 +135,7 @@ def mnist_search_config() -> SearchConfig:
     """The image-classification reference configuration."""
     return SearchConfig(
         problem=ProblemKind.CLASSIFICATION,
-        arch=ArchKind.MLP,
+        arch="mlp",
         input_shape=784,
         output_size=10,
         cv_ratio=0.2,
@@ -230,4 +229,4 @@ def genotypes(draw, problem: ProblemKind | None = None, max_hidden: int = 8) -> 
         genes.append(LayerGene.dense(draw(st.integers(2, 16)), A.SOFTMAX))
     else:
         genes.append(LayerGene.dense(1, A.LINEAR))
-    return Genotype(tuple(genes), ArchKind.MLP, problem)
+    return Genotype(tuple(genes), problem)

@@ -16,7 +16,6 @@ from _pytest.outcomes import Skipped
 
 from evonas import (
     Activation,
-    ArchKind,
     Genotype,
     ProblemKind,
     SearchConfig,
@@ -37,7 +36,7 @@ from evonas import (
     validate,
 )
 from evonas.genotype import LayerGene
-from evonas.trainer import Loss, TrainConfig, loss_and_gradients
+from evonas.trainer import TrainConfig, loss_and_gradients
 
 from conftest import (
     BEST_ALPHA_03_TABLE,
@@ -119,7 +118,7 @@ def _oracle_pairs(base, donor, r1, r2, max_layers=64):
             layers = base.layers[:r1] + donor.layers[r3 : r4 + 1] + base.layers[r2 + 1 :]
             if len(layers) > max_layers:
                 continue
-            if validate(Genotype(layers, base.arch, base.problem)).ok:
+            if validate(Genotype(layers, base.problem)).ok:
                 out.append((r3, r4))
     return out
 
@@ -177,23 +176,21 @@ def test_criterion_7_gradient_check():
     with criterion(7, "analytic gradients match central differences (99% at 1e-4)"):
         rng = np.random.default_rng(0)
         for act in (A.SIGMOID, A.TANH, A.RELU):
-            for loss in (Loss.CATEGORICAL_CROSS_ENTROPY, Loss.MEAN_SQUARED_ERROR):
-                if loss == Loss.CATEGORICAL_CROSS_ENTROPY:
+            # the output layer picks the loss: softmax cross-entropy, linear squared error
+            for problem in (ProblemKind.CLASSIFICATION, ProblemKind.REGRESSION):
+                if problem == ProblemKind.CLASSIFICATION:
                     out_layer = LayerGene.dense(4, A.SOFTMAX)
-                    problem = ProblemKind.CLASSIFICATION
                     Y = np.eye(4)[rng.integers(4, size=16)]
                 else:
                     out_layer = LayerGene.dense(1, A.LINEAR)
-                    problem = ProblemKind.REGRESSION
                     Y = rng.normal(size=(16, 1))
                 g = Genotype(
                     (LayerGene.dense(16, act), LayerGene.dense(8, act), out_layer),
-                    ArchKind.MLP,
                     problem,
                 )
                 net = materialize(g, 10, seed=5)
                 X = rng.normal(size=(16, 10))
-                _, analytic = loss_and_gradients(net, X, Y, loss)
+                _, analytic = loss_and_gradients(net, X, Y)
                 good = total = 0
                 h = 1e-5
                 for p, a_grad in zip(net.parameters(), analytic):
@@ -201,15 +198,15 @@ def test_criterion_7_gradient_check():
                     for k in range(flat.size):
                         orig = flat[k]
                         flat[k] = orig + h
-                        up, _ = loss_and_gradients(net, X, Y, loss)
+                        up, _ = loss_and_gradients(net, X, Y)
                         flat[k] = orig - h
-                        down, _ = loss_and_gradients(net, X, Y, loss)
+                        down, _ = loss_and_gradients(net, X, Y)
                         flat[k] = orig
                         num = (up - down) / (2 * h)
                         rel = abs(num - aflat[k]) / max(1e-8, abs(num) + abs(aflat[k]))
                         good += int(rel <= 1e-4)
                         total += 1
-                assert good / total >= 0.99, (act, loss, good / total)
+                assert good / total >= 0.99, (act, problem, good / total)
 
 
 def _load_mnist_train():
@@ -233,7 +230,7 @@ def test_criterion_8_desk_scale_training():
 def _subset_config(seed=0):
     return SearchConfig(
         problem=ProblemKind.CLASSIFICATION,
-        arch=ArchKind.MLP,
+        arch="mlp",
         input_shape=784,
         output_size=10,
         seed=seed,
@@ -249,9 +246,7 @@ def test_criterion_9_desk_scale_search():
     with criterion(9, "reference-parameter search on a 10k subset yields a compact winner"):
         ds = _mnist_subset()
         cfg = _subset_config()
-        evaluator = make_evaluator(
-            ds, cfg.problem, 784, cfg.cv_ratio, cfg.train_epochs, split_seed=cfg.seed
-        )
+        evaluator = make_evaluator(ds, cfg.cv_ratio, cfg.train_epochs, split_seed=cfg.seed)
         started = time.perf_counter()
         archive = run_search(cfg, evaluator, workers=4)
         winner = finalize(archive, cfg)
@@ -326,7 +321,7 @@ def test_determinism_witness_on_synthetic_data():
         ds = Dataset(X, y, ProblemKind.CLASSIFICATION)
         cfg = SearchConfig(
             problem=ProblemKind.CLASSIFICATION,
-            arch=ArchKind.MLP,
+            arch="mlp",
             input_shape=6,
             output_size=2,
             population_size=4,
@@ -336,7 +331,7 @@ def test_determinism_witness_on_synthetic_data():
             train_epochs=2,
             seed=11,
         )
-        evaluator = make_evaluator(ds, cfg.problem, 6, cfg.cv_ratio, cfg.train_epochs,
+        evaluator = make_evaluator(ds, cfg.cv_ratio, cfg.train_epochs,
                                    batch_size=32, split_seed=cfg.seed)
         streams = []
         for workers in (1, 1, 4):

@@ -61,9 +61,9 @@ def workdir(tmp_path):
     return tmp_path
 
 
-def surrogate_make_evaluator(dataset, problem, input_dim, cv_ratio, epochs, **kw):
+def surrogate_make_evaluator(dataset, cv_ratio, epochs, **kw):
     def evaluate(genotype, seed):
-        w = count_params(genotype, input_dim)
+        w = count_params(genotype, dataset.feature_count)
         return 1.0 / (1.0 + w / 5000.0), w
 
     return evaluate
@@ -207,6 +207,17 @@ class TestSearchCommand:
         out = workdir / "x"
         assert main(["search", str(bad), str(workdir / "data.json"), "--out", str(out)]) == 2
         assert "alpha must be a number, got True" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_config_float_exits_2_without_run_directory(self, workdir, capsys, value):
+        doc = json.loads((workdir / "config.json").read_text())
+        doc["convergence_threshold"] = value
+        bad = workdir / "bad.json"
+        bad.write_text(json.dumps(doc))  # the non-standard Infinity, -Infinity or NaN token
+        out = workdir / "x"
+        assert main(["search", str(bad), str(workdir / "data.json"), "--out", str(out)]) == 2
+        assert "convergence_threshold must be finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_trace_flag_writes_fresh_jsonl(self, workdir, monkeypatch):
@@ -532,6 +543,17 @@ class TestTrainCommand:
         assert main([command, str(gpath), *args]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "inspect"])
+    def test_edited_named_form_exits_2_before_data_loads(self, workdir, capsys, command):
+        doc = json.loads(serialize(mlp_classifier([(16, A.RELU)], classes=2)))
+        doc["layers"][0]["units"] = 512  # the raw form still says 16
+        gpath = workdir / "g.json"
+        gpath.write_text(json.dumps(doc))
+        # the manifest does not exist: a data error (exit 3) would mean it was read first
+        args = [str(workdir / "missing.json")] if command == "train" else []
+        assert main([command, str(gpath), *args]) == 2
+        assert "layer 0: the 'layers' and 'raw' forms disagree" in capsys.readouterr().err
+
     def test_unknown_manifest_problem_exits_3_naming_the_manifest(self, workdir, capsys):
         manifest = workdir / "data.json"
         doc = json.loads(manifest.read_text())
@@ -556,6 +578,24 @@ class TestTrainCommand:
         assert code == 3
         assert "class labels must be 0 or more" in capsys.readouterr().err
         assert list(workdir.glob("model*")) == []
+
+
+@pytest.mark.parametrize("case", ["config", "search-flag", "train-flag"])
+def test_negative_seed_exits_2_without_artifacts(workdir, capsys, case):
+    out = workdir / "run"
+    if case == "config":
+        doc = json.loads((workdir / "config.json").read_text())
+        (workdir / "config.json").write_text(json.dumps({**doc, "seed": -1}))
+        argv = search_args(workdir, out)
+    elif case == "search-flag":
+        argv = [*search_args(workdir, out), "--seed", "-3"]
+    else:
+        gpath = workdir / "g.json"
+        gpath.write_text(serialize(mlp_classifier([(16, A.RELU)], classes=2)))
+        argv = ["train", str(gpath), str(workdir / "data.json"), "--seed", "-2", "--out-model", str(out)]
+    assert main(argv) == 2
+    assert "seed must be non-negative" in capsys.readouterr().err
+    assert list(workdir.glob("run*")) == []
 
 
 class TestInspectCommand:

@@ -14,12 +14,10 @@ from hypothesis import strategies as st
 
 from evonas import (
     Activation,
-    ArchKind,
     Archive,
     ConfigError,
     Genotype,
     Individual,
-    Metric,
     ProblemKind,
     SearchConfig,
     compatible_pairs,
@@ -122,12 +120,12 @@ class TestComputeCosts:
         assert c == 0.0
 
     def test_error_metrics_used_directly(self):
-        (c,) = compute_costs([(0.25, 1000)], alpha=0.0, metric_kind=Metric.MSE)
+        (c,) = compute_costs([(0.25, 1000)], alpha=0.0, problem=ProblemKind.REGRESSION)
         assert c == pytest.approx(2.5)
 
     def test_population_l2_normalization(self):
         costs = compute_costs(
-            [(0.3, 1000), (0.4, 1000)], alpha=0.0, mode="population_l2", metric_kind=Metric.MSE
+            [(0.3, 1000), (0.4, 1000)], alpha=0.0, mode="population_l2", problem=ProblemKind.REGRESSION
         )
         norm = math.hypot(0.3, 0.4)
         assert costs == pytest.approx([10 * 0.3 / norm, 10 * 0.4 / norm])
@@ -135,8 +133,8 @@ class TestComputeCosts:
     def test_l2_ranking_invariant_under_error_scaling(self):
         base = [(0.2, 5000), (0.9, 1500), (0.5, 80000)]
         scaled = [(p * 7.0, w) for p, w in base]
-        a = compute_costs(base, alpha=0.4, mode="population_l2", metric_kind=Metric.MSE)
-        b = compute_costs(scaled, alpha=0.4, mode="population_l2", metric_kind=Metric.MSE)
+        a = compute_costs(base, alpha=0.4, mode="population_l2", problem=ProblemKind.REGRESSION)
+        b = compute_costs(scaled, alpha=0.4, mode="population_l2", problem=ProblemKind.REGRESSION)
         assert np.allclose(a, b)
 
     @given(
@@ -145,13 +143,13 @@ class TestComputeCosts:
         st.integers(1000, 10**7),
     )
     def test_monotone_in_error_at_fixed_size(self, e1, e2, w):
-        c1, c2 = compute_costs([(e1, w), (e2, w)], alpha=0.5, metric_kind=Metric.MSE)
+        c1, c2 = compute_costs([(e1, w), (e2, w)], alpha=0.5, problem=ProblemKind.REGRESSION)
         assert c1 < c2
 
     @given(st.integers(0, 10**6), st.integers(0, 10**6))
     def test_monotone_in_size_at_fixed_error(self, w1, w2):
         lo, hi = sorted((w1, w2))
-        c_lo, c_hi = compute_costs([(0.1, lo), (0.1, hi)], alpha=0.5, metric_kind=Metric.MSE)
+        c_lo, c_hi = compute_costs([(0.1, lo), (0.1, hi)], alpha=0.5, problem=ProblemKind.REGRESSION)
         assert c_lo <= c_hi
 
     def test_rejects_empty_population_and_bad_alpha(self):
@@ -212,7 +210,7 @@ class TestRandomGenotype:
         assert g.layers[-1].units == 1
         assert g.layers[-1].activation == A.LINEAR
 
-    @pytest.mark.parametrize("arch", [ArchKind.MLP])
+    @pytest.mark.parametrize("arch", ["mlp"])
     def test_first_layer_matches_architecture(self, mnist_search_config, arch):
         cfg = replace(mnist_search_config, arch=arch)
         rng = np.random.default_rng(3)
@@ -257,7 +255,7 @@ def oracle_pairs(base, r1, r2, donor, max_layers=MAX_LAYERS):
             layers = base.layers[:r1] + donor.layers[r3 : r4 + 1] + base.layers[r2 + 1 :]
             if len(layers) > max_layers:
                 continue
-            candidate = Genotype(layers, base.arch, base.problem)
+            candidate = Genotype(layers, base.problem)
             if validate(candidate).ok:
                 out.append((r3, r4))
     return out
@@ -459,6 +457,7 @@ class TestSearchConfig:
             {"fitness_mode": "other"},
             {"input_shape": "784"},
             {"input_shape": [28, 28]},
+            {"seed": -1},
         ],
     )
     def test_bounds_enforced(self, mnist_search_config, patch):
@@ -504,6 +503,14 @@ class TestSearchConfig:
         with pytest.raises(ConfigError, match=f"^{key} must be a number, got {re.escape(repr(value))}$"):
             SearchConfig.from_dict(doc)
 
+    @pytest.mark.parametrize("token", ["Infinity", "-Infinity", "NaN"])
+    @pytest.mark.parametrize("key", ["convergence_threshold", "alpha"])
+    def test_float_fields_reject_non_finite_values(self, mnist_search_config, key, token):
+        doc = mnist_search_config.to_dict()
+        doc[key] = json.loads(token)  # Python's json reads these non-standard tokens
+        with pytest.raises(ConfigError, match=f"^{key} must be finite"):
+            SearchConfig.from_dict(doc)
+
     def test_float_fields_accept_integers(self, mnist_search_config):
         doc = mnist_search_config.to_dict()
         doc.update(alpha=1, mutation_prob=0, convergence_threshold=2)
@@ -539,7 +546,7 @@ class TestSearchConfig:
 def small_search_config(**kw) -> SearchConfig:
     base = dict(
         problem=ProblemKind.CLASSIFICATION,
-        arch=ArchKind.MLP,
+        arch="mlp",
         input_shape=784,
         output_size=10,
         population_size=6,

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from evonas import (
     Activation,
-    ArchKind,
     Genotype,
     GenotypeError,
     LayerGene,
@@ -78,7 +77,7 @@ class TestValidate:
     def test_dropout_after_dropout_located(self, stacked_example):
         layers = list(stacked_example.layers)
         layers[1], layers[2] = layers[2], layers[1]  # puts the two dropouts adjacent
-        report = validate(Genotype(tuple(layers), ArchKind.MLP, ProblemKind.CLASSIFICATION))
+        report = validate(Genotype(tuple(layers), ProblemKind.CLASSIFICATION))
         assert not report.ok
         bad = [v for v in report.violations if "Dropout" in v.message and "follow" in v.message]
         assert bad and bad[0].index == 3
@@ -94,7 +93,6 @@ class TestValidate:
         assert not validate(wrong_act).ok
         two_unit_regression = Genotype(
             (LayerGene.dense(64, A.RELU), LayerGene.dense(2, A.LINEAR)),
-            ArchKind.MLP,
             ProblemKind.REGRESSION,
         )
         assert not validate(two_unit_regression).ok
@@ -190,7 +188,7 @@ class TestDistance:
         bumped = list(g.layers)
         first = bumped[0]  # always dense
         bumped[0] = replace(first, units=first.units + 8 if first.units + 8 <= 1024 else first.units - 8)
-        g2 = Genotype(tuple(bumped), g.arch, g.problem)
+        g2 = Genotype(tuple(bumped), g.problem)
         assert distance(g, g2) > 0.0
 
     @given(
@@ -271,7 +269,6 @@ class TestSerializeParse:
                 LayerGene.dense(32, A.SIGMOID),
                 LayerGene.dense(1, A.LINEAR),
             ),
-            ArchKind.MLP,
             ProblemKind.REGRESSION,
         )
         expected = {
@@ -295,6 +292,7 @@ class TestSerializeParse:
         assert doc == expected
         # dict equality ignores key order and 0 == 0.0; the text does not
         assert serialize(g) == json.dumps(expected, separators=(",", ":"))
+        assert serialize(g).startswith('{"arch":"mlp","problem":"regression",')
         for form in ("layers", "raw"):
             only = {"arch": "mlp", "problem": "regression", form: expected[form]}
             assert parse(json.dumps(only)) == g
@@ -433,6 +431,16 @@ class TestSerializeParse:
         doc = to_dict(stacked_example)
         doc["raw"] = [[float(v) for v in row] for row in doc["raw"]]
         assert parse(json.dumps(doc)) == stacked_example
+
+    def test_edited_named_form_disagrees_with_raw(self, stacked_example):
+        doc = to_dict(stacked_example)
+        doc["layers"][2]["units"] = 512  # the readable form edited, the raw form not
+        with pytest.raises(ParseError, match=r"^layer 2: the 'layers' and 'raw' forms disagree$"):
+            parse(json.dumps(doc))
+        doc = to_dict(stacked_example)
+        doc["layers"].insert(-1, {"kind": 1, "units": 8, "activation": 2})
+        with pytest.raises(ParseError, match=r"^layer 5: the 'layers' and 'raw' forms disagree$"):
+            parse(json.dumps(doc))
 
     def test_named_form_accepted_without_raw(self):
         doc = {

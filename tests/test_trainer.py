@@ -1,8 +1,10 @@
 """Tests for network materialization, training, gradients, and metrics."""
 
 import math
+import re
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,14 +12,11 @@ from hypothesis import given, settings
 
 from evonas import (
     Activation,
-    ArchKind,
     Dataset,
     Genotype,
     GenotypeError,
     LayerGene,
-    Metric,
     ProblemKind,
-    SearchConfig,
     TrainConfig,
     count_params,
     kfold_evaluate,
@@ -31,7 +30,6 @@ from evonas import trainer
 from evonas.trainer import (
     DenseNetwork,
     DivergedError,
-    Loss,
     _Adam,
     _DenseLayer,
     load_model,
@@ -99,7 +97,7 @@ class TestForward:
             net = materialize(g, 8, seed=seed)
             X = rng.normal(scale=5.0, size=(16, 8))
             Y = np.eye(4)[rng.integers(4, size=16)]
-            value, _ = loss_and_gradients(net, X, Y, Loss.CATEGORICAL_CROSS_ENTROPY)
+            value, _ = loss_and_gradients(net, X, Y)
             assert value >= 0.0
 
     def test_dropout_inactive_at_inference(self):
@@ -120,7 +118,7 @@ class TestForward:
             net.forward(np.ones((4, 9)))
 
 
-def numeric_gradients(net, X, Y, loss, h=1e-5):
+def numeric_gradients(net, X, Y, h=1e-5):
     grads = []
     for p in net.parameters():
         flat = p.ravel()
@@ -128,18 +126,18 @@ def numeric_gradients(net, X, Y, loss, h=1e-5):
         for k in range(flat.size):
             orig = flat[k]
             flat[k] = orig + h
-            up, _ = loss_and_gradients(net, X, Y, loss)
+            up, _ = loss_and_gradients(net, X, Y)
             flat[k] = orig - h
-            down, _ = loss_and_gradients(net, X, Y, loss)
+            down, _ = loss_and_gradients(net, X, Y)
             flat[k] = orig
             g[k] = (up - down) / (2 * h)
         grads.append(g.reshape(p.shape))
     return grads
 
 
-def gradient_agreement(net, X, Y, loss) -> float:
-    _, analytic = loss_and_gradients(net, X, Y, loss)
-    numeric = numeric_gradients(net, X, Y, loss)
+def gradient_agreement(net, X, Y) -> float:
+    _, analytic = loss_and_gradients(net, X, Y)
+    numeric = numeric_gradients(net, X, Y)
     good = total = 0
     for a, n in zip(analytic, numeric):
         rel = np.abs(a - n) / np.maximum(1e-8, np.abs(a) + np.abs(n))
@@ -157,14 +155,13 @@ class TestGradients:
                 LayerGene.dense(8, act),
                 LayerGene.dense(4, A.SOFTMAX),
             ),
-            ArchKind.MLP,
             ProblemKind.CLASSIFICATION,
         )
         net = materialize(g, 10, seed=2)
         rng = np.random.default_rng(0)
         X = rng.normal(size=(16, 10))
         Y = np.eye(4)[rng.integers(4, size=16)]
-        assert gradient_agreement(net, X, Y, Loss.CATEGORICAL_CROSS_ENTROPY) >= 0.99
+        assert gradient_agreement(net, X, Y) >= 0.99
 
     def test_mean_squared_error(self, act):
         g = Genotype(
@@ -173,14 +170,13 @@ class TestGradients:
                 LayerGene.dense(8, act),
                 LayerGene.dense(1, A.LINEAR),
             ),
-            ArchKind.MLP,
             ProblemKind.REGRESSION,
         )
         net = materialize(g, 10, seed=2)
         rng = np.random.default_rng(1)
         X = rng.normal(size=(16, 10))
         Y = rng.normal(size=(16, 1))
-        assert gradient_agreement(net, X, Y, Loss.MEAN_SQUARED_ERROR) >= 0.99
+        assert gradient_agreement(net, X, Y) >= 0.99
 
 
 class TestGradientVector:
@@ -192,7 +188,7 @@ class TestGradientVector:
         self.Y = np.eye(3)[rng.integers(3, size=20)]
 
     def grads(self, X, out=None):
-        return loss_and_gradients(self.net, X, self.Y, Loss.CATEGORICAL_CROSS_ENTROPY, out=out)[1]
+        return loss_and_gradients(self.net, X, self.Y, out=out)[1]
 
     def test_returned_gradients_survive_a_later_call(self):
         first = self.grads(self.X)
@@ -254,9 +250,7 @@ class TestTrain:
         ds = Dataset(X, y, ProblemKind.REGRESSION)
         tr, va = split(ds, 0.2, seed=1)
         net = linear_unit(0.0, 0.0)
-        cfg = TrainConfig.for_problem(
-            ProblemKind.REGRESSION, 200, learning_rate=0.5, batch_size=256, seed=0
-        )
+        cfg = TrainConfig(200, learning_rate=0.5, batch_size=256, seed=0)
         report = train(net, (tr, va), cfg)
         assert report.value < 1e-3
 
@@ -273,9 +267,7 @@ class TestTrain:
         ds = Dataset(X, 3.0 * X[:, 0], ProblemKind.REGRESSION)
         tr, va = split(ds, 0.2, seed=1)
         # Adam's step is about lr, whatever the gradient: 1e200 overflows the squared error
-        cfg = TrainConfig.for_problem(
-            ProblemKind.REGRESSION, 60, learning_rate=1e200, batch_size=64, seed=0
-        )
+        cfg = TrainConfig(60, learning_rate=1e200, batch_size=64, seed=0)
         with pytest.raises(DivergedError) as err:
             train(linear_unit(0.5, 0.0), (tr, va), cfg)
         assert err.value.epoch >= 0
@@ -325,7 +317,7 @@ def test_train_reproduces_recorded_numbers(name):
     else:
         y, g = X @ rng.normal(size=6), mlp_regressor(hidden)
     tr, va = split(Dataset(X, y, problem), 0.2, seed=1)
-    cfg = TrainConfig.for_problem(problem, 3, learning_rate=0.01, batch_size=32, seed=5)
+    cfg = TrainConfig(3, learning_rate=0.01, batch_size=32, seed=5)
     report = train(materialize(g, 6, seed=4), (tr, va), cfg)
     assert report.value == value
     assert report.loss_curve == curve
@@ -385,7 +377,7 @@ class TestFloat32:
             net = materialize(g, 10, 2, dtype)
             results.append(
                 loss_and_gradients(
-                    net, X.astype(dtype), Y.astype(dtype), Loss.CATEGORICAL_CROSS_ENTROPY,
+                    net, X.astype(dtype), Y.astype(dtype),
                     training=True, rng=np.random.default_rng(3),  # the same dropout masks
                 )
             )
@@ -418,50 +410,60 @@ class TestFloat32:
         hidden, expected = self.EVALUATOR_GOLDEN[problem]
         g = mlp_classifier(hidden, classes=3) if problem == C else mlp_regressor(hidden)
         evaluate = make_evaluator(
-            golden_data(problem), problem, 6, 0.2, epochs=3, learning_rate=0.01, batch_size=32,
+            golden_data(problem), 0.2, epochs=3, learning_rate=0.01, batch_size=32,
             split_seed=1,
         )
         assert evaluate(g, 4) == expected
 
 
-class TestTrainConfig:
-    def test_problem_defaults(self):
-        c = TrainConfig.for_problem(ProblemKind.CLASSIFICATION, 5)
-        assert c.loss == Loss.CATEGORICAL_CROSS_ENTROPY and c.metric == Metric.ACCURACY
-        r = TrainConfig.for_problem(ProblemKind.REGRESSION, 5)
-        assert r.loss == Loss.MEAN_SQUARED_ERROR and r.metric == Metric.MSE
+class TestObjective:
+    """The output layer picks the loss and the data the metric; nothing else states them."""
 
-    @pytest.mark.parametrize("problem", list(ProblemKind))
-    def test_search_scores_with_the_metric_it_trains_for(self, problem):
-        search = SearchConfig(problem=problem, arch=ArchKind.MLP, input_shape=4, output_size=1)
-        assert TrainConfig.for_problem(problem, 5).metric == search.metric_kind
+    def test_regression_trains_with_a_plain_config(self):
+        ds = golden_data(R)
+        report = train(materialize(mlp_regressor([(16, A.RELU)]), 6, 4), split(ds, 0.2, 1), TrainConfig(3))
+        assert math.isfinite(report.value) and report.value >= 0.0  # an MSE, not an accuracy
+        assert len(report.loss_curve) == 3
+
+    def test_regression_kfold_with_a_plain_config(self):
+        mean, std = kfold_evaluate(mlp_regressor([(8, A.TANH)]), golden_data(R), 3, TrainConfig(3))
+        assert math.isfinite(mean) and mean >= 0.0 and std >= 0.0
+
+    @pytest.mark.parametrize("problem, make", [
+        (R, lambda: mlp_classifier([(8, A.RELU)], classes=3)),  # softmax output
+        (C, lambda: mlp_regressor([(8, A.RELU)])),  # linear output
+    ])
+    def test_output_layer_must_fit_the_data(self, problem, make):
+        net = materialize(make(), 6, 4)
+        with pytest.raises(ValueError, match=f"cannot train on {problem.value} data"):
+            train(net, split(golden_data(problem), 0.2, 1), TrainConfig(1))
 
 
 class TestMetric:
     def test_perfect_predictions(self):
-        assert metric(Metric.ACCURACY, np.array([0, 1, 2]), np.array([0, 1, 2])) == 1.0
-        assert metric(Metric.MSE, np.array([1.0, 2.0]), np.array([1.0, 2.0])) == 0.0
+        assert metric(C, np.array([0, 1, 2]), np.array([0, 1, 2])) == 1.0
+        assert metric(R, np.array([1.0, 2.0]), np.array([1.0, 2.0])) == 0.0
 
     def test_symmetric_confusion(self):
         targets = np.array([1, 0, 1, 0])
         preds = np.array([1, 1, 0, 0])  # tp=1 fp=1 fn=1 tn=1
-        assert metric(Metric.ACCURACY, preds, targets) == 0.5
+        assert metric(C, preds, targets) == 0.5
 
     def test_multiclass_accuracy_equals_argmax_count(self):
         rng = np.random.default_rng(8)
         probs = rng.random((100, 5))
         targets = rng.integers(5, size=100)
         expected = sum(int(np.argmax(row) == t) for row, t in zip(probs, targets)) / 100
-        assert metric(Metric.ACCURACY, probs, targets) == expected
+        assert metric(C, probs, targets) == expected
 
     def test_mse_and_rmse_conventions(self):
         preds = np.array([1.0, 2.0])
         targets = np.array([0.0, 0.0])
-        assert metric(Metric.MSE, preds, targets) == pytest.approx(1.25)  # half factor
+        assert metric(R, preds, targets) == pytest.approx(1.25)  # half factor
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            metric(Metric.ACCURACY, np.array([1]), np.array([1, 2]))
+            metric(C, np.array([1]), np.array([1, 2]))
 
 
 class TestKfoldEvaluate:
@@ -492,9 +494,7 @@ class TestKfoldEvaluate:
 
 class TestEvaluator:
     def test_same_seed_same_result(self, blob_dataset):
-        evaluate = make_evaluator(
-            blob_dataset, ProblemKind.CLASSIFICATION, 4, 0.2, epochs=3, batch_size=32
-        )
+        evaluate = make_evaluator(blob_dataset, 0.2, epochs=3, batch_size=32)
         g = mlp_classifier([(16, A.RELU), 0.2], classes=2)
         assert evaluate(g, 123) == evaluate(g, 123)
         perf, params = evaluate(g, 123)
@@ -540,3 +540,10 @@ class TestModelExport:
         (tmp_path / "model.bin").write_bytes(b"\x00" * 12)
         with pytest.raises(ValueError, match="blob"):
             load_model(base)
+
+
+def test_readme_lists_exactly_the_train_config_fields():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    bullet = readme.split("- **`evonas.trainer`**", 1)[1].split("\n- **", 1)[0]
+    sentence = " ".join(bullet.split()).split("`TrainConfig` holds ", 1)[1].split(".", 1)[0]
+    assert re.findall(r"`(\w+)`", sentence) == [f.name for f in fields(TrainConfig)]
