@@ -97,6 +97,13 @@ def _load_genotype_file(path) -> Genotype:
     return parse(Path(path).read_text())
 
 
+def _check_output_width(dataset: data_mod.Dataset, width: int, name: str) -> None:
+    """A classifier's output layer needs a unit for every label in the data."""
+    top_label = int(dataset.targets.max(initial=0))
+    if dataset.problem == ProblemKind.CLASSIFICATION and top_label >= width:
+        raise evolution.ConfigError(f"{name} {width} is too small for dataset label {top_label}")
+
+
 # --- search -------------------------------------------------------------------
 
 def cmd_search(args) -> int:
@@ -124,12 +131,7 @@ def cmd_search(args) -> int:
         raise evolution.ConfigError(
             f"config input_shape implies {cfg.input_dim} features, dataset has {dataset.feature_count}"
         )
-    if cfg.problem == ProblemKind.CLASSIFICATION:
-        top_label = int(dataset.targets.max(initial=0))
-        if top_label >= cfg.output_size:
-            raise evolution.ConfigError(
-                f"config output_size {cfg.output_size} is too small for dataset label {top_label}"
-            )
+    _check_output_width(dataset, cfg.output_size, "config output_size")
 
     # builds and checks the training settings: a bad flag stops here, not per evaluation
     evaluator = trainer.make_evaluator(
@@ -212,6 +214,7 @@ def cmd_train(args) -> int:
             f"genotype problem {g.problem.value!r} does not match dataset "
             f"problem {dataset.problem.value!r}"
         )
+    _check_output_width(dataset, g.layers[-1].units, "genotype output width")
     metric_name = trainer.METRIC_NAME[dataset.problem]
     if args.kfold:
         mean, std = trainer.kfold_evaluate(g, dataset, args.kfold, cfg)
@@ -281,13 +284,13 @@ def cmd_plotdata(args) -> int:
         try:
             cfg_doc = json.loads(config_path.read_text())
             alpha = float(cfg_doc["alpha"])
-            classification = cfg_doc["problem"] == ProblemKind.CLASSIFICATION.value
+            problem = ProblemKind(cfg_doc["problem"])
         except KeyError as exc:
             raise data_mod.DataError(f"{config_path}: missing key {exc}") from None
         except (TypeError, ValueError) as exc:
             raise data_mod.DataError(f"{config_path}: not a search config: {exc}") from None
         for rec in read_runs(run_dir / "runs.csv"):
-            error = 1.0 - rec.perf if classification else rec.perf
+            error = evolution.metric_error(rec.perf, problem)
             rows.append((rec.params, error, alpha, rec.experiment, rec.cost))
 
     if args.alpha is not None:

@@ -3,20 +3,23 @@
 Loaders produce an immutable :class:`Dataset` (row-major feature matrix plus
 aligned targets). Supported sources: IDX image/label pairs, numeric CSV
 tables, and per-unit run-to-failure time series turned into strided windows
-with a clamped remaining-useful-life target. A JSON manifest describes which
-loader to use and with which options.
+with a clamped remaining-useful-life target. A JSON manifest names a format
+and passes its other keys to that format's loader as keyword arguments.
 """
 
 from __future__ import annotations
 
 import csv
 import gzip
+import inspect
 import json
 import struct
 import warnings
+from collections import abc
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from types import UnionType
+from typing import Mapping, Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -87,7 +90,7 @@ class Dataset:
 
 def _read_idx(path) -> np.ndarray:
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise DataError(f"no such file: {path}")
     blob = path.read_bytes()
     if blob[:2] == b"\x1f\x8b":
@@ -111,74 +114,75 @@ def _read_idx(path) -> np.ndarray:
     return payload.reshape(dims)
 
 
-def load_idx(images_path, labels_path) -> Dataset:
-    """Load an IDX image/label pair; pixels scaled to [0, 1] and unrolled."""
-    images = _read_idx(images_path)
-    labels = _read_idx(labels_path)
-    if images.ndim != 3:
-        raise DataError(f"{images_path}: expected a rank-3 image tensor, got rank {images.ndim}")
-    if labels.ndim != 1:
-        raise DataError(f"{labels_path}: expected a rank-1 label vector, got rank {labels.ndim}")
-    if len(images) != len(labels):
+def load_idx(images: str | Path, labels: str | Path) -> Dataset:
+    """Load an IDX image/label file pair; pixels scaled to [0, 1] and unrolled."""
+    pixels = _read_idx(images)
+    classes = _read_idx(labels)
+    if pixels.ndim != 3:
+        raise DataError(f"{images}: expected a rank-3 image tensor, got rank {pixels.ndim}")
+    if classes.ndim != 1:
+        raise DataError(f"{labels}: expected a rank-1 label vector, got rank {classes.ndim}")
+    if len(pixels) != len(classes):
         raise DataError(
-            f"image count {len(images)} does not match label count {len(labels)}"
+            f"image count {len(pixels)} does not match label count {len(classes)}"
         )
-    feats = images.reshape(len(images), -1).astype(np.float64) / 255.0
-    return Dataset(feats, labels.astype(np.int64), ProblemKind.CLASSIFICATION)
+    feats = pixels.reshape(len(pixels), -1).astype(np.float64) / 255.0
+    return Dataset(feats, classes.astype(np.int64), ProblemKind.CLASSIFICATION)
 
 
 # --- normalization ----------------------------------------------------------
 
+SCALINGS = {  # mode -> (name in warnings, column centre, column spread)
+    "zscore": ("z-score", np.mean, np.std),
+    "minmax": ("min-max", np.min, np.ptp),
+}
+
+
 def normalize_features(features: np.ndarray, mode: str) -> np.ndarray:
     """Column-wise z-score or min-max scaling; ``mode='none'`` is identity.
 
+    Each column has its centre subtracted and is divided by its spread.
     Constant columns map to zero under either mode (with a warning), which
     also makes both modes idempotent.
     """
     X = np.asarray(features, dtype=np.float64)
     if mode == "none":
         return X.copy()
-    if mode == "zscore":
-        mean = X.mean(axis=0)
-        std = X.std(axis=0)
-        flat = std == 0.0
-        if flat.any():
-            warnings.warn(f"{int(flat.sum())} constant column(s) zeroed by z-score scaling")
-        safe = np.where(flat, 1.0, std)
-        out = (X - mean) / safe
-        out[:, flat] = 0.0
-        return out
-    if mode == "minmax":
-        lo = X.min(axis=0)
-        hi = X.max(axis=0)
-        flat = hi == lo
-        if flat.any():
-            warnings.warn(f"{int(flat.sum())} constant column(s) zeroed by min-max scaling")
-        span = np.where(flat, 1.0, hi - lo)
-        out = (X - lo) / span
-        out[:, flat] = 0.0
-        return out
-    raise DataError(f"unknown normalization mode {mode!r}")
+    if mode not in SCALINGS:
+        raise DataError(f"unknown normalization mode {mode!r}")
+    name, centre, spread = SCALINGS[mode]
+    scale = spread(X, axis=0)
+    flat = scale == 0.0
+    if flat.any():
+        warnings.warn(f"{int(flat.sum())} constant column(s) zeroed by {name} scaling")
+    out = (X - centre(X, axis=0)) / np.where(flat, 1.0, scale)
+    out[:, flat] = 0.0
+    return out
 
 
 # --- CSV --------------------------------------------------------------------
 
 def load_csv(
-    path,
-    feature_columns: Sequence,
-    target_column,
+    path: str | Path,
+    feature_columns: Sequence[str | int],
+    target_column: str | int,
     header: bool = True,
     normalization: str = "none",
-    problem: ProblemKind = ProblemKind.REGRESSION,
+    problem: str = "regression",
 ) -> Dataset:
     """Load a rectangular numeric CSV table.
 
     Columns may be addressed by name (requires ``header=True``) or by
-    zero-based index. Malformed input is rejected with row/column
-    diagnostics.
+    zero-based index. ``problem`` is a :class:`ProblemKind` value. Malformed
+    input is rejected with row/column diagnostics.
     """
+    try:
+        kind = ProblemKind(problem)
+    except ValueError:
+        allowed = ", ".join(repr(p.value) for p in ProblemKind)
+        raise DataError(f"'problem' must be one of {allowed}, got {problem!r}") from None
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise DataError(f"no such file: {path}")
     with path.open(newline="") as fh:
         rows = list(csv.reader(fh))
@@ -225,16 +229,17 @@ def load_csv(
                 tgts[r] = value
     feats = normalize_features(feats, normalization)
     col_names = tuple(names[i] for i in feat_idx) if names else None
-    return Dataset(feats, tgts, problem, col_names)
+    return Dataset(feats, tgts, kind, col_names)
 
 
 # --- sliding-window RUL -----------------------------------------------------
 
 def window_rul(
     series: Mapping,
-    window: int = 24,
-    stride: int = 1,
-    early_rul: float = 129,
+    *,
+    window: int,
+    stride: int,
+    early_rul: float,
     sensor_columns: Sequence[int] | None = None,
 ) -> Dataset:
     """Turn per-unit run-to-failure series into flattened strided windows.
@@ -244,8 +249,9 @@ def window_rul(
     one sample; its target is the cycles left until failure at the window's
     end, clamped to ``early_rul``.
     """
-    if window < 1 or stride < 1:
-        raise DataError("window and stride must be positive")
+    for name, value in (("window", window), ("stride", stride)):
+        if value < 1:
+            raise DataError(f"{name!r} must be positive, got {value}")
     feats_out, tgts_out = [], []
     for unit in sorted(series):
         arr = np.asarray(series[unit], dtype=np.float64)
@@ -267,7 +273,7 @@ def window_rul(
 
 
 def load_rul_table(
-    path,
+    path: str | Path,
     unit_column: int = 0,
     sensor_columns: Sequence[int] | None = None,
     window: int = 24,
@@ -281,7 +287,7 @@ def load_rul_table(
     sensor columns are normalized over the whole table before windowing.
     """
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise DataError(f"no such file: {path}")
     try:
         table = np.loadtxt(path, dtype=np.float64)
@@ -289,6 +295,8 @@ def load_rul_table(
         raise DataError(f"{path}: not a numeric table: {exc}") from None
     if table.ndim == 1:
         table = table[None, :]
+    if not 0 <= unit_column < table.shape[1]:
+        raise DataError(f"'unit_column' {unit_column} out of range (table width {table.shape[1]})")
     if sensor_columns is None:
         sensor_columns = [c for c in range(table.shape[1]) if c != unit_column]
     bad = [c for c in sensor_columns if not 0 <= c < table.shape[1]]
@@ -335,15 +343,37 @@ def kfold(ds: Dataset, k: int, seed: int) -> list[np.ndarray]:
 
 # --- manifest ---------------------------------------------------------------
 
+# format -> (loader, its parameters that name files); each manifest key but
+# ``format`` and ``limit`` is one keyword argument of the format's loader
+FORMATS = {
+    "idx": (load_idx, ("images", "labels")),
+    "csv": (load_csv, ("path",)),
+    "rul": (load_rul_table, ("path",)),
+}
+
+
+def _fits(value, hint) -> bool:
+    """Whether a JSON value fits a loader parameter's type; ``true`` is no number."""
+    if get_origin(hint) in (Union, UnionType):
+        return any(_fits(value, h) for h in get_args(hint))
+    if get_origin(hint) is abc.Sequence:
+        return isinstance(value, list) and all(_fits(v, *get_args(hint)) for v in value)
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
 def load_manifest(path) -> Dataset:
     """Load a dataset as described by a JSON manifest.
 
-    The manifest names the format (``idx``, ``csv`` or ``rul``) and its
-    loader options; relative paths resolve against the manifest's own
-    directory. An optional ``limit`` keeps only the first N samples.
+    The manifest names the format (a key of :data:`FORMATS`); every other
+    key is a keyword argument of that format's loader and must fit its
+    type. A key the loader does not take is an error. File names resolve
+    against the manifest's own directory. An optional ``limit`` keeps only
+    the first N samples.
     """
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise DataError(f"no such manifest: {path}")
     try:
         doc = json.loads(path.read_text())
@@ -351,50 +381,28 @@ def load_manifest(path) -> Dataset:
         raise DataError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or "format" not in doc:
         raise DataError(f"{path}: manifest must be an object with a 'format' field")
-    base = path.parent
-
-    fmt = doc["format"]
-
-    def required(key: str):
-        if key not in doc:
-            raise DataError(f"{path}: the {fmt!r} format needs the field {key!r}")
-        return doc[key]
-
-    def resolve(key: str) -> Path:
-        p = Path(required(key))
-        return p if p.is_absolute() else base / p
-
-    if fmt == "idx":
-        ds = load_idx(resolve("images"), resolve("labels"))
-    elif fmt == "csv":
-        try:
-            problem = ProblemKind(doc.get("problem", "regression"))
-        except ValueError:
-            allowed = ", ".join(repr(p.value) for p in ProblemKind)
-            raise DataError(
-                f"{path}: 'problem' must be one of {allowed}, got {doc['problem']!r}"
-            ) from None
-        ds = load_csv(
-            resolve("path"),
-            feature_columns=required("feature_columns"),
-            target_column=required("target_column"),
-            header=doc.get("header", True),
-            normalization=doc.get("normalization", "none"),
-            problem=problem,
-        )
-    elif fmt == "rul":
-        ds = load_rul_table(
-            resolve("path"),
-            unit_column=doc.get("unit_column", 0),
-            sensor_columns=doc.get("sensor_columns"),
-            window=doc.get("window", 24),
-            stride=doc.get("stride", 1),
-            early_rul=doc.get("early_rul", 129),
-            normalization=doc.get("normalization", "minmax"),
-        )
-    else:
+    fmt, limit = doc.pop("format"), doc.pop("limit", None)
+    if not isinstance(fmt, str) or fmt not in FORMATS:
         raise DataError(f"{path}: unknown dataset format {fmt!r}")
-    limit = doc.get("limit")
+    loader, file_params = FORMATS[fmt]
+    params = inspect.signature(loader).parameters
+    hints = get_type_hints(loader)
+    for key, value in doc.items():
+        if key not in params:
+            raise DataError(
+                f"{path}: the {fmt!r} format has no field {key!r} (it takes {', '.join(params)})"
+            )
+        if not _fits(value, hints[key]):
+            raise DataError(f"{path}: {key!r} must be {params[key].annotation}, got {value!r}")
+    for key, p in params.items():
+        if p.default is p.empty and key not in doc:
+            raise DataError(f"{path}: the {fmt!r} format needs the field {key!r}")
+    for key in file_params:
+        doc[key] = path.parent / doc[key]
+    try:
+        ds = loader(**doc)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
     if limit is not None:
         if isinstance(limit, bool) or not isinstance(limit, int) or limit < 1:
             raise DataError(f"{path}: 'limit' must be a positive integer")

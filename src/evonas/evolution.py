@@ -235,6 +235,11 @@ def scaled_size(w: int) -> float:
     return math.log10(rounded)
 
 
+def metric_error(value: float, problem: ProblemKind) -> float:
+    """The error a validation metric value stands for: 1 - accuracy, or the MSE itself."""
+    return 1.0 - value if ProblemKind(problem) == ProblemKind.CLASSIFICATION else float(value)
+
+
 def compute_costs(
     pop: Sequence[tuple[float, int]],
     alpha: float,
@@ -243,9 +248,8 @@ def compute_costs(
 ) -> list[float]:
     """Scalarized cost ``10 * (1 - alpha) * p + alpha * scaled_size(w)`` per member.
 
-    ``pop`` holds (raw metric value, parameter count) pairs. A
-    classification accuracy is flipped into an error first; a regression
-    MSE already is one. In ``population_l2`` mode the
+    ``pop`` holds (raw metric value, parameter count) pairs, each value
+    turned into an error by :func:`metric_error`. In ``population_l2`` mode the
     error vector is normalized by its L2 norm over the population before
     weighting; ``raw_error`` uses the errors as they are.
     """
@@ -255,10 +259,7 @@ def compute_costs(
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     if mode not in FITNESS_MODES:
         raise ValueError(f"unknown fitness mode {mode!r}")
-    if ProblemKind(problem) == ProblemKind.CLASSIFICATION:
-        errors = np.array([1.0 - perf for perf, _ in pop])
-    else:
-        errors = np.array([float(perf) for perf, _ in pop])
+    errors = np.array([metric_error(perf, problem) for perf, _ in pop])
     if mode == "population_l2":
         norm = float(np.linalg.norm(errors))
         errors = errors / norm if norm > 0.0 else np.zeros_like(errors)
@@ -500,8 +501,7 @@ def run_search(
                     f"experiment {exp}, generation {gen}: every evaluation failed "
                     f"(first: {results[0].status})"
                 )
-            worst = min if cfg.problem == ProblemKind.CLASSIFICATION else max
-            fallback = worst(ok_perfs)
+            fallback = max(ok_perfs, key=lambda perf: metric_error(perf, cfg.problem))
             individuals = []
             for job, r in zip(jobs, results):
                 perf = r.perf if r.ok else fallback

@@ -564,6 +564,30 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert f"{manifest}: 'problem' must be one of 'classification', 'regression', got 'nonsense'" in err
 
+    def test_misspelt_manifest_key_exits_3_naming_the_manifest_and_the_key(self, workdir, capsys):
+        manifest = workdir / "data.json"
+        doc = json.loads(manifest.read_text())
+        manifest.write_text(json.dumps({**doc, "normalisation": "zscore"}))
+        gpath = workdir / "g.json"
+        gpath.write_text(serialize(mlp_classifier([(16, A.RELU)], classes=2)))
+        assert main(["train", str(gpath), str(manifest)]) == 3
+        assert f"{manifest}: the 'csv' format has no field 'normalisation'" in capsys.readouterr().err
+
+    def test_output_narrower_than_the_labels_exits_2_before_training(self, workdir, capsys, monkeypatch):
+        def forbidden(*_a, **_k):
+            raise AssertionError("the width must be checked before any training")
+
+        monkeypatch.setattr("evonas.trainer.materialize", forbidden)
+        monkeypatch.setattr("evonas.trainer.kfold_evaluate", forbidden)
+        lines = (workdir / "blobs.csv").read_text().splitlines()
+        lines[1] = lines[1].rsplit(",", 1)[0] + ",2"  # labels 0..2
+        (workdir / "blobs.csv").write_text("\n".join(lines) + "\n")
+        gpath = workdir / "g.json"
+        gpath.write_text(serialize(mlp_classifier([(16, A.RELU)], classes=2)))
+        code = main(["train", str(gpath), str(workdir / "data.json"), "--kfold", "3"])
+        assert code == 2
+        assert "genotype output width 2 is too small for dataset label 2" in capsys.readouterr().err
+
     def test_negative_class_labels_exit_3_before_training(self, workdir, capsys, monkeypatch):
         def forbidden(*_a, **_k):
             raise AssertionError("the labels must be rejected before any training")
@@ -739,8 +763,9 @@ class TestPlotDataCommand:
             ("{bad", "not a search config"),
             ('{"problem": "classification"}', "missing key 'alpha'"),
             ('{"alpha": 0.5}', "missing key 'problem'"),
+            ('{"alpha": 0.5, "problem": "ranking"}', "not a search config"),
         ],
-        ids=["not-json", "no-alpha", "no-problem"],
+        ids=["not-json", "no-alpha", "no-problem", "unknown-problem"],
     )
     def test_bad_config_json_exits_3_naming_the_file(self, workdir, capsys, config, message):
         run = workdir / "run"

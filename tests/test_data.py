@@ -1,9 +1,11 @@
 """Tests for dataset loading, normalization, windowing, and splitting."""
 
 import gzip
+import inspect
 import json
 import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from evonas import Dataset, DataError, ProblemKind, kfold, load_csv, load_idx, split, window_rul
-from evonas.data import load_manifest, load_rul_table, normalize_features
+from evonas.data import FORMATS, load_manifest, load_rul_table, normalize_features
 
 
 def write_idx_images(path, images: np.ndarray, compress=False):
@@ -160,37 +162,37 @@ class TestNormalization:
 
 class TestWindowRul:
     def test_exact_window_makes_one_sample(self):
-        ds = window_rul({1: np.ones((24, 3))}, window=24)
+        ds = window_rul({1: np.ones((24, 3))}, window=24, stride=1, early_rul=129)
         assert ds.sample_count == 1
         assert ds.feature_count == 72
         assert ds.targets[0] == 0.0  # the window ends at failure
 
     def test_thirty_cycles_make_seven_windows(self):
-        ds = window_rul({1: np.ones((30, 2))}, window=24, stride=1)
+        ds = window_rul({1: np.ones((30, 2))}, window=24, stride=1, early_rul=129)
         assert ds.sample_count == 7
         np.testing.assert_array_equal(ds.targets, [6, 5, 4, 3, 2, 1, 0])
 
     def test_targets_clamped_to_early_rul(self):
-        ds = window_rul({1: np.ones((200, 1))}, window=24, early_rul=129)
+        ds = window_rul({1: np.ones((200, 1))}, window=24, stride=1, early_rul=129)
         assert ds.targets.max() == 129.0
         assert ds.targets.min() == 0.0
 
     def test_sensor_subset_defines_width(self):
         series = {1: np.arange(24 * 5, dtype=float).reshape(24, 5)}
-        ds = window_rul(series, window=24, sensor_columns=[1, 3])
+        ds = window_rul(series, window=24, stride=1, early_rul=129, sensor_columns=[1, 3])
         assert ds.feature_count == 48
 
     def test_short_series_names_unit(self):
         with pytest.raises(DataError, match="unit 7"):
-            window_rul({7: np.ones((10, 2))}, window=24)
+            window_rul({7: np.ones((10, 2))}, window=24, stride=1, early_rul=129)
 
     def test_unknown_sensor_column(self):
         with pytest.raises(DataError, match="out of range"):
-            window_rul({1: np.ones((30, 2))}, window=24, sensor_columns=[5])
+            window_rul({1: np.ones((30, 2))}, window=24, stride=1, early_rul=129, sensor_columns=[5])
 
     @given(st.integers(24, 80), st.integers(1, 5))
     def test_window_count_formula(self, length, stride):
-        ds = window_rul({1: np.ones((length, 1))}, window=24, stride=stride)
+        ds = window_rul({1: np.ones((length, 1))}, window=24, stride=stride, early_rul=129)
         assert ds.sample_count == (length - 24) // stride + 1
 
     def test_rul_table_loader(self, tmp_path):
@@ -360,3 +362,91 @@ class TestManifest:
         )
         with pytest.raises(DataError, match="'limit' must be a positive integer"):
             load_manifest(manifest)
+
+    @pytest.fixture
+    def rul_manifest(self, tmp_path):
+        """A 4-column run-to-failure table (unit, cycle, two sensors) and its manifest."""
+        rows = [f"{unit} {c + 1} {np.sin(c):.4f} {np.cos(c):.4f}" for unit in (1, 2) for c in range(30)]
+        (tmp_path / "fd.txt").write_text("\n".join(rows) + "\n")
+        manifest = tmp_path / "m.json"
+
+        def write(**fields):
+            manifest.write_text(json.dumps({"format": "rul", "path": "fd.txt", "window": 8, **fields}))
+            return manifest
+
+        return write
+
+    def test_rul_manifest_loads(self, rul_manifest):
+        assert load_manifest(rul_manifest(sensor_columns=[2, 3])).sample_count == 46
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"normalisation": "zscore"}, "the 'rul' format has no field 'normalisation'"),
+            ({"unit_column": 9}, "'unit_column' 9 out of range (table width 4)"),
+            ({"unit_column": -1}, "'unit_column' -1 out of range (table width 4)"),
+            ({"stride": True}, "'stride' must be int, got True"),
+            ({"window": "8"}, "'window' must be int, got '8'"),
+            ({"window": 8.5}, "'window' must be int, got 8.5"),
+            ({"window": 0}, "'window' must be positive, got 0"),
+            ({"path": 7}, "'path' must be str | Path, got 7"),
+            ({"path": "."}, "no such file: "),
+            ({"sensor_columns": "23"}, "'sensor_columns' must be Sequence[int] | None, got '23'"),
+            ({"sensor_columns": [2, True]}, "'sensor_columns' must be Sequence[int] | None, got [2, True]"),
+            ({"early_rul": "129"}, "'early_rul' must be float, got '129'"),
+            ({"normalization": "log"}, "unknown normalization mode 'log'"),
+        ],
+        ids=[
+            "misspelt-key", "unit-column-past-width", "negative-unit-column", "boolean-stride",
+            "string-window", "fractional-window", "zero-window", "numeric-path", "directory-path",
+            "string-sensor-columns", "boolean-sensor-column", "string-early-rul", "unknown-normalization",
+        ],
+    )
+    def test_bad_rul_field_names_the_manifest_and_the_field(self, rul_manifest, fields, message):
+        manifest = rul_manifest(**fields)
+        with pytest.raises(DataError, match=re.escape(f"{manifest}: {message}")):
+            load_manifest(manifest)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"normalisation": "zscore"}, "the 'csv' format has no field 'normalisation'"),
+            ({"header": "yes"}, "'header' must be bool, got 'yes'"),
+            ({"feature_columns": "ab"}, "'feature_columns' must be Sequence[str | int], got 'ab'"),
+            ({"target_column": True}, "'target_column' must be str | int, got True"),
+        ],
+        ids=["misspelt-key", "string-header", "string-feature-columns", "boolean-target"],
+    )
+    def test_bad_csv_field_names_the_manifest_and_the_field(self, tmp_path, fields, message):
+        (tmp_path / "t.csv").write_text("a,b,y\n1,2,3\n4,5,6\n")
+        manifest = tmp_path / "m.json"
+        doc = {"format": "csv", "path": "t.csv", "feature_columns": ["a", "b"], "target_column": "y"}
+        manifest.write_text(json.dumps({**doc, **fields}))
+        with pytest.raises(DataError, match=re.escape(f"{manifest}: {message}")):
+            load_manifest(manifest)
+
+    def test_unhashable_format_is_an_unknown_format(self, tmp_path):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({"format": ["rul"]}))
+        with pytest.raises(DataError, match=re.escape(f"{manifest}: unknown dataset format ['rul']")):
+            load_manifest(manifest)
+
+
+def test_readme_states_each_format_as_its_loader_does():
+    """The README's key list and examples match the loader signatures."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("### Dataset manifests", 1)[1].split("\n## ", 1)[0]
+    listed = dict(re.findall(r"^- `(\w+)` \(`data\.\w+`\): (.*?)\.$", section, re.MULTILINE | re.DOTALL))
+    assert sorted(listed) == sorted(FORMATS)
+    for fmt, keys in listed.items():
+        params = inspect.signature(FORMATS[fmt][0]).parameters.values()
+        expected = [
+            (p.name, "" if p.default is p.empty else json.dumps(p.default)) for p in params
+        ]
+        assert re.findall(r"`(\w+)`(?:\s+=\s+`([^`]*)`)?", keys) == expected
+    block = section.split("```json", 1)[1].split("```", 1)[0]
+    examples = [json.loads(chunk) for chunk in block.strip().split("\n\n")]
+    assert sorted(doc["format"] for doc in examples) == sorted(FORMATS)
+    for doc in examples:
+        params = inspect.signature(FORMATS[doc["format"]][0]).parameters
+        assert set(doc) - {"format", "limit"} <= set(params)

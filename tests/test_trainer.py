@@ -17,7 +17,9 @@ from evonas import (
     GenotypeError,
     LayerGene,
     ProblemKind,
+    SearchConfig,
     TrainConfig,
+    compute_costs,
     count_params,
     kfold_evaluate,
     make_evaluator,
@@ -27,6 +29,7 @@ from evonas import (
     train,
 )
 from evonas import trainer
+from evonas.evolution import random_genotype
 from evonas.trainer import (
     DenseNetwork,
     DivergedError,
@@ -414,6 +417,36 @@ class TestFloat32:
             split_seed=1,
         )
         assert evaluate(g, 4) == expected
+
+    @pytest.mark.parametrize("problem", [C, R])
+    def test_search_ranks_random_genotypes_like_float64(self, problem):
+        """The float32 fitness orders candidates as float64 training would."""
+        rng = np.random.default_rng(37)
+        X = rng.normal(size=(240, 12))
+        if problem == C:
+            y = (X[:, :3] @ rng.normal(size=(3, 4))).argmax(axis=1)
+        else:
+            y = np.tanh(X @ rng.normal(size=12) / 3.0)
+        ds = Dataset(X, y, problem)
+        cfg = SearchConfig(
+            problem=problem, arch="mlp", input_shape=12,
+            output_size=4 if problem == C else 1, more_layers_prob=0.3,
+        )
+        draw = np.random.default_rng(3)
+        candidates = [random_genotype(cfg, draw) for _ in range(10)]
+        settings_ = dict(learning_rate=0.01, batch_size=32)
+        evaluate = make_evaluator(ds, 0.2, 2, split_seed=5, **settings_)
+        pair = split(ds, 0.2, 5)
+        single, double = [], []
+        for seed, g in enumerate(candidates, start=100):
+            single.append(evaluate(g, seed))
+            net = materialize(g, 12, seed)
+            double.append((train(net, pair, TrainConfig(2, seed=seed, **settings_)).value, net.param_count))
+        ranks = [
+            np.argsort(compute_costs(pop, cfg.alpha, problem=problem), kind="stable").tolist()
+            for pop in (single, double)
+        ]
+        assert ranks[0] == ranks[1]
 
 
 class TestObjective:
