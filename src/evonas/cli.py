@@ -190,7 +190,7 @@ def cmd_search(args) -> int:
     print(
         f"evaluation: {workers} worker(s) x {'unmanaged' if blas is None else blas} "
         f"BLAS thread(s) on {evalpool.usable_cores()} core(s), "
-        f"{trainer.SEARCH_DTYPE.__name__} evaluations"
+        f"{trainer.SCORE_DTYPE.__name__} evaluations"
     )
     print(f"artifacts in {out_dir}")
     return EXIT_OK

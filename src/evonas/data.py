@@ -181,6 +181,8 @@ def load_csv(
     except ValueError:
         allowed = ", ".join(repr(p.value) for p in ProblemKind)
         raise DataError(f"'problem' must be one of {allowed}, got {problem!r}") from None
+    if not feature_columns:
+        raise DataError("'feature_columns' must name at least one column")
     path = Path(path)
     if not path.is_file():
         raise DataError(f"no such file: {path}")
@@ -252,6 +254,8 @@ def window_rul(
     for name, value in (("window", window), ("stride", stride)):
         if value < 1:
             raise DataError(f"{name!r} must be positive, got {value}")
+    if not early_rul > 0:  # a clamp at 0 or below makes every target that constant
+        raise DataError(f"'early_rul' must be positive, got {early_rul}")
     feats_out, tgts_out = [], []
     for unit in sorted(series):
         arr = np.asarray(series[unit], dtype=np.float64)
@@ -299,6 +303,8 @@ def load_rul_table(
         raise DataError(f"'unit_column' {unit_column} out of range (table width {table.shape[1]})")
     if sensor_columns is None:
         sensor_columns = [c for c in range(table.shape[1]) if c != unit_column]
+    if not sensor_columns:
+        raise DataError("'sensor_columns' must name at least one column")
     bad = [c for c in sensor_columns if not 0 <= c < table.shape[1]]
     if bad:
         raise DataError(f"sensor column(s) {bad} out of range (table width {table.shape[1]})")

@@ -30,10 +30,12 @@ from .genotype import (
 
 log = logging.getLogger(__name__)
 
-#: The precision of the search's partial-training fitness. It only has to
-#: rank candidates, so it runs in single precision; ``train``, k-fold
-#: assessment and model export keep float64.
-SEARCH_DTYPE = np.float32
+#: The precision of every training whose network is thrown away once it is
+#: scored: the search's partial-training fitness and each k-fold fold. A
+#: score only has to rank candidates or summarize folds, so it runs in
+#: single precision; ``train``'s default, the final model of ``evonas
+#: train``, model export and the gradient check keep float64.
+SCORE_DTYPE = np.float32
 
 
 #: The name of the metric that scores each problem: accuracy is a score
@@ -426,18 +428,26 @@ def metric(problem: ProblemKind, predictions, targets) -> float:
     return float(np.mean(labels == targets.astype(np.int64)))
 
 
+def _in_score_dtype(dataset: data_mod.Dataset) -> data_mod.Dataset:
+    """The dataset with its features cast once to :data:`SCORE_DTYPE`."""
+    return replace(dataset, features=dataset.features.astype(SCORE_DTYPE))
+
+
 def kfold_evaluate(g: Genotype, dataset: data_mod.Dataset, k: int, cfg: TrainConfig):
     """Mean and standard deviation of the metric over k train/validate folds.
 
     Every fold trains a fresh materialization from the same seed, so the
-    only variation between folds is the data split itself.
+    only variation between folds is the data split itself. Each fold's
+    network only yields a score, so it trains in :data:`SCORE_DTYPE`; the
+    features are cast once, before folding.
     """
     folds = data_mod.kfold(dataset, k, cfg.seed)
+    dataset = _in_score_dtype(dataset)
     all_idx = np.arange(dataset.sample_count)
     values = []
     for i, fold in enumerate(folds):
         train_idx = np.setdiff1d(all_idx, fold)
-        net = materialize(g, dataset.feature_count, cfg.seed)
+        net = materialize(g, dataset.feature_count, cfg.seed, SCORE_DTYPE)
         report = train(net, (dataset.take(train_idx), dataset.take(fold)), cfg)
         values.append(report.value)
         log.debug("fold %d/%d: %s=%.4f", i + 1, k, METRIC_NAME[dataset.problem], report.value)
@@ -457,19 +467,16 @@ def make_evaluator(
     """Partial-training fitness evaluator for the search loop.
 
     The train/validation split is fixed once from ``split_seed`` and cast
-    once to :data:`SEARCH_DTYPE`, the precision every candidate trains in;
+    once to :data:`SCORE_DTYPE`, the precision every candidate trains in;
     each candidate's weights and shuffle stream come from the per-candidate
     seed, so evaluation order and parallelism cannot change any result.
     Returns a ``(validation metric, parameter count)`` pair.
     """
     base = TrainConfig(epochs, learning_rate=learning_rate, batch_size=batch_size)
-    split_pair = tuple(
-        replace(part, features=part.features.astype(SEARCH_DTYPE))
-        for part in data_mod.split(dataset, cv_ratio, split_seed)
-    )
+    split_pair = tuple(map(_in_score_dtype, data_mod.split(dataset, cv_ratio, split_seed)))
 
     def evaluate(genotype: Genotype, seed: int) -> tuple[float, int]:
-        net = materialize(genotype, dataset.feature_count, seed, SEARCH_DTYPE)
+        net = materialize(genotype, dataset.feature_count, seed, SCORE_DTYPE)
         report = train(net, split_pair, replace(base, seed=seed))
         return report.value, net.param_count
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from evonas import count_params, evalpool, parse, serialize
+from evonas import count_params, evalpool, parse, serialize, trainer
 from evonas.cli import RUNS_CSV_FIELDS, main, read_runs
 
 from conftest import mlp_classifier
@@ -514,6 +514,22 @@ class TestTrainCommand:
         code = main(["train", str(gpath), str(workdir / "missing.json"), flag, value])
         assert code == 2
         assert message in capsys.readouterr().err
+
+    def test_folds_train_in_float32_and_the_final_model_in_float64(self, workdir, monkeypatch):
+        seen = []
+        train = trainer.train
+
+        def spy(net, pair, cfg):
+            seen.append((net.flat.dtype, pair[0].features.dtype))
+            return train(net, pair, cfg)
+
+        monkeypatch.setattr(trainer, "train", spy)
+        gpath = workdir / "g.json"
+        gpath.write_text(serialize(mlp_classifier([(16, A.RELU)], classes=2)))
+        code = main(["train", str(gpath), str(workdir / "data.json"), "--epochs", "1", "--kfold", "3"])
+        assert code == 0
+        single, double = (np.dtype(np.float32),) * 2, (np.dtype(np.float64),) * 2
+        assert seen == [single] * 3 + [double]
 
     def test_zero_epochs_still_reports(self, workdir, capsys):
         g = mlp_classifier([(16, A.RELU)], classes=2)

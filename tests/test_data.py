@@ -395,11 +395,15 @@ class TestManifest:
             ({"sensor_columns": [2, True]}, "'sensor_columns' must be Sequence[int] | None, got [2, True]"),
             ({"early_rul": "129"}, "'early_rul' must be float, got '129'"),
             ({"normalization": "log"}, "unknown normalization mode 'log'"),
+            ({"early_rul": -5}, "'early_rul' must be positive, got -5"),
+            ({"early_rul": 0}, "'early_rul' must be positive, got 0"),
+            ({"sensor_columns": []}, "'sensor_columns' must name at least one column"),
         ],
         ids=[
             "misspelt-key", "unit-column-past-width", "negative-unit-column", "boolean-stride",
             "string-window", "fractional-window", "zero-window", "numeric-path", "directory-path",
             "string-sensor-columns", "boolean-sensor-column", "string-early-rul", "unknown-normalization",
+            "negative-early-rul", "zero-early-rul", "empty-sensor-columns",
         ],
     )
     def test_bad_rul_field_names_the_manifest_and_the_field(self, rul_manifest, fields, message):
@@ -414,8 +418,9 @@ class TestManifest:
             ({"header": "yes"}, "'header' must be bool, got 'yes'"),
             ({"feature_columns": "ab"}, "'feature_columns' must be Sequence[str | int], got 'ab'"),
             ({"target_column": True}, "'target_column' must be str | int, got True"),
+            ({"feature_columns": []}, "'feature_columns' must name at least one column"),
         ],
-        ids=["misspelt-key", "string-header", "string-feature-columns", "boolean-target"],
+        ids=["misspelt-key", "string-header", "string-feature-columns", "boolean-target", "empty-feature-columns"],
     )
     def test_bad_csv_field_names_the_manifest_and_the_field(self, tmp_path, fields, message):
         (tmp_path / "t.csv").write_text("a,b,y\n1,2,3\n4,5,6\n")

@@ -335,7 +335,9 @@ def golden_data(problem):
 
 
 class TestFloat32:
-    """Search evaluations train in float32; everything else keeps float64."""
+    """Trainings that only yield a score (search fitness, k-fold folds) run in
+    float32; ``train``'s default, the final model, model export and the
+    gradient check keep float64."""
 
     GENOTYPE = [(16, A.RELU), 0.3, (8, A.SIGMOID)]
 
@@ -447,6 +449,27 @@ class TestFloat32:
             for pop in (single, double)
         ]
         assert ranks[0] == ranks[1]
+
+    @pytest.mark.parametrize("problem", [C, R])
+    def test_kfold_scores_like_float64(self, problem, monkeypatch):
+        """k-fold in float32 reports what the same folds report in float64."""
+        rng = np.random.default_rng(37)
+        X = rng.normal(size=(240, 12))
+        if problem == C:
+            y = (X[:, :3] @ rng.normal(size=(3, 4))).argmax(axis=1)
+            g = mlp_classifier(self.GENOTYPE, classes=4)
+        else:
+            y = np.tanh(X @ rng.normal(size=12) / 3.0)
+            g = mlp_regressor([(16, A.RELU), 0.3, (8, A.TANH)])
+        ds = Dataset(X, y, problem)
+        cfg = TrainConfig(3, learning_rate=0.01, batch_size=32, seed=3)
+        single = kfold_evaluate(g, ds, 4, cfg)
+        monkeypatch.setattr(trainer, "SCORE_DTYPE", np.float64)
+        double = kfold_evaluate(g, ds, 4, cfg)
+        if problem == C:
+            assert single == double
+        else:
+            assert single == pytest.approx(double, rel=1e-5)
 
 
 class TestObjective:
