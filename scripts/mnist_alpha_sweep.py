@@ -40,7 +40,8 @@ def run(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = out_dir / "data.json"
-    doc = {"format": "idx", "images": str(images), "labels": str(labels)}
+    # a manifest resolves relative file names against its own directory
+    doc = {"format": "idx", "images": str(images.resolve()), "labels": str(labels.resolve())}
     if args.limit:
         doc["limit"] = args.limit
     manifest.write_text(json.dumps(doc, indent=2))

@@ -329,8 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory for run artifacts")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--workers", type=int, default=None, help="parallel evaluation workers")
-    p.add_argument("--learning-rate", type=float, default=0.001)
-    p.add_argument("--batch-size", type=int, default=512)
+    p.add_argument("--learning-rate", type=float, default=trainer.TrainConfig.learning_rate)
+    p.add_argument("--batch-size", type=int, default=trainer.TrainConfig.batch_size)
     p.add_argument("--trace", action="store_true", help="write a JSONL evaluation trace")
     p.set_defaults(func=cmd_search)
 
@@ -340,8 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=100)
     p.add_argument("--kfold", type=int, default=None, help="also report k-fold metrics")
     p.add_argument("--out-model", default=None, help="base path for the exported model")
-    p.add_argument("--learning-rate", type=float, default=0.001)
-    p.add_argument("--batch-size", type=int, default=512)
+    p.add_argument("--learning-rate", type=float, default=trainer.TrainConfig.learning_rate)
+    p.add_argument("--batch-size", type=int, default=trainer.TrainConfig.batch_size)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_train)
 

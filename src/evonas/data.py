@@ -47,6 +47,8 @@ class Dataset:
         feats = np.ascontiguousarray(feats, np.float32 if feats.dtype == np.float32 else np.float64)
         if feats.ndim != 2:
             raise DataError(f"features must be 2-D (samples x features), got shape {feats.shape}")
+        if feats.shape[1] == 0:
+            raise DataError(f"features must have at least one column, got shape {feats.shape}")
         if self.problem == ProblemKind.CLASSIFICATION:
             targets = np.asarray(self.targets)
             if targets.dtype.kind == "f":  # reject, never truncate, a fractional label

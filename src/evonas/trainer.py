@@ -120,43 +120,42 @@ def _backprop_activation(d: np.ndarray, z, a, kind: Activation) -> np.ndarray:
 
 
 class _DenseLayer:
-    """An affine+activation layer; ``W`` and ``b`` are views into its network's ``flat``."""
+    """An affine+activation layer and the inverted dropout that follows it.
+
+    ``W`` and ``b`` are views into its network's ``flat``. ``dropout`` is
+    the rate of the dropout gene after the layer, 0.0 when there is none.
+    """
 
     def __init__(self, fan_in: int, units: int, activation: Activation):
         self.shape = (fan_in, units)
         self.activation = activation
+        self.dropout = 0.0
         self.W = self.b = None
 
 
-class _DropoutLayer:
-    def __init__(self, rate: float):
-        self.rate = rate
-
-
 class DenseNetwork:
-    """A stack of affine+activation layers with optional inverted dropout.
+    """A stack of affine+activation layers, each with optional inverted dropout.
 
-    Every parameter lives in one vector, ``flat``: each dense layer's
-    weights (row-major) and then its biases, in layer order. The layers'
-    ``W`` and ``b`` are views into it, so the optimizer and model export
-    work on the vector while the passes read the views. The dtype of
-    ``flat`` is the network's precision: its passes, gradients and
-    optimizer state all run in it.
+    Every parameter lives in one vector, ``flat``: each layer's weights
+    (row-major) and then its biases, in layer order. The layers' ``W`` and
+    ``b`` are views into it, so the optimizer and model export work on the
+    vector while the passes read the views. The dtype of ``flat`` is the
+    network's precision: its passes, gradients and optimizer state all run
+    in it.
     """
 
     def __init__(self, layers, input_dim: int, dtype=np.float64):
         self.layers = layers
         self.input_dim = input_dim
-        self.dense = [layer for layer in layers if isinstance(layer, _DenseLayer)]
-        size = sum((layer.shape[0] + 1) * layer.shape[1] for layer in self.dense)
+        size = sum((layer.shape[0] + 1) * layer.shape[1] for layer in layers)
         self.flat = np.zeros(size, dtype=dtype)
-        for layer, (W, b) in zip(self.dense, self.views(self.flat)):
+        for layer, (W, b) in zip(layers, self.views(self.flat)):
             layer.W, layer.b = W, b
 
     def views(self, vec: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per dense layer, ``(weights, bias)`` views into a vector laid out like ``flat``."""
+        """Per layer, ``(weights, bias)`` views into a vector laid out like ``flat``."""
         out, at = [], 0
-        for layer in self.dense:
+        for layer in self.layers:
             fan, units = layer.shape
             W = vec[at : at + fan * units].reshape(fan, units)
             at += fan * units
@@ -170,17 +169,15 @@ class DenseNetwork:
 
     @property
     def output_units(self) -> int:
-        if not self.dense:
-            raise ValueError("network has no dense layers")
-        return self.dense[-1].shape[1]
+        return self.layers[-1].shape[1]
 
     @property
     def softmax_output(self) -> bool:
         """A softmax output trains on cross-entropy, any other on half the squared error."""
-        return self.dense[-1].activation == Activation.SOFTMAX
+        return self.layers[-1].activation == Activation.SOFTMAX
 
     def parameters(self) -> list[np.ndarray]:
-        return [p for layer in self.dense for p in (layer.W, layer.b)]
+        return [p for layer in self.layers for p in (layer.W, layer.b)]
 
     def forward(self, batch: np.ndarray, training: bool = False, rng=None) -> np.ndarray:
         """Predictions for a batch; dropout is active only while training."""
@@ -188,6 +185,8 @@ class DenseNetwork:
         return a
 
     def _forward_cached(self, batch, training, rng):
+        """The output and, per layer, ``(layer, a_in, z, a, mask)``: ``a`` is the
+        activation before dropout, ``mask`` the scaled dropout mask or None."""
         X = np.asarray(batch, dtype=self.flat.dtype)
         if X.ndim == 1:
             X = X[None, :]
@@ -195,34 +194,30 @@ class DenseNetwork:
             raise ValueError(
                 f"batch feature width {X.shape[1]} does not match input dim {self.input_dim}"
             )
-        a = X
+        a_in = X
         caches = []
         for layer in self.layers:
-            if isinstance(layer, _DenseLayer):
-                z = a @ layer.W
-                z += layer.b
-                out = _activate(z, layer.activation)
-                caches.append((layer, a, z, out))
-                a = out
-            else:
-                if training and layer.rate > 0.0:
-                    if rng is None:
-                        raise ValueError("training-mode dropout needs an rng")
-                    if layer.rate >= 1.0:
-                        mask = np.zeros_like(a)
-                    else:
-                        mask = (rng.random(a.shape) >= layer.rate).astype(a.dtype)
-                        mask /= 1.0 - layer.rate
-                    a = a * mask
+            z = a_in @ layer.W
+            z += layer.b
+            a = _activate(z, layer.activation)
+            mask = None
+            if training and layer.dropout > 0.0:
+                if rng is None:
+                    raise ValueError("training-mode dropout needs an rng")
+                if layer.dropout >= 1.0:
+                    mask = np.zeros_like(a)
                 else:
-                    mask = None
-                caches.append((layer, mask))
-        return a, caches
+                    mask = (rng.random(a.shape) >= layer.dropout).astype(a.dtype)
+                    mask /= 1.0 - layer.dropout
+            caches.append((layer, a_in, z, a, mask))
+            a_in = a if mask is None else a * mask
+        return a_in, caches
 
 
 def materialize(g: Genotype, input_dim: int, seed: int, dtype=np.float64) -> DenseNetwork:
     """Build the network a genotype describes, Glorot-initialized from ``seed``.
 
+    Each dropout gene becomes the ``dropout`` of the dense layer before it.
     The weights are drawn in float64 and rounded into ``dtype``, so a
     network's weights are the same draw whatever its precision.
     """
@@ -233,12 +228,12 @@ def materialize(g: Genotype, input_dim: int, seed: int, dtype=np.float64) -> Den
         if gene.kind == LayerKind.FULLY_CONNECTED:
             layers.append(_DenseLayer(fan, gene.units, gene.activation))
             fan = gene.units
-        else:
-            layers.append(_DropoutLayer(gene.dropout_rate))
+        else:  # a valid genotype puts a dropout gene only after a dense one
+            layers[-1].dropout = gene.dropout_rate
     net = DenseNetwork(layers, int(input_dim), dtype)
     assert net.param_count == params
     rng = np.random.default_rng(seed)
-    for layer in net.dense:  # biases stay zero
+    for layer in layers:  # biases stay zero
         fan, units = layer.shape
         limit = np.sqrt(6.0 / (fan + units))
         layer.W[...] = rng.uniform(-limit, limit, size=layer.shape)
@@ -274,27 +269,23 @@ def loss_and_gradients(net: DenseNetwork, X, Y, training=False, rng=None, out=No
     delta = outputs - Y
     delta /= n  # d loss / d outputs
     if not softmax:  # softmax and cross-entropy fused: delta is already d loss / d logits
-        layer, _, z, a = caches[-1]
+        layer, _, z, a, _ = caches[-1]
         _backprop_activation(delta, z, a, layer.activation)
 
-    k = len(grads)
-    d_prev = None
-    for cache in reversed(caches):
-        layer = cache[0]
-        if isinstance(layer, _DenseLayer):
-            _, a_in, z, a = cache
-            if delta is None:
-                delta = _backprop_activation(d_prev, z, a, layer.activation)
-            k -= 1
-            gW, gb = grads[k]
-            np.matmul(a_in.T, delta, out=gW)
-            np.sum(delta, axis=0, out=gb)
-            if k == 0:
-                break  # nothing below the first dense layer needs its input gradient
-            d_prev = delta @ layer.W.T
-            delta = None
-        elif cache[1] is not None:
-            d_prev *= cache[1]
+    for k in range(len(caches) - 1, -1, -1):
+        layer, a_in = caches[k][:2]
+        gW, gb = grads[k]
+        np.matmul(a_in.T, delta, out=gW)
+        np.sum(delta, axis=0, out=gb)
+        if k == 0:
+            break  # nothing below the first layer needs its input gradient
+        # rebinding frees this layer's delta before the activation
+        # derivative below allocates its temporaries
+        delta = delta @ layer.W.T
+        below, _, z, a, mask = caches[k - 1]
+        if mask is not None:
+            delta *= mask
+        _backprop_activation(delta, z, a, below.activation)
     return value, [g for pair in grads for g in pair]
 
 
@@ -376,7 +367,7 @@ def train(net: DenseNetwork, dataset_split, cfg: TrainConfig) -> PerfReport:
     for ds in dataset_split:
         if net.softmax_output != (ds.problem == ProblemKind.CLASSIFICATION):
             raise ValueError(
-                f"a {net.dense[-1].activation.name.lower()} output layer cannot train on "
+                f"a {net.layers[-1].activation.name.lower()} output layer cannot train on "
                 f"{ds.problem.value} data: softmax outputs and classification data go together"
             )
     Y = _target_matrix(net, train_ds)
@@ -460,8 +451,8 @@ def make_evaluator(
     dataset: data_mod.Dataset,
     cv_ratio: float,
     epochs: int,
-    learning_rate: float = 0.001,
-    batch_size: int = 512,
+    learning_rate: float = TrainConfig.learning_rate,
+    batch_size: int = TrainConfig.batch_size,
     split_seed: int = 0,
 ):
     """Partial-training fitness evaluator for the search loop.
@@ -495,7 +486,7 @@ def save_model(net: DenseNetwork, g: Genotype, history: list[float], base_path) 
     header = {
         "genotype": to_dict(g),
         "input_dim": net.input_dim,
-        "shapes": [list(layer.shape) for layer in net.dense],
+        "shapes": [list(layer.shape) for layer in net.layers],
         "loss_history": history,
         "param_count": net.param_count,
     }

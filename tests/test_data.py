@@ -189,6 +189,8 @@ class TestWindowRul:
     def test_unknown_sensor_column(self):
         with pytest.raises(DataError, match="out of range"):
             window_rul({1: np.ones((30, 2))}, window=24, stride=1, early_rul=129, sensor_columns=[5])
+        with pytest.raises(DataError, match=re.escape("at least one column, got shape (9, 0)")):
+            window_rul({1: np.ones((10, 3))}, window=2, stride=1, early_rul=5, sensor_columns=[])
 
     @given(st.integers(24, 80), st.integers(1, 5))
     def test_window_count_formula(self, length, stride):

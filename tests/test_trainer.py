@@ -121,7 +121,15 @@ class TestForward:
             net.forward(np.ones((4, 9)))
 
 
-def numeric_gradients(net, X, Y, h=1e-5):
+def loss_at(net, X, Y, dropout_seed=None):
+    """``loss_and_gradients`` in inference mode, or in training mode with the
+    dropout rng seeded afresh, so that every call draws the same masks."""
+    if dropout_seed is None:
+        return loss_and_gradients(net, X, Y)
+    return loss_and_gradients(net, X, Y, training=True, rng=np.random.default_rng(dropout_seed))
+
+
+def numeric_gradients(net, X, Y, h=1e-5, dropout_seed=None):
     grads = []
     for p in net.parameters():
         flat = p.ravel()
@@ -129,18 +137,18 @@ def numeric_gradients(net, X, Y, h=1e-5):
         for k in range(flat.size):
             orig = flat[k]
             flat[k] = orig + h
-            up, _ = loss_and_gradients(net, X, Y)
+            up, _ = loss_at(net, X, Y, dropout_seed)
             flat[k] = orig - h
-            down, _ = loss_and_gradients(net, X, Y)
+            down, _ = loss_at(net, X, Y, dropout_seed)
             flat[k] = orig
             g[k] = (up - down) / (2 * h)
         grads.append(g.reshape(p.shape))
     return grads
 
 
-def gradient_agreement(net, X, Y) -> float:
-    _, analytic = loss_and_gradients(net, X, Y)
-    numeric = numeric_gradients(net, X, Y)
+def gradient_agreement(net, X, Y, dropout_seed=None) -> float:
+    _, analytic = loss_at(net, X, Y, dropout_seed)
+    numeric = numeric_gradients(net, X, Y, dropout_seed=dropout_seed)
     good = total = 0
     for a, n in zip(analytic, numeric):
         rel = np.abs(a - n) / np.maximum(1e-8, np.abs(a) + np.abs(n))
@@ -180,6 +188,20 @@ class TestGradients:
         X = rng.normal(size=(16, 10))
         Y = rng.normal(size=(16, 1))
         assert gradient_agreement(net, X, Y) >= 0.99
+
+    def test_cross_entropy_through_training_dropout(self, act):
+        net = materialize(mlp_classifier([(16, act), 0.5, (8, act), 0.25], classes=4), 10, seed=2)
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(16, 10))
+        Y = np.eye(4)[rng.integers(4, size=16)]
+        assert gradient_agreement(net, X, Y, dropout_seed=3) >= 0.99
+
+    def test_mean_squared_error_through_training_dropout(self, act):
+        net = materialize(mlp_regressor([(16, act), 0.5, (8, act), 0.25]), 10, seed=2)
+        rng = np.random.default_rng(1)
+        X = rng.normal(size=(16, 10))
+        Y = rng.normal(size=(16, 1))
+        assert gradient_agreement(net, X, Y, dropout_seed=3) >= 0.99
 
 
 class TestGradientVector:
