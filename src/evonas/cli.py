@@ -94,14 +94,34 @@ def _parse_input_dim(text: str) -> int:
 
 
 def _load_genotype_file(path) -> Genotype:
-    return parse(Path(path).read_text())
+    path = Path(path)
+    if not path.is_file():
+        raise data_mod.DataError(f"no such file: {path}")
+    return parse(path.read_text())
 
 
-def _check_output_width(dataset: data_mod.Dataset, width: int, name: str) -> None:
-    """A classifier's output layer needs a unit for every label in the data."""
+def _train_config(args, epochs: int, seed: int) -> trainer.TrainConfig:
+    """The training settings of ``search`` and ``train``, checked before any data loads."""
+    return trainer.TrainConfig(
+        epochs, learning_rate=args.learning_rate, batch_size=args.batch_size, seed=seed
+    )
+
+
+def _check_problem(
+    dataset: data_mod.Dataset, source: str, problem: ProblemKind, width_name: str, width: int
+) -> None:
+    """The config or genotype (``source``) must state the data's problem, and a
+    classifier's output layer needs a unit for every label in the data."""
+    if dataset.problem != problem:
+        raise evolution.ConfigError(
+            f"{source} problem {problem.value!r} does not match dataset "
+            f"problem {dataset.problem.value!r}"
+        )
     top_label = int(dataset.targets.max(initial=0))
-    if dataset.problem == ProblemKind.CLASSIFICATION and top_label >= width:
-        raise evolution.ConfigError(f"{name} {width} is too small for dataset label {top_label}")
+    if problem == ProblemKind.CLASSIFICATION and top_label >= width:
+        raise evolution.ConfigError(
+            f"{source} {width_name} {width} is too small for dataset label {top_label}"
+        )
 
 
 # --- search -------------------------------------------------------------------
@@ -111,44 +131,32 @@ def cmd_search(args) -> int:
         workers = evalpool.resolve_worker_count(args.workers)
     except ValueError as exc:
         raise evolution.ConfigError(str(exc)) from None
+    config_path = Path(args.config)
+    if not config_path.is_file():
+        raise evolution.ConfigError(f"no such config file: {config_path}")
     try:
-        config_doc = json.loads(Path(args.config).read_text())
+        config_doc = json.loads(config_path.read_text())
     except json.JSONDecodeError as exc:
-        raise evolution.ConfigError(f"{args.config}: not valid JSON: {exc}") from None
-    except FileNotFoundError:
-        raise evolution.ConfigError(f"no such config file: {args.config}") from None
+        raise evolution.ConfigError(f"{config_path}: not valid JSON: {exc}") from None
     cfg = evolution.SearchConfig.from_dict(config_doc)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)  # validated like the config's own seed
+    train_cfg = _train_config(args, cfg.train_epochs, cfg.seed)
 
     dataset = data_mod.load_manifest(args.data)
-    if dataset.problem != cfg.problem:
-        raise evolution.ConfigError(
-            f"config problem {cfg.problem.value!r} does not match dataset "
-            f"problem {dataset.problem.value!r}"
-        )
+    _check_problem(dataset, "config", cfg.problem, "output_size", cfg.output_size)
     if dataset.feature_count != cfg.input_dim:
         raise evolution.ConfigError(
             f"config input_shape implies {cfg.input_dim} features, dataset has {dataset.feature_count}"
         )
-    _check_output_width(dataset, cfg.output_size, "config output_size")
-
-    # builds and checks the training settings: a bad flag stops here, not per evaluation
-    evaluator = trainer.make_evaluator(
-        dataset,
-        cfg.cv_ratio,
-        cfg.train_epochs,
-        learning_rate=args.learning_rate,
-        batch_size=args.batch_size,
-        split_seed=cfg.seed,
-    )
+    evaluator = trainer.make_evaluator(dataset, cfg.cv_ratio, train_cfg)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    for name in ("archive.json", "best.json", "trace.jsonl"):
+        (out_dir / name).unlink(missing_ok=True)  # nothing of an earlier run outlives this one
     (out_dir / "config.json").write_text(json.dumps(cfg.to_dict(), indent=2))
     trace_path = out_dir / "trace.jsonl" if args.trace else None
-    if trace_path is not None and trace_path.exists():
-        trace_path.unlink()  # the trace appends; start each run clean
 
     runs_path = out_dir / "runs.csv"
     with runs_path.open("w", newline="") as fh:
@@ -200,21 +208,11 @@ def cmd_search(args) -> int:
 
 def cmd_train(args) -> int:
     g = _load_genotype_file(args.genotype)
-    cfg = trainer.TrainConfig(
-        args.epochs,
-        learning_rate=args.learning_rate,
-        batch_size=args.batch_size,
-        seed=args.seed if args.seed is not None else 0,
-    )
+    cfg = _train_config(args, args.epochs, args.seed if args.seed is not None else 0)
     if args.kfold is not None and args.kfold < 2:
         raise evolution.ConfigError(f"--kfold needs at least 2 folds, got {args.kfold}")
     dataset = data_mod.load_manifest(args.data)
-    if dataset.problem != g.problem:
-        raise evolution.ConfigError(
-            f"genotype problem {g.problem.value!r} does not match dataset "
-            f"problem {dataset.problem.value!r}"
-        )
-    _check_output_width(dataset, g.layers[-1].units, "genotype output width")
+    _check_problem(dataset, "genotype", g.problem, "output width", g.layers[-1].units)
     metric_name = trainer.METRIC_NAME[dataset.problem]
     if args.kfold:
         mean, std = trainer.kfold_evaluate(g, dataset, args.kfold, cfg)
@@ -270,7 +268,7 @@ def _discover_run_dirs(root: Path) -> list[Path]:
 
 def cmd_plotdata(args) -> int:
     root = Path(args.runs_dir)
-    if not root.exists():
+    if not root.is_dir():
         raise data_mod.DataError(f"no such directory: {root}")
     run_dirs = _discover_run_dirs(root)
     if not run_dirs:
@@ -322,26 +320,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("-v", "--verbose", action="store_true", help="enable info logging")
     sub = parser.add_subparsers(dest="command", required=True)
+    training = argparse.ArgumentParser(add_help=False)  # the flags of search and train
+    training.add_argument("--learning-rate", type=float, default=trainer.TrainConfig.learning_rate)
+    training.add_argument("--batch-size", type=int, default=trainer.TrainConfig.batch_size)
 
-    p = sub.add_parser("search", help="run the evolutionary search")
+    p = sub.add_parser("search", parents=[training], help="run the evolutionary search")
     p.add_argument("config", help="search configuration JSON")
     p.add_argument("data", help="dataset manifest JSON")
     p.add_argument("--out", required=True, help="output directory for run artifacts")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--workers", type=int, default=None, help="parallel evaluation workers")
-    p.add_argument("--learning-rate", type=float, default=trainer.TrainConfig.learning_rate)
-    p.add_argument("--batch-size", type=int, default=trainer.TrainConfig.batch_size)
     p.add_argument("--trace", action="store_true", help="write a JSONL evaluation trace")
     p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("train", help="fully train a genotype and export the model")
+    p = sub.add_parser("train", parents=[training], help="fully train a genotype and export the model")
     p.add_argument("genotype", help="genotype JSON file")
     p.add_argument("data", help="dataset manifest JSON")
     p.add_argument("--epochs", type=int, default=100)
     p.add_argument("--kfold", type=int, default=None, help="also report k-fold metrics")
     p.add_argument("--out-model", default=None, help="base path for the exported model")
-    p.add_argument("--learning-rate", type=float, default=trainer.TrainConfig.learning_rate)
-    p.add_argument("--batch-size", type=int, default=trainer.TrainConfig.batch_size)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_train)
 

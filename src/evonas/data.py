@@ -392,6 +392,8 @@ def load_manifest(path) -> Dataset:
     fmt, limit = doc.pop("format"), doc.pop("limit", None)
     if not isinstance(fmt, str) or fmt not in FORMATS:
         raise DataError(f"{path}: unknown dataset format {fmt!r}")
+    if limit is not None and not (_fits(limit, int) and limit >= 1):
+        raise DataError(f"{path}: 'limit' must be a positive integer")
     loader, file_params = FORMATS[fmt]
     params = inspect.signature(loader).parameters
     hints = get_type_hints(loader)
@@ -412,7 +414,5 @@ def load_manifest(path) -> Dataset:
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
     if limit is not None:
-        if isinstance(limit, bool) or not isinstance(limit, int) or limit < 1:
-            raise DataError(f"{path}: 'limit' must be a positive integer")
         ds = ds.take(np.arange(min(limit, ds.sample_count)))
     return ds

@@ -424,6 +424,13 @@ def _in_score_dtype(dataset: data_mod.Dataset) -> data_mod.Dataset:
     return replace(dataset, features=dataset.features.astype(SCORE_DTYPE))
 
 
+def _score(g: Genotype, split_pair, cfg: TrainConfig) -> tuple[float, int]:
+    """Materialize ``g`` from ``cfg.seed`` in :data:`SCORE_DTYPE`, train it on a
+    ``(train, validation)`` pair, and return ``(validation metric, parameter count)``."""
+    net = materialize(g, split_pair[0].feature_count, cfg.seed, SCORE_DTYPE)
+    return train(net, split_pair, cfg).value, net.param_count
+
+
 def kfold_evaluate(g: Genotype, dataset: data_mod.Dataset, k: int, cfg: TrainConfig):
     """Mean and standard deviation of the metric over k train/validate folds.
 
@@ -438,38 +445,28 @@ def kfold_evaluate(g: Genotype, dataset: data_mod.Dataset, k: int, cfg: TrainCon
     values = []
     for i, fold in enumerate(folds):
         train_idx = np.setdiff1d(all_idx, fold)
-        net = materialize(g, dataset.feature_count, cfg.seed, SCORE_DTYPE)
-        report = train(net, (dataset.take(train_idx), dataset.take(fold)), cfg)
-        values.append(report.value)
-        log.debug("fold %d/%d: %s=%.4f", i + 1, k, METRIC_NAME[dataset.problem], report.value)
+        value, _ = _score(g, (dataset.take(train_idx), dataset.take(fold)), cfg)
+        values.append(value)
+        log.debug("fold %d/%d: %s=%.4f", i + 1, k, METRIC_NAME[dataset.problem], value)
     return float(np.mean(values)), float(np.std(values))
 
 
 # --- search-facing evaluator -------------------------------------------------
 
-def make_evaluator(
-    dataset: data_mod.Dataset,
-    cv_ratio: float,
-    epochs: int,
-    learning_rate: float = TrainConfig.learning_rate,
-    batch_size: int = TrainConfig.batch_size,
-    split_seed: int = 0,
-):
+def make_evaluator(dataset: data_mod.Dataset, cv_ratio: float, cfg: TrainConfig):
     """Partial-training fitness evaluator for the search loop.
 
-    The train/validation split is fixed once from ``split_seed`` and cast
-    once to :data:`SCORE_DTYPE`, the precision every candidate trains in;
-    each candidate's weights and shuffle stream come from the per-candidate
-    seed, so evaluation order and parallelism cannot change any result.
-    Returns a ``(validation metric, parameter count)`` pair.
+    The train/validation split is fixed once from ``cfg.seed`` and cast
+    once to :data:`SCORE_DTYPE`, the precision every candidate trains in.
+    Each candidate trains with ``cfg`` but its own seed, which draws its
+    weights and shuffle stream, so evaluation order and parallelism cannot
+    change any result. Returns a ``(validation metric, parameter count)``
+    pair.
     """
-    base = TrainConfig(epochs, learning_rate=learning_rate, batch_size=batch_size)
-    split_pair = tuple(map(_in_score_dtype, data_mod.split(dataset, cv_ratio, split_seed)))
+    split_pair = tuple(map(_in_score_dtype, data_mod.split(dataset, cv_ratio, cfg.seed)))
 
     def evaluate(genotype: Genotype, seed: int) -> tuple[float, int]:
-        net = materialize(genotype, dataset.feature_count, seed, SCORE_DTYPE)
-        report = train(net, split_pair, replace(base, seed=seed))
-        return report.value, net.param_count
+        return _score(genotype, split_pair, replace(cfg, seed=seed))
 
     return evaluate
 

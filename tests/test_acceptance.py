@@ -246,7 +246,7 @@ def test_criterion_9_desk_scale_search():
     with criterion(9, "reference-parameter search on a 10k subset yields a compact winner"):
         ds = _mnist_subset()
         cfg = _subset_config()
-        evaluator = make_evaluator(ds, cfg.cv_ratio, cfg.train_epochs, split_seed=cfg.seed)
+        evaluator = make_evaluator(ds, cfg.cv_ratio, TrainConfig(cfg.train_epochs, seed=cfg.seed))
         started = time.perf_counter()
         archive = run_search(cfg, evaluator, workers=4)
         winner = finalize(archive, cfg)
@@ -331,8 +331,8 @@ def test_determinism_witness_on_synthetic_data():
             train_epochs=2,
             seed=11,
         )
-        evaluator = make_evaluator(ds, cfg.cv_ratio, cfg.train_epochs,
-                                   batch_size=32, split_seed=cfg.seed)
+        evaluator = make_evaluator(ds, cfg.cv_ratio,
+                                   TrainConfig(cfg.train_epochs, batch_size=32, seed=cfg.seed))
         streams = []
         for workers in (1, 1, 4):
             rows = []

@@ -61,10 +61,17 @@ def workdir(tmp_path):
     return tmp_path
 
 
-def surrogate_make_evaluator(dataset, cv_ratio, epochs, **kw):
+def surrogate_make_evaluator(dataset, cv_ratio, cfg):
     def evaluate(genotype, seed):
         w = count_params(genotype, dataset.feature_count)
         return 1.0 / (1.0 + w / 5000.0), w
+
+    return evaluate
+
+
+def failing_make_evaluator(*_a, **_k):
+    def evaluate(genotype, seed):
+        raise RuntimeError("backend down")
 
     return evaluate
 
@@ -281,6 +288,19 @@ class TestSearchCommand:
         assert field in capsys.readouterr().err
         assert not out.exists() and not calls
 
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [("--batch-size", "0", "batch_size"), ("--learning-rate", "-1", "learning_rate")],
+    )
+    def test_bad_training_flag_exits_2_before_data_loads(self, workdir, capsys, flag, value, field):
+        out = workdir / "bad"
+        # the manifest does not exist: a data error (exit 3) would mean it was read first
+        missing = workdir / "missing.json"
+        code = main(["search", str(workdir / "config.json"), str(missing), "--out", str(out), flag, value])
+        assert code == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
     def test_feature_width_mismatch_is_config_error(self, workdir):
         doc = json.loads((workdir / "config.json").read_text())
         doc["input_shape"] = 9
@@ -340,12 +360,6 @@ class TestSearchCommand:
         assert not out.exists()
 
     def test_generation_without_success_exits_4_without_best(self, workdir, capsys, monkeypatch):
-        def failing_make_evaluator(*_a, **_k):
-            def evaluate(genotype, seed):
-                raise RuntimeError("backend down")
-
-            return evaluate
-
         monkeypatch.setattr("evonas.trainer.make_evaluator", failing_make_evaluator)
         out = workdir / "run"
         assert main(search_args(workdir, out)) == 4
@@ -355,6 +369,37 @@ class TestSearchCommand:
         assert read_runs(out / "runs.csv") == []
         assert not (out / "archive.json").exists()
         assert not (out / "best.json").exists()
+
+    def test_rerun_leaves_no_artifact_of_the_earlier_run(self, workdir, monkeypatch):
+        monkeypatch.setattr("evonas.trainer.make_evaluator", surrogate_make_evaluator)
+        out = workdir / "run"
+        stale = [out / name for name in ("archive.json", "best.json", "trace.jsonl")]
+        assert main([*search_args(workdir, out), "--trace"]) == 0
+        assert all(path.exists() for path in stale)
+        # the rerun fails and is untraced: nothing may describe the first run's rows
+        monkeypatch.setattr("evonas.trainer.make_evaluator", failing_make_evaluator)
+        assert main(search_args(workdir, out)) == 4
+        assert read_runs(out / "runs.csv") == []
+        assert not any(path.exists() for path in stale)
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["inspect", "{dir}"], 3, "no such file: {dir}"),
+        (["train", "{dir}", "{data}"], 3, "no such file: {dir}"),
+        (["search", "{dir}", "{data}", "--out", "{out}"], 2, "no such config file: {dir}"),
+        (["plot-data", "{data}", "--out", "{out}"], 3, "no such directory: {data}"),
+    ],
+    ids=["inspect", "train", "search", "plot-data"],
+)
+def test_path_of_the_wrong_kind_counts_as_missing(workdir, capsys, argv, code, message):
+    paths = dict(dir=workdir / "adir", data=workdir / "data.json", out=workdir / "out")
+    paths["dir"].mkdir()
+    assert main([arg.format(**paths) for arg in argv]) == code
+    assert message.format(**paths) in capsys.readouterr().err
+    assert not paths["out"].exists()
+
 
 class TestRegressionPipeline:
     @pytest.fixture
@@ -457,6 +502,36 @@ class TestRegressionPipeline:
         records = read_runs(out / "runs.csv")
         # regression errors are the metric values themselves, not 1 - perf
         assert [float(r[1]) for r in rows] == [rec.perf for rec in records]
+
+    @staticmethod
+    def forbidden(*_a, **_k):
+        raise AssertionError("the problems must be compared before any training")
+
+    def test_classification_config_exits_2_before_any_evaluation(self, rul_workdir, capsys, monkeypatch):
+        monkeypatch.setattr("evonas.trainer.make_evaluator", self.forbidden)
+        doc = json.loads((rul_workdir / "config.json").read_text())
+        doc.update(problem="classification", output_size=2)
+        (rul_workdir / "cls.json").write_text(json.dumps(doc))
+        out = rul_workdir / "run"
+        code = main(["search", str(rul_workdir / "cls.json"), str(rul_workdir / "data.json"), "--out", str(out)])
+        assert code == 2
+        assert (
+            "config problem 'classification' does not match dataset problem 'regression'"
+            in capsys.readouterr().err
+        )
+        assert not out.exists()
+
+    def test_classification_genotype_exits_2_before_any_training(self, rul_workdir, capsys, monkeypatch):
+        monkeypatch.setattr("evonas.trainer.train", self.forbidden)
+        monkeypatch.setattr("evonas.trainer.kfold_evaluate", self.forbidden)
+        gpath = rul_workdir / "g.json"
+        gpath.write_text(serialize(mlp_classifier([(16, A.RELU)], classes=2)))
+        code = main(["train", str(gpath), str(rul_workdir / "data.json"), "--kfold", "3"])
+        assert code == 2
+        assert (
+            "genotype problem 'classification' does not match dataset problem 'regression'"
+            in capsys.readouterr().err
+        )
 
 
 class TestTrainCommand:

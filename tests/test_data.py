@@ -359,11 +359,14 @@ class TestManifest:
     def test_boolean_limit_rejected(self, tmp_path, idx_pair):
         img_path, lbl_path, _, _ = idx_pair
         manifest = tmp_path / "m.json"
-        manifest.write_text(
-            json.dumps({"format": "idx", "images": str(img_path), "labels": str(lbl_path), "limit": True})
-        )
-        with pytest.raises(DataError, match="'limit' must be a positive integer"):
-            load_manifest(manifest)
+        for doc in (
+            {"format": "idx", "images": str(img_path), "labels": str(lbl_path), "limit": True},
+            # checked before the loader runs, so a missing data file cannot hide it
+            {"format": "csv", "path": "missing.csv", "feature_columns": ["a"], "target_column": "y", "limit": 0},
+        ):
+            manifest.write_text(json.dumps(doc))
+            with pytest.raises(DataError, match="'limit' must be a positive integer"):
+                load_manifest(manifest)
 
     @pytest.fixture
     def rul_manifest(self, tmp_path):

@@ -25,7 +25,7 @@ from evonas import (
 )
 from evonas.cli import main
 from evonas.evalpool import WORKERS_ENV, resolve_worker_count
-from evonas.trainer import make_evaluator
+from evonas.trainer import TrainConfig, make_evaluator
 
 from conftest import mlp_classifier
 
@@ -224,7 +224,7 @@ class TestThreadBudget:
         X = rng.normal(size=(600, 256))
         y = (X[:, :8].sum(axis=1) > 0).astype(int)
         dataset = Dataset(X, y, ProblemKind.CLASSIFICATION)
-        evaluate = make_evaluator(dataset, 0.2, 2, batch_size=256)
+        evaluate = make_evaluator(dataset, 0.2, TrainConfig(2, batch_size=256))
         genotypes = [
             mlp_classifier([(128, A.RELU), (64, A.TANH)], classes=2),
             mlp_classifier([(32, A.SIGMOID)], classes=2),
@@ -304,13 +304,13 @@ def run_python(*args: str) -> subprocess.CompletedProcess:
 FAULTS_SCRIPT = """
 import json, resource, sys
 import numpy as np
-from evonas import Dataset, ProblemKind, SearchConfig, evalpool, make_evaluator, random_genotype
+from evonas import Dataset, ProblemKind, SearchConfig, TrainConfig, evalpool, make_evaluator, random_genotype
 if sys.argv[1] == "policy":
     evalpool.set_heap_policy()
 rng = np.random.default_rng(0)
 dataset = Dataset(rng.random((300, 784)), rng.integers(10, size=300), ProblemKind.CLASSIFICATION)
 cfg = SearchConfig(problem="classification", arch="mlp", input_shape=784, output_size=10)
-evaluate = make_evaluator(dataset, 0.2, 1, split_seed=0)
+evaluate = make_evaluator(dataset, 0.2, TrainConfig(1))
 genotypes = [random_genotype(cfg, rng) for _ in range(20)]
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 results = [evaluate(g, seed) for seed, g in enumerate(genotypes)]

@@ -437,8 +437,7 @@ class TestFloat32:
         hidden, expected = self.EVALUATOR_GOLDEN[problem]
         g = mlp_classifier(hidden, classes=3) if problem == C else mlp_regressor(hidden)
         evaluate = make_evaluator(
-            golden_data(problem), 0.2, epochs=3, learning_rate=0.01, batch_size=32,
-            split_seed=1,
+            golden_data(problem), 0.2, TrainConfig(3, learning_rate=0.01, batch_size=32, seed=1)
         )
         assert evaluate(g, 4) == expected
 
@@ -459,7 +458,7 @@ class TestFloat32:
         draw = np.random.default_rng(3)
         candidates = [random_genotype(cfg, draw) for _ in range(10)]
         settings_ = dict(learning_rate=0.01, batch_size=32)
-        evaluate = make_evaluator(ds, 0.2, 2, split_seed=5, **settings_)
+        evaluate = make_evaluator(ds, 0.2, TrainConfig(2, seed=5, **settings_))
         pair = split(ds, 0.2, 5)
         single, double = [], []
         for seed, g in enumerate(candidates, start=100):
@@ -572,7 +571,7 @@ class TestKfoldEvaluate:
 
 class TestEvaluator:
     def test_same_seed_same_result(self, blob_dataset):
-        evaluate = make_evaluator(blob_dataset, 0.2, epochs=3, batch_size=32)
+        evaluate = make_evaluator(blob_dataset, 0.2, TrainConfig(3, batch_size=32))
         g = mlp_classifier([(16, A.RELU), 0.2], classes=2)
         assert evaluate(g, 123) == evaluate(g, 123)
         perf, params = evaluate(g, 123)
