@@ -10,6 +10,7 @@ import argparse
 import csv
 import json
 import logging
+import os
 import sys
 from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
@@ -107,6 +108,26 @@ def _train_config(args, epochs: int, seed: int) -> trainer.TrainConfig:
     )
 
 
+def _out_dir(flag: str, path: str) -> Path:
+    """An output directory flag's path, refused unless it is a directory or can be made one."""
+    path = Path(path)
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise evolution.ConfigError(f"{flag} {path}: {existing} is not a directory")
+    return path
+
+
+def _out_file(flag: str, path: str) -> Path:
+    """An output file flag's path (or base path), refused if it names a directory
+    or its directory does not exist."""
+    out = Path(path)
+    if path.endswith(("/", os.sep)) or out.is_dir():
+        raise evolution.ConfigError(f"{flag} {path}: a directory, not a file")
+    if not out.parent.is_dir():
+        raise evolution.ConfigError(f"{flag} {path}: no such directory {out.parent}")
+    return out
+
+
 def _check_problem(
     dataset: data_mod.Dataset, source: str, problem: ProblemKind, width_name: str, width: int
 ) -> None:
@@ -142,6 +163,7 @@ def cmd_search(args) -> int:
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)  # validated like the config's own seed
     train_cfg = _train_config(args, cfg.train_epochs, cfg.seed)
+    out_dir = _out_dir("--out", args.out)
 
     dataset = data_mod.load_manifest(args.data)
     _check_problem(dataset, "config", cfg.problem, "output_size", cfg.output_size)
@@ -150,8 +172,8 @@ def cmd_search(args) -> int:
             f"config input_shape implies {cfg.input_dim} features, dataset has {dataset.feature_count}"
         )
     evaluator = trainer.make_evaluator(dataset, cfg.cv_ratio, train_cfg)
+    del dataset  # the evaluator holds its own float32 split; free the float64 features
 
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name in ("archive.json", "best.json", "trace.jsonl"):
         (out_dir / name).unlink(missing_ok=True)  # nothing of an earlier run outlives this one
@@ -211,6 +233,8 @@ def cmd_train(args) -> int:
     cfg = _train_config(args, args.epochs, args.seed if args.seed is not None else 0)
     if args.kfold is not None and args.kfold < 2:
         raise evolution.ConfigError(f"--kfold needs at least 2 folds, got {args.kfold}")
+    if args.out_model:
+        _out_file("--out-model", args.out_model)
     dataset = data_mod.load_manifest(args.data)
     _check_problem(dataset, "genotype", g.problem, "output width", g.layers[-1].units)
     metric_name = trainer.METRIC_NAME[dataset.problem]
@@ -267,6 +291,7 @@ def _discover_run_dirs(root: Path) -> list[Path]:
 
 
 def cmd_plotdata(args) -> int:
+    out_path = _out_file("--out", args.out)
     root = Path(args.runs_dir)
     if not root.is_dir():
         raise data_mod.DataError(f"no such directory: {root}")
@@ -301,7 +326,6 @@ def cmd_plotdata(args) -> int:
             best_index[alpha] = i
     best_set = set(best_index.values())
 
-    out_path = Path(args.out)
     with out_path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["params", "error", "alpha", "experiment", "best"])

@@ -3,10 +3,13 @@
 A generation of candidates is packaged into immutable jobs, evaluated by a
 pool of in-process workers, and returned as immutable results keyed by job
 id. All randomness an evaluation needs comes from the job's derived seed,
-so results are identical for any worker count and any completion order. A
-single-machine pool is the only transport here, but jobs and results are the
-whole wire contract, so a remote transport could be swapped in behind
-:func:`evaluate_all`.
+so at a fixed BLAS thread count results are identical for any worker count
+and any completion order. The BLAS thread count itself can change a result:
+OpenBLAS may round a matrix product split over two threads differently from
+the same product on one, and the thread budget below gives pool workers
+fewer BLAS threads than a single worker. A single-machine pool is the
+only transport here, but jobs and results are the whole wire contract, so
+a remote transport could be swapped in behind :func:`evaluate_all`.
 
 This module owns the process's thread budget: pool workers times BLAS
 threads stays within the usable cores. While a pool of ``W > 1`` workers

@@ -467,8 +467,8 @@ def run_search(
 
     ``evaluator`` maps ``(genotype, seed)`` to a ``(metric value, parameter
     count)`` pair. Per-candidate seeds are derived from (config seed,
-    experiment, generation, index), never from scheduling, so results are
-    bit-identical for any worker count. A failing evaluation is logged and
+    experiment, generation, index), never from scheduling, so at a fixed
+    BLAS thread count results are bit-identical for any worker count. A failing evaluation is logged and
     assigned the worst performance seen in its generation; a generation in
     which every evaluation fails raises ``RuntimeError``.
 

@@ -83,37 +83,38 @@ class PerfReport:
 
 # --- network ----------------------------------------------------------------
 
-def _sigmoid(z):
-    with np.errstate(over="ignore"):  # exp overflows float32 past 88.7; 1 / (1 + inf) is 0
-        return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
-
-
-def _softmax(z):
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def _activate(z, kind: Activation):
+def _activate(z, kind: Activation) -> None:
+    """Overwrite ``z``, a fresh pre-activation, with the activation; linear leaves it as is."""
     if kind == Activation.SIGMOID:
-        return _sigmoid(z)
-    if kind == Activation.TANH:
-        return np.tanh(z)
-    if kind == Activation.RELU:
-        return np.maximum(z, 0.0)
-    if kind == Activation.SOFTMAX:
-        return _softmax(z)
-    return z  # linear
-
-
-def _backprop_activation(d: np.ndarray, z, a, kind: Activation) -> np.ndarray:
-    """Scale ``d`` in place by the activation's derivative, from cached values."""
-    if kind == Activation.SIGMOID:
-        d *= a * (1.0 - a)
+        np.clip(z, -500, 500, out=z)
+        np.negative(z, out=z)
+        with np.errstate(over="ignore"):  # exp overflows float32 past 88.7; 1 / (1 + inf) is 0
+            np.exp(z, out=z)
+        z += 1.0
+        np.divide(1.0, z, out=z)
     elif kind == Activation.TANH:
-        d *= 1.0 - a * a
+        np.tanh(z, out=z)
     elif kind == Activation.RELU:
-        d *= z > 0.0
+        np.maximum(z, 0.0, out=z)
+    elif kind == Activation.SOFTMAX:
+        z -= z.max(axis=1, keepdims=True)
+        np.exp(z, out=z)
+        z /= z.sum(axis=1, keepdims=True)
+
+
+def _backprop_activation(d: np.ndarray, a, kind: Activation) -> np.ndarray:
+    """Scale ``d`` in place by the activation's derivative, read from the
+    activation ``a``; each derivative allocates at most one temporary."""
+    if kind == Activation.SIGMOID:
+        t = 1.0 - a
+        t *= a
+        d *= t
+    elif kind == Activation.TANH:
+        t = a * a
+        np.subtract(1.0, t, out=t)
+        d *= t
+    elif kind == Activation.RELU:
+        d *= a > 0.0  # equals z > 0.0 for a = max(z, 0), NaN included
     elif kind != Activation.LINEAR:  # linear: the derivative is 1
         raise ValueError(f"no elementwise gradient for {kind}")
     return d
@@ -185,8 +186,9 @@ class DenseNetwork:
         return a
 
     def _forward_cached(self, batch, training, rng):
-        """The output and, per layer, ``(layer, a_in, z, a, mask)``: ``a`` is the
-        activation before dropout, ``mask`` the scaled dropout mask or None."""
+        """The output and, per layer, ``(layer, a_in, a, mask)``: ``a`` is the
+        activation before dropout, computed in place over the layer's affine
+        output, and ``mask`` the scaled dropout mask or None."""
         X = np.asarray(batch, dtype=self.flat.dtype)
         if X.ndim == 1:
             X = X[None, :]
@@ -197,9 +199,9 @@ class DenseNetwork:
         a_in = X
         caches = []
         for layer in self.layers:
-            z = a_in @ layer.W
-            z += layer.b
-            a = _activate(z, layer.activation)
+            a = a_in @ layer.W
+            a += layer.b
+            _activate(a, layer.activation)
             mask = None
             if training and layer.dropout > 0.0:
                 if rng is None:
@@ -209,7 +211,7 @@ class DenseNetwork:
                 else:
                     mask = (rng.random(a.shape) >= layer.dropout).astype(a.dtype)
                     mask /= 1.0 - layer.dropout
-            caches.append((layer, a_in, z, a, mask))
+            caches.append((layer, a_in, a, mask))
             a_in = a if mask is None else a * mask
         return a_in, caches
 
@@ -269,8 +271,8 @@ def loss_and_gradients(net: DenseNetwork, X, Y, training=False, rng=None, out=No
     delta = outputs - Y
     delta /= n  # d loss / d outputs
     if not softmax:  # softmax and cross-entropy fused: delta is already d loss / d logits
-        layer, _, z, a, _ = caches[-1]
-        _backprop_activation(delta, z, a, layer.activation)
+        layer, _, a, _ = caches[-1]
+        _backprop_activation(delta, a, layer.activation)
 
     for k in range(len(caches) - 1, -1, -1):
         layer, a_in = caches[k][:2]
@@ -280,12 +282,12 @@ def loss_and_gradients(net: DenseNetwork, X, Y, training=False, rng=None, out=No
         if k == 0:
             break  # nothing below the first layer needs its input gradient
         # rebinding frees this layer's delta before the activation
-        # derivative below allocates its temporaries
+        # derivative below allocates its temporary
         delta = delta @ layer.W.T
-        below, _, z, a, mask = caches[k - 1]
+        below, _, a, mask = caches[k - 1]
         if mask is not None:
             delta *= mask
-        _backprop_activation(delta, z, a, below.activation)
+        _backprop_activation(delta, a, below.activation)
     return value, [g for pair in grads for g in pair]
 
 
@@ -459,8 +461,8 @@ def make_evaluator(dataset: data_mod.Dataset, cv_ratio: float, cfg: TrainConfig)
     The train/validation split is fixed once from ``cfg.seed`` and cast
     once to :data:`SCORE_DTYPE`, the precision every candidate trains in.
     Each candidate trains with ``cfg`` but its own seed, which draws its
-    weights and shuffle stream, so evaluation order and parallelism cannot
-    change any result. Returns a ``(validation metric, parameter count)``
+    weights and shuffle stream, so evaluation order and the worker count
+    cannot change a result at a fixed BLAS thread count. Returns a ``(validation metric, parameter count)``
     pair.
     """
     split_pair = tuple(map(_in_score_dtype, data_mod.split(dataset, cv_ratio, cfg.seed)))

@@ -401,6 +401,65 @@ def test_path_of_the_wrong_kind_counts_as_missing(workdir, capsys, argv, code, m
     assert not paths["out"].exists()
 
 
+def forbid(monkeypatch, target):
+    def forbidden(*_a, **_k):
+        raise AssertionError(f"{target} was called")
+
+    monkeypatch.setattr(target, forbidden)
+
+
+@pytest.mark.parametrize("out", ["afile", "afile/run"], ids=["file", "below-a-file"])
+def test_search_out_of_the_wrong_kind_exits_2_before_data_loads(workdir, capsys, monkeypatch, out):
+    (workdir / "afile").write_text("kept")
+    forbid(monkeypatch, "evonas.data.load_manifest")
+    assert main(search_args(workdir, workdir / out)) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: --out" in err and "is not a directory" in err
+    assert (workdir / "afile").read_text() == "kept"
+
+
+@pytest.mark.parametrize(
+    "base, message",
+    [
+        ("nodir/model", "no such directory"),
+        ("pdir/", "a directory, not a file"),
+        ("pdir", "a directory, not a file"),
+    ],
+    ids=["missing-directory", "directory-slash", "directory"],
+)
+def test_train_out_model_of_the_wrong_kind_exits_2_before_data_loads(
+    workdir, capsys, monkeypatch, crossover_child, base, message
+):
+    (workdir / "pdir").mkdir()
+    gpath = workdir / "g.json"
+    gpath.write_text(serialize(crossover_child))
+    forbid(monkeypatch, "evonas.data.load_manifest")
+    argv = ["train", str(gpath), str(workdir / "data.json"), "--kfold", "3"]
+    assert main([*argv, "--out-model", str(workdir) + "/" + base]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: --out-model" in err and message in err
+    assert sorted(p.name for p in workdir.iterdir() if p.name.startswith("pdir")) == ["pdir"]
+
+
+@pytest.mark.parametrize(
+    "out, message",
+    [("adir", "a directory, not a file"), ("nodir/plot.csv", "no such directory")],
+    ids=["directory", "missing-directory"],
+)
+def test_plot_data_out_of_the_wrong_kind_exits_2_before_reading_runs(
+    workdir, capsys, monkeypatch, out, message
+):
+    (workdir / "adir").mkdir()
+    run = workdir / "run"
+    run.mkdir()
+    (run / "runs.csv").write_text(",".join(RUNS_CSV_FIELDS) + "\n")
+    (run / "config.json").write_text('{"alpha": 0.5, "problem": "classification"}')
+    forbid(monkeypatch, "evonas.cli.read_runs")
+    assert main(["plot-data", str(run), "--out", str(workdir / out)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: --out" in err and message in err
+
+
 class TestRegressionPipeline:
     @pytest.fixture
     def rul_workdir(self, tmp_path):

@@ -27,7 +27,7 @@ from evonas.cli import main
 from evonas.evalpool import WORKERS_ENV, resolve_worker_count
 from evonas.trainer import TrainConfig, make_evaluator
 
-from conftest import mlp_classifier
+from conftest import mlp_classifier, mlp_regressor
 
 A = Activation
 
@@ -233,6 +233,22 @@ class TestThreadBudget:
         blas.set_threads(1)
         single = [evaluate(g, 17) for g in genotypes]
         assert single == default
+
+    def test_regression_results_equal_for_any_worker_count_at_one_blas_thread(self, blas):
+        # OpenBLAS may round a GEMM of these shapes (32x600 @ 600x312) differently
+        # with 2 threads than with 1, so what holds is equality at a fixed
+        # BLAS thread count: 2 workers run at min(1, cores // 2) = 1 thread here
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(160, 24))
+        dataset = Dataset(X, X[:, :4].sum(axis=1) ** 2, ProblemKind.REGRESSION)
+        evaluate = make_evaluator(dataset, 0.2, TrainConfig(1, batch_size=32))
+        g = mlp_regressor([(600, A.TANH), (312, A.RELU)])
+        jobs = [EvalJob((0, 0, i), g, derive_seed(5, 0, 0, i)) for i in range(4)]
+        blas.set_threads(1)
+        single = evaluate_all(jobs, evaluate, worker_count=1)
+        parallel = evaluate_all(jobs, evaluate, worker_count=2)
+        assert all(r.ok for r in single)
+        assert [(r.perf, r.params) for r in parallel] == [(r.perf, r.params) for r in single]
 
 
 def test_pool_runs_unmanaged_without_openblas(monkeypatch):

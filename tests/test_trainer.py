@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 import warnings
 from dataclasses import fields, replace
 from pathlib import Path
@@ -113,6 +114,18 @@ class TestForward:
 
     def test_affine_arithmetic(self):
         assert linear_unit(2.0, 1.0).forward(np.array([[3.0]]))[0, 0] == 7.0
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("act", [A.SIGMOID, A.TANH, A.RELU])
+    def test_input_batch_left_unchanged(self, act, dtype):
+        # the activations overwrite each layer's affine output in place,
+        # never the batch itself, which is not copied when it has the net's dtype
+        net = materialize(mlp_classifier([(16, act), 0.5, (8, act)]), 8, seed=0, dtype=dtype)
+        X = np.random.default_rng(1).normal(scale=3.0, size=(10, 8)).astype(dtype)
+        before = X.copy()
+        net.forward(X)
+        net.forward(X, training=True, rng=np.random.default_rng(2))
+        np.testing.assert_array_equal(X, before)
 
     def test_shape_mismatch_rejected(self):
         g = mlp_classifier([(16, A.RELU)])
@@ -617,6 +630,44 @@ class TestModelExport:
         (tmp_path / "model.bin").write_bytes(b"\x00" * 12)
         with pytest.raises(ValueError, match="blob"):
             load_model(base)
+
+
+class TestMemory:
+    """Training holds one batch x units array per layer for both the affine
+    output and the activation computed over it, and each activation
+    derivative allocates at most one temporary."""
+
+    UNIT = 512 * 1024 * 4  # one batch x 1024 float32 array: 2 MiB
+
+    @pytest.mark.parametrize(
+        "spec, bound",
+        [
+            # measured 6.87 arrays; 9.88 with a separate z cached per layer
+            ([(1024, A.TANH), 0.5, (1024, A.RELU)], 8.0),
+            # measured 4.87; 6.88 with a separate z and two-temporary derivatives
+            ([(1024, A.SIGMOID), (1024, A.SIGMOID)], 6.0),
+        ],
+        ids=["tanh-dropout-relu", "sigmoid-sigmoid"],
+    )
+    def test_training_peak_above_the_network(self, spec, bound):
+        rng = np.random.default_rng(0)
+
+        def data(n):
+            X = rng.normal(size=(n, 784)).astype(np.float32)
+            return Dataset(X, rng.integers(0, 10, n), ProblemKind.CLASSIFICATION)
+
+        pair = (data(880), data(220))
+        net = materialize(mlp_classifier(spec), 784, 0, np.float32)
+        assert not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            train(net, pair, TrainConfig(1, batch_size=512))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Adam's m and v and the gradient are three more parameter-sized vectors
+        arrays = (peak - 3 * net.flat.nbytes) / self.UNIT
+        assert arrays < bound
 
 
 def test_readme_lists_exactly_the_train_config_fields():
