@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import logging
 import os
@@ -179,21 +180,21 @@ def cmd_search(args) -> int:
         (out_dir / name).unlink(missing_ok=True)  # nothing of an earlier run outlives this one
     (out_dir / "config.json").write_text(json.dumps(cfg.to_dict(), indent=2))
     trace_path = out_dir / "trace.jsonl" if args.trace else None
+    evaluate = functools.partial(  # evolution's name, not evalpool's: the benchmark rebinds it
+        evolution.evaluate_all, evaluator=evaluator, worker_count=workers, trace_path=trace_path
+    )
 
     runs_path = out_dir / "runs.csv"
     with runs_path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(RUNS_CSV_FIELDS)
 
-        def on_eval(exp, gen, idx, ind, millis):
-            write_run_record(
-                writer,
-                RunRecord(exp, gen, idx, serialize(ind.genotype), ind.perf, ind.size, ind.cost, millis),
-            )
+        def on_generation(rec: evolution.GenerationRecord) -> None:
+            for ind, r in zip(rec.individuals, rec.results):
+                row = (rec.experiment, rec.generation, r.job_id[2], serialize(ind.genotype))
+                write_run_record(writer, RunRecord(*row, ind.perf, ind.size, ind.cost, r.millis))
 
-        archive = evolution.run_search(
-            cfg, evaluator, workers=workers, on_eval=on_eval, trace_path=trace_path
-        )
+        archive = evolution.run_search(cfg, evaluate, on_generation)
     winner = evolution.finalize(archive, cfg)
 
     archive_doc = {

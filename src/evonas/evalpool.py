@@ -9,7 +9,8 @@ OpenBLAS may round a matrix product split over two threads differently from
 the same product on one, and the thread budget below gives pool workers
 fewer BLAS threads than a single worker. A single-machine pool is the
 only transport here, but jobs and results are the whole wire contract, so
-a remote transport could be swapped in behind :func:`evaluate_all`.
+a remote transport plugs in as :func:`evolution.run_search`'s ``evaluate``:
+any callable that maps a generation's jobs to their results in job order.
 
 This module owns the process's thread budget: pool workers times BLAS
 threads stays within the usable cores. While a pool of ``W > 1`` workers

@@ -18,7 +18,9 @@ from typing import Callable, Sequence, get_type_hints
 
 import numpy as np
 
-from .evalpool import EvalJob, Evaluator, derive_seed, evaluate_all
+from .evalpool import EvalJob, EvalResult, derive_seed
+# unused here: the CLI calls it by this name, which the benchmark rebinds (ROADMAP item 1)
+from .evalpool import evaluate_all  # noqa: F401
 from .genotype import (
     ARCH,
     HIDDEN_ACTIVATIONS,
@@ -442,7 +444,15 @@ def nominal_convergence(pop: Sequence[Genotype], m_c: int, d_t: float) -> bool:
 
 # --- search loop ----------------------------------------------------------------
 
-OnEval = Callable[[int, int, int, Individual, int], None]
+@dataclass(frozen=True)
+class GenerationRecord:
+    """One evaluated generation: its individuals, costed within the
+    generation before elitism and copied, and their results in job order."""
+
+    experiment: int
+    generation: int
+    individuals: tuple[Individual, ...]
+    results: tuple[EvalResult, ...]
 
 
 def _assign_costs(individuals: list[Individual], cfg: SearchConfig) -> None:
@@ -458,24 +468,22 @@ def _assign_costs(individuals: list[Individual], cfg: SearchConfig) -> None:
 
 def run_search(
     cfg: SearchConfig,
-    evaluator: Evaluator,
-    workers: int = 1,
-    on_eval: OnEval | None = None,
-    trace_path=None,
+    evaluate: Callable[[list[EvalJob]], list[EvalResult]],
+    on_generation: Callable[[GenerationRecord], None] | None = None,
 ) -> Archive:
     """Run the full multi-experiment search and return the archive of bests.
 
-    ``evaluator`` maps ``(genotype, seed)`` to a ``(metric value, parameter
-    count)`` pair. Per-candidate seeds are derived from (config seed,
-    experiment, generation, index), never from scheduling, so at a fixed
-    BLAS thread count results are bit-identical for any worker count. A failing evaluation is logged and
-    assigned the worst performance seen in its generation; a generation in
-    which every evaluation fails raises ``RuntimeError``.
+    ``evaluate`` maps one generation's jobs to their results in job order,
+    for example the evaluation pool bound to an evaluator and a worker
+    count. Each job's seed is derived from (config seed, experiment,
+    generation, index). A failing evaluation is logged and assigned the
+    worst performance seen in its generation; a generation in which every
+    evaluation fails raises ``RuntimeError`` before ``on_generation`` sees it.
 
     Each experiment evolves a fresh random population until the generation
     cap or nominal convergence, carrying the previous generation's best over
-    the current worst. ``on_eval`` receives (experiment, generation, index,
-    individual, elapsed ms) for every evaluation.
+    the current worst. ``on_generation`` receives a :class:`GenerationRecord`
+    for every evaluated generation.
     """
     archive = Archive()
     for exp in range(cfg.experiments):
@@ -494,7 +502,9 @@ def run_search(
                 EvalJob((exp, gen, i), g, derive_seed(cfg.seed, exp, gen, i))
                 for i, g in enumerate(population)
             ]
-            results = evaluate_all(jobs, evaluator, workers, trace_path=trace_path)
+            results = evaluate(jobs)
+            if [r.job_id for r in results] != [job.job_id for job in jobs]:
+                raise RuntimeError(f"experiment {exp}, generation {gen}: results not in job order")
             ok_perfs = [r.perf for r in results if r.ok]
             if not ok_perfs:
                 raise RuntimeError(
@@ -508,9 +518,9 @@ def run_search(
                 size = r.params if r.ok else count_params(job.genotype, cfg.input_dim)
                 individuals.append(Individual(job.genotype, perf, size, eval_seed=job.seed))
             _assign_costs(individuals, cfg)
-            if on_eval is not None:
-                for ind, r in zip(individuals, results):
-                    on_eval(exp, gen, r.job_id[2], ind, r.millis)
+            if on_generation is not None:  # copied: elitism below re-costs them in place
+                copies = tuple(map(replace, individuals))
+                on_generation(GenerationRecord(exp, gen, copies, tuple(results)))
             if best is not None:
                 worst_idx = max(range(len(individuals)), key=lambda k: individuals[k].cost)
                 individuals[worst_idx] = best

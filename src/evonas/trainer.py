@@ -475,13 +475,17 @@ def make_evaluator(dataset: data_mod.Dataset, cv_ratio: float, cfg: TrainConfig)
 
 # --- model export -------------------------------------------------------------
 
+def _model_paths(base_path) -> tuple[Path, Path]:
+    return Path(f"{base_path}.json"), Path(f"{base_path}.bin")
+
+
 def save_model(net: DenseNetwork, g: Genotype, history: list[float], base_path) -> tuple[Path, Path]:
     """Write ``<base>.json`` (header) and ``<base>.bin`` (little-endian f32 params).
 
-    Parameters are flattened in layer order, each layer's weights before its
-    biases.
+    The suffixes are appended, so ``model.v1`` and ``model.v2`` write four
+    files. Parameters are flattened in layer order, each layer's weights
+    before its biases.
     """
-    base = Path(base_path)
     header = {
         "genotype": to_dict(g),
         "input_dim": net.input_dim,
@@ -489,8 +493,7 @@ def save_model(net: DenseNetwork, g: Genotype, history: list[float], base_path) 
         "loss_history": history,
         "param_count": net.param_count,
     }
-    json_path = base.with_suffix(".json")
-    bin_path = base.with_suffix(".bin")
+    json_path, bin_path = _model_paths(base_path)
     json_path.write_text(json.dumps(header, indent=2))
     bin_path.write_bytes(net.flat.astype("<f4").tobytes())
     return json_path, bin_path
@@ -498,10 +501,10 @@ def save_model(net: DenseNetwork, g: Genotype, history: list[float], base_path) 
 
 def load_model(base_path) -> tuple[Genotype, DenseNetwork, dict]:
     """Inverse of :func:`save_model`."""
-    base = Path(base_path)
-    header = json.loads(base.with_suffix(".json").read_text())
+    json_path, bin_path = _model_paths(base_path)
+    header = json.loads(json_path.read_text())
     g = from_dict(header["genotype"])
-    blob = base.with_suffix(".bin").read_bytes()
+    blob = bin_path.read_bytes()
     net = materialize(g, header["input_dim"], seed=0)
     floats = np.frombuffer(blob, dtype="<f4")
     if floats.size != net.param_count:

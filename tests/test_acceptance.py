@@ -9,6 +9,7 @@ them.
 
 import time
 from contextlib import contextmanager
+from functools import partial
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from evonas import (
     compute_costs,
     count_params,
     crossover,
+    evaluate_all,
     finalize,
     load_idx,
     make_evaluator,
@@ -248,7 +250,7 @@ def test_criterion_9_desk_scale_search():
         cfg = _subset_config()
         evaluator = make_evaluator(ds, cfg.cv_ratio, TrainConfig(cfg.train_epochs, seed=cfg.seed))
         started = time.perf_counter()
-        archive = run_search(cfg, evaluator, workers=4)
+        archive = run_search(cfg, partial(evaluate_all, evaluator=evaluator, worker_count=4))
         winner = finalize(archive, cfg)
         elapsed = time.perf_counter() - started
         assert elapsed <= 20 * 60, elapsed
@@ -338,10 +340,10 @@ def test_determinism_witness_on_synthetic_data():
             rows = []
             archive = run_search(
                 cfg,
-                evaluator,
-                workers=workers,
-                on_eval=lambda e, g, i, ind, ms: rows.append(
-                    (e, g, i, ind.perf, ind.size, ind.cost)
+                partial(evaluate_all, evaluator=evaluator, worker_count=workers),
+                lambda rec: rows.extend(
+                    (rec.experiment, rec.generation, i, ind.perf, ind.size, ind.cost)
+                    for i, ind in enumerate(rec.individuals)
                 ),
             )
             streams.append((rows, [(x.genotype, x.perf, x.size, x.cost) for x in archive.entries]))

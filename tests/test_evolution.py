@@ -5,6 +5,7 @@ import logging
 import math
 import re
 from dataclasses import fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from evonas import (
     compute_costs,
     count_params,
     crossover,
+    evaluate_all,
     finalize,
     mutate,
     nominal_convergence,
@@ -559,42 +561,90 @@ def small_search_config(**kw) -> SearchConfig:
     return SearchConfig(**base)
 
 
+def pool(evaluator, workers=1):
+    """``run_search``'s ``evaluate``: the evaluation pool bound to ``evaluator``."""
+    return partial(evaluate_all, evaluator=evaluator, worker_count=workers)
+
+
+def flat(records):
+    """(experiment, generation, index, individual) of every evaluation, in order."""
+    return [
+        (r.experiment, r.generation, i, ind)
+        for r in records
+        for i, ind in enumerate(r.individuals)
+    ]
+
+
 class TestRunSearch:
     def test_deterministic_across_runs_and_workers(self):
         cfg = small_search_config()
         evaluator = surrogate_by_size()
-        archives = [run_search(cfg, evaluator, workers=w) for w in (1, 1, 8)]
+        archives = [run_search(cfg, pool(evaluator, w)) for w in (1, 1, 8)]
         baseline = [(e.genotype, e.perf, e.size, e.cost) for e in archives[0].entries]
         for other in archives[1:]:
             assert [(e.genotype, e.perf, e.size, e.cost) for e in other.entries] == baseline
 
     def test_records_ordered_and_complete(self):
         cfg = small_search_config()
-        rows = []
-        run_search(cfg, surrogate_by_size(), on_eval=lambda e, g, i, ind, ms: rows.append((e, g, i)))
+        records = []
+        run_search(cfg, pool(surrogate_by_size()), records.append)
+        rows = [(e, g, i) for e, g, i, _ in flat(records)]
         assert rows == sorted(rows)
-        per_gen = cfg.population_size
-        assert len(rows) % per_gen == 0
+        assert all(len(r.individuals) == len(r.results) == cfg.population_size for r in records)
+
+    def test_evaluate_called_once_per_generation_with_ordered_jobs(self):
+        cfg = small_search_config(max_generations=5)
+        calls, records = [], []
+        evaluate_pool = pool(surrogate_by_size())
+
+        def evaluate(jobs):
+            calls.append([job.job_id for job in jobs])
+            return evaluate_pool(jobs)
+
+        run_search(cfg, evaluate, records.append)
+        assert len(calls) == len(records)
+        n = cfg.population_size
+        for ids, rec in zip(calls, records):
+            assert ids == [(rec.experiment, rec.generation, i) for i in range(n)]
+            assert [r.job_id for r in rec.results] == ids
+
+    def test_results_out_of_job_order_raise(self):
+        cfg = small_search_config(experiments=1)
+        evaluate_pool = pool(surrogate_by_size())
+        with pytest.raises(RuntimeError, match="generation 0: results not in job order"):
+            run_search(cfg, lambda jobs: evaluate_pool(jobs)[::-1])
+
+    def test_records_keep_the_costs_they_were_emitted_with(self):
+        # population_l2 costs depend on the whole population, so elitism's
+        # re-costing would show in any record that aliased the live individuals
+        cfg = small_search_config(fitness_mode="population_l2", max_generations=5)
+        kept = []
+        run_search(
+            cfg,
+            pool(surrogate_by_size()),
+            lambda rec: kept.append((rec, [ind.cost for ind in rec.individuals])),
+        )
+        assert any(rec.generation > 0 for rec, _ in kept)  # elitism ran
+        for rec, costs in kept:
+            assert [ind.cost for ind in rec.individuals] == costs
 
     def test_experiment_best_matches_replayed_minimum(self):
         cfg = small_search_config()
+        records = []
+        archive = run_search(cfg, pool(surrogate_by_size()), records.append)
         per_exp: dict[int, list[float]] = {}
-        archive = run_search(
-            cfg,
-            surrogate_by_size(),
-            on_eval=lambda e, g, i, ind, ms: per_exp.setdefault(e, []).append(ind.cost),
-        )
+        for e, _, _, ind in flat(records):
+            per_exp.setdefault(e, []).append(ind.cost)
         for exp, entry in enumerate(archive.entries):
             assert entry.cost == pytest.approx(min(per_exp[exp]))
 
     def test_best_cost_non_increasing_within_experiment(self):
         cfg = small_search_config(max_generations=6)
+        records = []
+        run_search(cfg, pool(surrogate_by_size()), records.append)
         seen: dict[int, list[float]] = {}
-
-        def on_eval(e, g, i, ind, ms):
+        for e, g, _, ind in flat(records):
             seen.setdefault(e, []).append((g, ind.cost))
-
-        run_search(cfg, surrogate_by_size(), on_eval=on_eval)
         for rows in seen.values():
             best_so_far = math.inf
             gen_best: dict[int, float] = {}
@@ -608,20 +658,20 @@ class TestRunSearch:
 
     def test_alpha_one_prefers_smallest_encountered(self):
         cfg = small_search_config(alpha=1.0)
-        sizes = []
-        archive = run_search(
-            cfg, surrogate_by_size(), on_eval=lambda e, g, i, ind, ms: sizes.append(ind.size)
-        )
+        records = []
+        archive = run_search(cfg, pool(surrogate_by_size()), records.append)
+        sizes = [ind.size for _, _, _, ind in flat(records)]
         winner = finalize(archive, cfg)
         assert scaled_size(winner.size) == pytest.approx(min(scaled_size(s) for s in sizes))
 
     def test_huge_threshold_converges_after_one_generation(self):
         cfg = small_search_config(convergence_threshold=1e12, max_generations=10)
-        rows = []
-        run_search(cfg, surrogate_by_size(), on_eval=lambda e, g, i, ind, ms: rows.append(g))
+        records = []
+        run_search(cfg, pool(surrogate_by_size()), records.append)
         # every experiment evaluates generation 0 and then stops
-        assert set(rows) == {0}
-        assert len(rows) == cfg.population_size * cfg.experiments
+        assert [(r.experiment, r.generation) for r in records] == [
+            (e, 0) for e in range(cfg.experiments)
+        ]
 
     def test_failing_evaluator_gets_worst_case_and_logs(self, caplog):
         cfg = small_search_config(experiments=1, max_generations=2)
@@ -632,10 +682,11 @@ class TestRunSearch:
             return surrogate_by_size()(g, seed)
 
         with caplog.at_level(logging.WARNING):
-            rows = []
-            archive = run_search(cfg, flaky, on_eval=lambda e, g, i, ind, ms: rows.append(ind))
+            records = []
+            archive = run_search(cfg, pool(flaky), records.append)
         assert archive.entries
         assert any("failed" in message for message in caplog.messages)
+        rows = [ind for _, _, _, ind in flat(records)]
         ok_perfs = [ind.perf for ind in rows if len(ind.genotype.layers) == 2]
         failed = [ind for ind in rows if len(ind.genotype.layers) > 2]
         if failed and ok_perfs:
@@ -644,6 +695,7 @@ class TestRunSearch:
     def test_generation_without_success_raises_before_recording(self):
         cfg = small_search_config(experiments=1, max_generations=3, convergence_pairs=15)
         calls = []
+        evaluated = []
 
         def fails_after_first_generation(g, seed):
             calls.append(seed)
@@ -651,22 +703,35 @@ class TestRunSearch:
                 raise ValueError("backend lost")
             return surrogate_by_size()(g, seed)
 
-        recorded = []
+        def evaluate(jobs):
+            evaluated.append(jobs[0].job_id[:2])
+            return evaluate_all(jobs, fails_after_first_generation)
+
+        records = []
         with pytest.raises(
             RuntimeError, match=r"experiment 0, generation 1: .*ValueError\('backend lost'\)"
         ):
-            run_search(
-                cfg,
-                fails_after_first_generation,
-                on_eval=lambda e, gen, i, ind, ms: recorded.append(gen),
-            )
-        # the failed generation never reaches on_eval with imputed perfs
-        assert recorded == [0] * cfg.population_size
+            run_search(cfg, evaluate, records.append)
+        # generation 1 was evaluated once, and never reached on_generation with imputed perfs
+        assert evaluated == [(0, 0), (0, 1)]
+        assert [(r.experiment, r.generation) for r in records] == [(0, 0)]
         assert len(calls) == 2 * cfg.population_size
+
+    def test_readme_library_example_runs(self, capsys):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("## Library use", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+        exec(compile(block, "README.md", "exec"), {})
+        *generations, winner = capsys.readouterr().out.splitlines()
+        assert {line.split(" generation")[0] for line in generations} == {
+            "experiment 0", "experiment 1"
+        }
+        pattern = r"experiment \d generation \d: best cost \d\.\d{3}"
+        assert all(re.fullmatch(pattern, line) for line in generations)
+        assert re.fullmatch(r"winner cost \d\.\d{3}", winner)
 
     def test_population_l2_mode_runs(self):
         cfg = small_search_config(fitness_mode="population_l2", experiments=1)
-        archive = run_search(cfg, surrogate_by_size())
+        archive = run_search(cfg, pool(surrogate_by_size()))
         assert len(archive.entries) == 1
         assert math.isfinite(archive.entries[0].cost)
 
@@ -676,7 +741,7 @@ class TestRunSearch:
 
         monkeypatch.setattr("evonas.evolution.crossover", forbidden)
         cfg = small_search_config(crossover_prob=0.0, mutation_prob=0.0, experiments=1)
-        archive = run_search(cfg, surrogate_by_size())
+        archive = run_search(cfg, pool(surrogate_by_size()))
         assert archive.entries  # search completed on parent clones alone
 
 
@@ -690,7 +755,7 @@ class TestFinalize:
 
     def test_raw_mode_winner_matches_stored_costs(self):
         cfg = small_search_config()
-        archive = run_search(cfg, surrogate_by_size())
+        archive = run_search(cfg, pool(surrogate_by_size()))
         stored = [e.cost for e in archive.entries]
         winner = finalize(archive, cfg)
         assert winner.cost == pytest.approx(min(stored))

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+from functools import partial
 from pathlib import Path
 
 import pytest
 
-from evonas import SearchConfig, count_params, finalize, run_search, serialize
+from evonas import SearchConfig, count_params, evaluate_all, finalize, run_search, serialize
 from evonas.genotype import ProblemKind
 
 GOLDEN = Path(__file__).with_name("search_stream_golden.json")
@@ -56,12 +57,15 @@ def search_stream(doc: dict) -> dict:
     cfg = SearchConfig.from_dict(doc)
     rows = []
 
-    def on_eval(exp, gen, idx, ind, millis):
-        rows.append(
-            f"{exp}|{gen}|{idx}|{serialize(ind.genotype)}|{ind.perf!r}|{ind.size}|{ind.cost!r}"
+    def on_generation(rec):
+        rows.extend(
+            f"{rec.experiment}|{rec.generation}|{idx}|{serialize(ind.genotype)}"
+            f"|{ind.perf!r}|{ind.size}|{ind.cost!r}"
+            for idx, ind in enumerate(rec.individuals)
         )
 
-    archive = run_search(cfg, hashed_evaluator(cfg), on_eval=on_eval)
+    evaluate = partial(evaluate_all, evaluator=hashed_evaluator(cfg))
+    archive = run_search(cfg, evaluate, on_generation)
     finalize(archive, cfg)
     return {
         "config_json": json.dumps(cfg.to_dict(), indent=2),

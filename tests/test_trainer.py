@@ -622,6 +622,20 @@ class TestModelExport:
         save_model(again, g, [], tmp_path / "c")
         assert (tmp_path / "c.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
 
+    def test_dotted_bases_write_distinct_files(self, tmp_path):
+        g = mlp_classifier([(8, A.RELU)], classes=2)
+        nets = {base: materialize(g, 4, seed=s) for s, base in enumerate(("model.v1", "model.v2"))}
+        for base, net in nets.items():
+            paths = save_model(net, g, [], tmp_path / base)
+            assert paths == (tmp_path / f"{base}.json", tmp_path / f"{base}.bin")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "model.v1.bin", "model.v1.json", "model.v2.bin", "model.v2.json"
+        ]
+        for base, net in nets.items():
+            _, loaded, _ = load_model(tmp_path / base)
+            np.testing.assert_array_equal(loaded.flat, net.flat.astype(np.float32))
+        assert not np.array_equal(nets["model.v1"].flat, nets["model.v2"].flat)
+
     def test_blob_length_checked(self, tmp_path):
         g = mlp_classifier([(8, A.RELU)], classes=2)
         net = materialize(g, 4, seed=0)
