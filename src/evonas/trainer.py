@@ -129,9 +129,15 @@ class _DenseLayer:
 
     def __init__(self, fan_in: int, units: int, activation: Activation):
         self.shape = (fan_in, units)
+        self.size = (fan_in + 1) * units  # weights and biases
         self.activation = activation
         self.dropout = 0.0
         self.W = self.b = None
+
+    def split(self, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(weights, bias)`` views into a vector of this layer's :attr:`size`."""
+        fan, units = self.shape
+        return vec[: fan * units].reshape(fan, units), vec[fan * units : self.size]
 
 
 class DenseNetwork:
@@ -148,8 +154,7 @@ class DenseNetwork:
     def __init__(self, layers, input_dim: int, dtype=np.float64):
         self.layers = layers
         self.input_dim = input_dim
-        size = sum((layer.shape[0] + 1) * layer.shape[1] for layer in layers)
-        self.flat = np.zeros(size, dtype=dtype)
+        self.flat = np.zeros(sum(layer.size for layer in layers), dtype=dtype)
         for layer, (W, b) in zip(layers, self.views(self.flat)):
             layer.W, layer.b = W, b
 
@@ -157,11 +162,8 @@ class DenseNetwork:
         """Per layer, ``(weights, bias)`` views into a vector laid out like ``flat``."""
         out, at = [], 0
         for layer in self.layers:
-            fan, units = layer.shape
-            W = vec[at : at + fan * units].reshape(fan, units)
-            at += fan * units
-            out.append((W, vec[at : at + units]))
-            at += units
+            out.append(layer.split(vec[at : at + layer.size]))
+            at += layer.size
         return out
 
     @property
@@ -186,9 +188,9 @@ class DenseNetwork:
         return a
 
     def _forward_cached(self, batch, training, rng):
-        """The output and, per layer, ``(layer, a_in, a, mask)``: ``a`` is the
+        """The output and, per layer, ``(layer, a_in, a, keep)``: ``a`` is the
         activation before dropout, computed in place over the layer's affine
-        output, and ``mask`` the scaled dropout mask or None."""
+        output, and ``keep`` the boolean dropout mask or None."""
         X = np.asarray(batch, dtype=self.flat.dtype)
         if X.ndim == 1:
             X = X[None, :]
@@ -202,18 +204,30 @@ class DenseNetwork:
             a = a_in @ layer.W
             a += layer.b
             _activate(a, layer.activation)
-            mask = None
+            keep = None
             if training and layer.dropout > 0.0:
                 if rng is None:
                     raise ValueError("training-mode dropout needs an rng")
-                if layer.dropout >= 1.0:
-                    mask = np.zeros_like(a)
+                if layer.dropout >= 1.0:  # keeps nothing and draws nothing
+                    keep = np.zeros(a.shape, dtype=bool)
                 else:
-                    mask = (rng.random(a.shape) >= layer.dropout).astype(a.dtype)
-                    mask /= 1.0 - layer.dropout
-            caches.append((layer, a_in, a, mask))
-            a_in = a if mask is None else a * mask
+                    keep = rng.random(a.shape) >= layer.dropout
+            caches.append((layer, a_in, a, keep))
+            a_in = a if keep is None else _dropout(a, keep, layer.dropout)
         return a_in, caches
+
+
+def _dropout(x: np.ndarray, keep: np.ndarray, rate: float, out=None) -> np.ndarray:
+    """Inverted dropout: ``x`` zeroed where ``keep`` is False and scaled by
+    ``1 / (1 - rate)``, rounded once to ``x``'s dtype, where it is True."""
+    out = np.multiply(x, keep, out=out)
+    if rate < 1.0:
+        out *= x.dtype.type(1.0) / x.dtype.type(1.0 - rate)
+    return out
+
+
+#: Float64 weights ``materialize`` draws per rng call: 128 KiB.
+_DRAW_CHUNK = 16384
 
 
 def materialize(g: Genotype, input_dim: int, seed: int, dtype=np.float64) -> DenseNetwork:
@@ -221,7 +235,9 @@ def materialize(g: Genotype, input_dim: int, seed: int, dtype=np.float64) -> Den
 
     Each dropout gene becomes the ``dropout`` of the dense layer before it.
     The weights are drawn in float64 and rounded into ``dtype``, so a
-    network's weights are the same draw whatever its precision.
+    network's weights are the same draw whatever its precision. A bounded
+    chunk at a time, computed like ``rng.uniform`` computes them (``low +
+    (high - low) * u``, rounding once per operation).
     """
     params = count_params(g, int(input_dim))  # raises GenotypeError for an invalid genotype
     layers = []
@@ -235,10 +251,17 @@ def materialize(g: Genotype, input_dim: int, seed: int, dtype=np.float64) -> Den
     net = DenseNetwork(layers, int(input_dim), dtype)
     assert net.param_count == params
     rng = np.random.default_rng(seed)
+    draw = np.empty(min(net.param_count, _DRAW_CHUNK))
     for layer in layers:  # biases stay zero
         fan, units = layer.shape
         limit = np.sqrt(6.0 / (fan + units))
-        layer.W[...] = rng.uniform(-limit, limit, size=layer.shape)
+        low, high = -limit, limit
+        W = layer.W.reshape(-1)  # a view: W is contiguous
+        for at in range(0, W.size, draw.size):
+            u = rng.random(out=draw[: W.size - at])
+            u *= high - low
+            u += low
+            W[at : at + u.size] = u
     return net
 
 
@@ -251,22 +274,31 @@ def _loss_value(outputs: np.ndarray, Y: np.ndarray, softmax: bool) -> float:
     return float(0.5 * np.sum((outputs - Y) ** 2) / n)
 
 
-def loss_and_gradients(net: DenseNetwork, X, Y, training=False, rng=None, out=None):
+def loss_and_gradients(net: DenseNetwork, X, Y, training=False, rng=None, out=None, optimizer=None):
     """The loss on a batch and its gradient for every weight matrix and bias.
 
     The output layer picks the loss (see :attr:`DenseNetwork.softmax_output`).
-    The gradients are written into ``out``, a vector laid out like
-    ``net.flat``, and returned as per-parameter views of it in the order of
-    ``net.parameters()``. Without ``out`` a fresh vector is allocated, so
-    gradients returned earlier are never overwritten.
+    Without ``optimizer`` the gradients are written into ``out``, a vector
+    laid out like ``net.flat``, and returned as per-parameter views of it in
+    the order of ``net.parameters()``. Without ``out`` a fresh vector is
+    allocated, so gradients returned earlier are never overwritten.
+
+    With ``optimizer`` the batch trains the network instead, and the
+    gradients are ``None``. From the output layer down, each layer's
+    gradient is written to the head of ``out``, a buffer at least as long as
+    the largest layer (a vector laid out like ``net.flat`` will do), and
+    handed to ``optimizer.step(grad, at)``, ``at`` being the layer's offset
+    in ``net.flat``, as soon as the delta of the layer below has been
+    computed from the layer's weights. A non-finite loss hands over nothing.
     """
     outputs, caches = net._forward_cached(X, training, rng)
     n = len(outputs)
     softmax = net.softmax_output
     value = _loss_value(outputs, Y, softmax)
+    if optimizer is not None and not math.isfinite(value):
+        return value, None
     if out is None:
         out = np.empty_like(net.flat)
-    grads = net.views(out)
 
     delta = outputs - Y
     delta /= n  # d loss / d outputs
@@ -274,29 +306,37 @@ def loss_and_gradients(net: DenseNetwork, X, Y, training=False, rng=None, out=No
         layer, _, a, _ = caches[-1]
         _backprop_activation(delta, a, layer.activation)
 
+    at = net.param_count
     for k in range(len(caches) - 1, -1, -1):
         layer, a_in = caches[k][:2]
-        gW, gb = grads[k]
+        at -= layer.size
+        grad = out[at : at + layer.size] if optimizer is None else out[: layer.size]
+        gW, gb = layer.split(grad)
         np.matmul(a_in.T, delta, out=gW)
         np.sum(delta, axis=0, out=gb)
+        # Nothing below the first layer needs its input gradient. Rebinding
+        # frees this layer's delta before the activation derivative below
+        # allocates its temporary.
+        delta = delta @ layer.W.T if k else None
+        if optimizer is not None:  # after the delta below has read the weights this updates
+            optimizer.step(grad, at)
         if k == 0:
-            break  # nothing below the first layer needs its input gradient
-        # rebinding frees this layer's delta before the activation
-        # derivative below allocates its temporary
-        delta = delta @ layer.W.T
-        below, _, a, mask = caches[k - 1]
-        if mask is not None:
-            delta *= mask
+            break
+        below, _, a, keep = caches[k - 1]
+        if keep is not None:
+            _dropout(delta, keep, below.dropout, out=delta)
         _backprop_activation(delta, a, below.activation)
-    return value, [g for pair in grads for g in pair]
+    return value, [g for pair in net.views(out) for g in pair] if optimizer is None else None
 
 
 class _Adam:
     """Adam (Kingma & Ba 2015) on a flat parameter vector, updated in place.
 
-    A step makes a dozen elementwise passes; it makes them one chunk of the
-    vector at a time, so each pass rereads the chunk from cache instead of
-    the whole vector from memory.
+    A step updates one slice of the vector. The step count advances with
+    the slice that ends the vector, which training hands over first (the
+    output layer's) and a whole-vector step always includes. A step makes a
+    dozen elementwise passes, eight on the first, one chunk of the slice at
+    a time, so each pass rereads the chunk from cache, not from memory.
     """
 
     #: Bytes per array per chunk, so the five arrays a step touches stay in
@@ -306,31 +346,41 @@ class _Adam:
     def __init__(self, flat: np.ndarray, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
         self.flat = flat
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
-        self.m = np.zeros_like(flat)
-        self.v = np.zeros_like(flat)
+        self.m = np.empty_like(flat)  # the first step writes m and v
+        self.v = np.empty_like(flat)
         self.chunk = self.CHUNK_BYTES // flat.itemsize
         self.scratch = np.empty(min(flat.size, self.chunk), dtype=flat.dtype)
         self.t = 0
 
-    def step(self, grad: np.ndarray):
-        """Update ``flat`` in place; ``grad`` is used as scratch and overwritten."""
-        self.t += 1
+    def step(self, grad: np.ndarray, at: int = 0):
+        """Update ``flat[at : at + grad.size]`` in place; ``grad`` is used as
+        scratch and overwritten."""
+        if at + grad.size == self.flat.size:
+            self.t += 1
+        first = self.t == 1
         b1, b2 = self.beta1, self.beta2
         # a Python float, so it takes the vector's dtype instead of upcasting it
         rate = float(self.lr * (np.sqrt(1.0 - b2**self.t) / (1.0 - b1**self.t)))
-        for at in range(0, self.flat.size, self.chunk):
-            part = slice(at, at + self.chunk)
-            p, m, v, g = self.flat[part], self.m[part], self.v[part], grad[part]
+        for lo in range(0, grad.size, self.chunk):
+            hi = min(lo + self.chunk, grad.size)
+            part = slice(at + lo, at + hi)
+            p, m, v, g = self.flat[part], self.m[part], self.v[part], grad[lo:hi]
             s = self.scratch[: g.size]
             # m*b1 + g*(1-b1), v*b2 + (g*(1-b2))*g, then (m*rate) /
             # (sqrt(v) + eps): every elementwise op rounds once, so keeping
-            # this order keeps every bit of the update.
-            m *= b1
-            m += np.multiply(g, 1.0 - b1, out=s)
-            v *= b2
-            np.multiply(g, 1.0 - b2, out=s)
-            s *= g
-            v += s
+            # this order keeps every bit of the update. m and v start at
+            # zero, and 0*b + x is exactly x, so the first step writes x.
+            if first:
+                np.multiply(g, 1.0 - b1, out=m)
+                np.multiply(g, 1.0 - b2, out=v)
+                v *= g
+            else:
+                m *= b1
+                m += np.multiply(g, 1.0 - b1, out=s)
+                v *= b2
+                np.multiply(g, 1.0 - b2, out=s)
+                s *= g
+                v += s
             denom = np.sqrt(v, out=g)
             denom += self.eps
             np.multiply(m, rate, out=s)
@@ -376,7 +426,8 @@ def train(net: DenseNetwork, dataset_split, cfg: TrainConfig) -> PerfReport:
     X = np.asarray(train_ds.features, dtype=net.flat.dtype)
     rng = np.random.default_rng(cfg.seed)
     optimizer = make_optimizer(net.flat, cfg.learning_rate)
-    grad = np.empty_like(net.flat)  # reused by every minibatch
+    # one layer's gradient at a time, reused by every layer and minibatch
+    grad = np.empty(max(layer.size for layer in net.layers), net.flat.dtype)
 
     curve: list[float] = []
     for epoch in range(cfg.epochs):
@@ -385,10 +436,11 @@ def train(net: DenseNetwork, dataset_split, cfg: TrainConfig) -> PerfReport:
         for at in range(0, len(X), cfg.batch_size):
             idx = perm[at : at + cfg.batch_size]
             with np.errstate(over="ignore", invalid="ignore"):
-                value, _ = loss_and_gradients(net, X[idx], Y[idx], training=True, rng=rng, out=grad)
+                value, _ = loss_and_gradients(
+                    net, X[idx], Y[idx], training=True, rng=rng, out=grad, optimizer=optimizer
+                )
             if not np.isfinite(value):
                 raise DivergedError(epoch)
-            optimizer.step(grad)
             epoch_losses.append(value)
         curve.append(float(np.mean(epoch_losses)))
 

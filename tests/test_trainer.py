@@ -1,5 +1,6 @@
 """Tests for network materialization, training, gradients, and metrics."""
 
+import hashlib
 import math
 import re
 import tracemalloc
@@ -71,6 +72,18 @@ class TestMaterialize:
         a, b = materialize(g, 20, seed=9), materialize(g, 20, seed=9)
         for la, lb in zip(a.layers, b.layers):
             np.testing.assert_array_equal(la.W, lb.W)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_weights_equal_one_uniform_draw_per_layer(self, dtype):
+        # materialize draws in chunks; 200 x 104 weights span two of them
+        net = materialize(mlp_classifier([(104, A.RELU)], classes=3), 200, 9, dtype)
+        assert net.layers[0].W.size > trainer._DRAW_CHUNK
+        rng = np.random.default_rng(9)
+        for layer in net.layers:
+            limit = np.sqrt(6.0 / sum(layer.shape))
+            ref = rng.uniform(-limit, limit, size=layer.shape).astype(dtype)
+            assert layer.W.tobytes() == ref.tobytes()
+            assert not layer.b.any()
 
     def test_invalid_genotype_rejected(self):
         g = mlp_classifier([(12, A.RELU)])  # 12 units: not a multiple of 8
@@ -245,6 +258,34 @@ class TestGradientVector:
             np.testing.assert_array_equal(v, fresh)
 
 
+    @pytest.mark.parametrize("dropout_seed", [None, 3])
+    def test_handoff_updates_like_one_whole_vector_step(self, dropout_seed):
+        nets = [materialize(mlp_classifier([(16, A.RELU), 0.5, (8, A.TANH)], classes=3), 6, 1) for _ in "ab"]
+        opts = [_Adam(net.flat, 0.01) for net in nets]
+        rngs = [np.random.default_rng(dropout_seed) for _ in "ab"]
+        training = dropout_seed is not None
+        layer_grad = np.empty(max(layer.size for layer in nets[0].layers))
+        grad = np.empty_like(nets[1].flat)
+        for X in (self.X, -self.X):  # two minibatches
+            handed = loss_and_gradients(nets[0], X, self.Y, training, rngs[0], layer_grad, opts[0])
+            whole = loss_and_gradients(nets[1], X, self.Y, training, rngs[1], out=grad)
+            opts[1].step(grad)
+            assert handed[0] == whole[0] and handed[1] is None
+            assert nets[0].flat.tobytes() == nets[1].flat.tobytes()
+        assert opts[0].t == opts[1].t == 2
+
+    def test_non_finite_loss_hands_over_nothing(self):
+        net = linear_unit(1e200, 0.0)  # half the squared error overflows
+        opt = _Adam(net.flat, 0.1)
+        with np.errstate(over="ignore"):
+            value, grads = loss_and_gradients(
+                net, np.ones((2, 1)), np.zeros((2, 1)), out=np.empty(2), optimizer=opt
+            )
+        assert value == math.inf and grads is None
+        assert opt.t == 0
+        np.testing.assert_array_equal(net.flat, (1e200, 0.0))
+
+
 class TestOptimizers:
     def test_zero_gradient_is_a_no_op(self):
         flat = np.arange(6, dtype=np.float64)
@@ -271,6 +312,20 @@ class TestOptimizers:
                 ref -= rate * m / (np.sqrt(v) + 1e-8)
                 assert flat.dtype == dtype
                 np.testing.assert_array_equal(flat, ref)
+
+
+    def test_slices_update_like_the_whole_vector(self):
+        rng = np.random.default_rng(1)
+        n, cuts = 40000, (0, 15000, 39990, 40000)  # the first slice spans two chunks
+        whole, sliced = _Adam(rng.normal(size=n), 0.01), _Adam(rng.normal(size=n), 0.01)
+        sliced.flat[:] = whole.flat
+        for _ in range(3):
+            g = rng.normal(size=n)
+            whole.step(g.copy())
+            for lo, hi in reversed(list(zip(cuts, cuts[1:]))):  # the slice ending the vector first
+                sliced.step(g[lo:hi].copy(), lo)
+            assert sliced.flat.tobytes() == whole.flat.tobytes()
+        assert sliced.t == whole.t == 3
 
 
 class TestTrain:
@@ -319,6 +374,25 @@ class TestTrain:
             reports.append(train(net, (tr, va), TrainConfig(10, seed=7, batch_size=32)))
         assert reports[0].value == reports[1].value
         assert reports[0].loss_curve == reports[1].loss_curve
+
+
+    @pytest.mark.parametrize(
+        "dtype, digest",
+        [
+            (np.float64, "02667d3366dd8aa67eed546c3617760c9d595b58a7647b9d95bf02e703c5e333"),
+            (np.float32, "8b1e22cfa8be7700f859bc2a5a4b6d00af6b27b397e89782a9b5b8410c542a28"),
+        ],
+    )
+    def test_rate_one_dropout_draws_nothing(self, dtype, digest):
+        # A rate-1.0 gene keeps nothing and must not draw a mask: a draw would
+        # shift the rate-0.5 masks and the shuffles after it. The digests were
+        # recorded when rate 1.0 multiplied by a zero array (numpy 2.4,
+        # OpenBLAS 0.3.31, x86-64).
+        tr, va = split(golden_data(C), 0.2, seed=1)
+        pair = tuple(replace(part, features=part.features.astype(dtype)) for part in (tr, va))
+        net = materialize(mlp_classifier([(16, A.RELU), 1.0, (8, A.TANH), 0.5], classes=3), 6, 4, dtype)
+        train(net, pair, TrainConfig(3, learning_rate=0.01, batch_size=32, seed=5))
+        assert hashlib.sha256(net.flat.tobytes()).hexdigest() == digest
 
 
 C, R = ProblemKind.CLASSIFICATION, ProblemKind.REGRESSION
@@ -389,7 +463,7 @@ class TestFloat32:
         def spy(flat, lr):
             opt = seen["opt"] = make_optimizer(flat, lr)
             step = opt.step
-            opt.step = lambda grad: (seen.setdefault("grad", grad.dtype), step(grad))
+            opt.step = lambda grad, at: (seen.setdefault("grad", grad.dtype), step(grad, at))
             return opt
 
         monkeypatch.setattr(trainer, "make_optimizer", spy)
@@ -648,22 +722,15 @@ class TestModelExport:
 
 class TestMemory:
     """Training holds one batch x units array per layer for both the affine
-    output and the activation computed over it, and each activation
-    derivative allocates at most one temporary."""
+    output and the activation computed over it, each activation derivative
+    allocates at most one temporary, and the gradient is held one layer at a
+    time."""
 
     UNIT = 512 * 1024 * 4  # one batch x 1024 float32 array: 2 MiB
 
-    @pytest.mark.parametrize(
-        "spec, bound",
-        [
-            # measured 6.87 arrays; 9.88 with a separate z cached per layer
-            ([(1024, A.TANH), 0.5, (1024, A.RELU)], 8.0),
-            # measured 4.87; 6.88 with a separate z and two-temporary derivatives
-            ([(1024, A.SIGMOID), (1024, A.SIGMOID)], 6.0),
-        ],
-        ids=["tanh-dropout-relu", "sigmoid-sigmoid"],
-    )
-    def test_training_peak_above_the_network(self, spec, bound):
+    @staticmethod
+    def training_peak(spec) -> tuple[int, DenseNetwork]:
+        """The traced peak of one float32 training epoch at batch 512, and the network."""
         rng = np.random.default_rng(0)
 
         def data(n):
@@ -676,12 +743,37 @@ class TestMemory:
         tracemalloc.start()
         try:
             train(net, pair, TrainConfig(1, batch_size=512))
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1], net
         finally:
             tracemalloc.stop()
-        # Adam's m and v and the gradient are three more parameter-sized vectors
+
+    @pytest.mark.parametrize(
+        "spec, bound",
+        [
+            # measured 4.57 arrays; 6.87 with a parameter-sized gradient, 9.88
+            # with that and a separate z cached per layer
+            ([(1024, A.TANH), 0.5, (1024, A.RELU)], 8.0),
+            # measured 3.32; 4.87 with a parameter-sized gradient, 6.88 with that,
+            # a separate z and two-temporary derivatives
+            ([(1024, A.SIGMOID), (1024, A.SIGMOID)], 6.0),
+        ],
+        ids=["tanh-dropout-relu", "sigmoid-sigmoid"],
+    )
+    def test_training_peak_above_the_network(self, spec, bound):
+        peak, net = self.training_peak(spec)
+        # room for three parameter-sized vectors: Adam's m and v, and a gradient
         arrays = (peak - 3 * net.flat.nbytes) / self.UNIT
         assert arrays < bound
+
+    def test_gradient_held_one_layer_at_a_time(self):
+        peak, net = self.training_peak([(1024, A.RELU), 0.5, (1024, A.TANH), (1024, A.SIGMOID)])
+        largest = max((fan + 1) * units for fan, units in (layer.shape for layer in net.layers))
+        largest *= net.flat.itemsize
+        # Adam's m and v, and one buffer for the largest layer's (W, b)
+        # gradient. Measured 7.12 arrays; 11.43 with a gradient vector the
+        # size of the parameters.
+        arrays = (peak - 2 * net.flat.nbytes - largest) / self.UNIT
+        assert arrays < 8.5
 
 
 def test_readme_lists_exactly_the_train_config_fields():
