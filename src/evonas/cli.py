@@ -173,7 +173,7 @@ def cmd_search(args) -> int:
             f"config input_shape implies {cfg.input_dim} features, dataset has {dataset.feature_count}"
         )
     evaluator = trainer.make_evaluator(dataset, cfg.cv_ratio, train_cfg)
-    del dataset  # the evaluator holds its own float32 split; free the float64 features
+    del dataset  # the evaluator holds its own float32 features; free the float64 ones
 
     out_dir.mkdir(parents=True, exist_ok=True)
     for name in ("archive.json", "best.json", "trace.jsonl"):
@@ -243,9 +243,9 @@ def cmd_train(args) -> int:
         mean, std = trainer.kfold_evaluate(g, dataset, args.kfold, cfg)
         print(f"{args.kfold}-fold {metric_name}: {mean:.4f} +/- {std:.4f}")
 
-    train_ds, val_ds = data_mod.split(dataset, 0.2, cfg.seed)
+    train_rows, val_rows = data_mod.split(dataset, 0.2, cfg.seed)
     net = trainer.materialize(g, dataset.feature_count, cfg.seed)
-    report = trainer.train(net, (train_ds, val_ds), cfg)
+    report = trainer.train(net, dataset, train_rows, dataset.take(val_rows), cfg)
     print(f"validation {metric_name}: {report.value:.4f} ({cfg.epochs} epochs)")
 
     if args.out_model:

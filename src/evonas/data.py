@@ -128,7 +128,7 @@ def load_idx(images: str | Path, labels: str | Path) -> Dataset:
         raise DataError(
             f"image count {len(pixels)} does not match label count {len(classes)}"
         )
-    feats = pixels.reshape(len(pixels), -1).astype(np.float64) / 255.0
+    feats = np.divide(pixels.reshape(len(pixels), -1), 255.0, dtype=np.float64)  # one float64 array
     return Dataset(feats, classes.astype(np.int64), ProblemKind.CLASSIFICATION)
 
 
@@ -320,8 +320,9 @@ def load_rul_table(
 
 # --- splitting --------------------------------------------------------------
 
-def split(ds: Dataset, ratio: float, seed: int) -> tuple[Dataset, Dataset]:
-    """Deterministic shuffled train/validation split; ``ratio`` is the validation share."""
+def split(ds: Dataset, ratio: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic shuffled train/validation split, as ``(train_rows,
+    val_rows)`` index arrays into ``ds``; ``ratio`` is the validation share."""
     if not 0.0 < ratio < 1.0:
         raise DataError(f"split ratio must be in (0, 1), got {ratio}")
     n = ds.sample_count
@@ -329,7 +330,7 @@ def split(ds: Dataset, ratio: float, seed: int) -> tuple[Dataset, Dataset]:
     if n_val == 0 or n_val == n:
         raise DataError(f"split of {n} samples at ratio {ratio} leaves one side empty")
     perm = np.random.default_rng(seed).permutation(n)
-    return ds.take(perm[n_val:]), ds.take(perm[:n_val])
+    return perm[n_val:], perm[:n_val]
 
 
 def kfold(ds: Dataset, k: int, seed: int) -> list[np.ndarray]:

@@ -285,11 +285,14 @@ def loss_and_gradients(net: DenseNetwork, X, Y, training=False, rng=None, out=No
 
     With ``optimizer`` the batch trains the network instead, and the
     gradients are ``None``. From the output layer down, each layer's
-    gradient is written to the head of ``out``, a buffer at least as long as
-    the largest layer (a vector laid out like ``net.flat`` will do), and
-    handed to ``optimizer.step(grad, at)``, ``at`` being the layer's offset
-    in ``net.flat``, as soon as the delta of the layer below has been
-    computed from the layer's weights. A non-finite loss hands over nothing.
+    gradient is written into ``out``, a buffer at least as long as the
+    largest layer (a vector laid out like ``net.flat`` will do), below the
+    layers above it, laid out like their slice of ``net.flat``. Such a run
+    of adjacent layers is handed to ``optimizer.step(grad, at)`` in one call,
+    ``at`` being its offset in ``net.flat``, before a layer that would not
+    fit beside it and after the first layer; by then the delta below each
+    layer of the run has been computed from its weights. A non-finite loss
+    hands over nothing.
     """
     outputs, caches = net._forward_cached(X, training, rng)
     n = len(outputs)
@@ -307,10 +310,18 @@ def loss_and_gradients(net: DenseNetwork, X, Y, training=False, rng=None, out=No
         _backprop_activation(delta, a, layer.activation)
 
     at = net.param_count
+    run = out.size  # with optimizer: out[run:] holds flat[at : at + out.size - run]'s gradients
     for k in range(len(caches) - 1, -1, -1):
         layer, a_in = caches[k][:2]
+        if optimizer is not None and run < layer.size:  # no room below the run
+            optimizer.step(out[run:], at)
+            run = out.size
         at -= layer.size
-        grad = out[at : at + layer.size] if optimizer is None else out[: layer.size]
+        if optimizer is None:
+            grad = out[at : at + layer.size]
+        else:
+            run -= layer.size
+            grad = out[run : run + layer.size]
         gW, gb = layer.split(grad)
         np.matmul(a_in.T, delta, out=gW)
         np.sum(delta, axis=0, out=gb)
@@ -318,15 +329,16 @@ def loss_and_gradients(net: DenseNetwork, X, Y, training=False, rng=None, out=No
         # frees this layer's delta before the activation derivative below
         # allocates its temporary.
         delta = delta @ layer.W.T if k else None
-        if optimizer is not None:  # after the delta below has read the weights this updates
-            optimizer.step(grad, at)
         if k == 0:
             break
         below, _, a, keep = caches[k - 1]
         if keep is not None:
             _dropout(delta, keep, below.dropout, out=delta)
         _backprop_activation(delta, a, below.activation)
-    return value, [g for pair in net.views(out) for g in pair] if optimizer is None else None
+    if optimizer is None:
+        return value, [g for pair in net.views(out) for g in pair]
+    optimizer.step(out[run:], 0)  # the run that ends with the first layer
+    return value, None
 
 
 class _Adam:
@@ -399,53 +411,57 @@ def one_hot(labels: np.ndarray, classes: int, dtype) -> np.ndarray:
     return np.eye(classes, dtype=dtype)[labels]
 
 
-def _target_matrix(net: DenseNetwork, ds: data_mod.Dataset) -> np.ndarray:
-    if ds.problem == ProblemKind.CLASSIFICATION:
-        return one_hot(ds.targets, net.output_units, net.flat.dtype)
-    return ds.targets.reshape(-1, 1).astype(net.flat.dtype, copy=False)
+def _target_matrix(net: DenseNetwork, problem: ProblemKind, targets: np.ndarray) -> np.ndarray:
+    if problem == ProblemKind.CLASSIFICATION:
+        return one_hot(targets, net.output_units, net.flat.dtype)
+    return targets.reshape(-1, 1).astype(net.flat.dtype, copy=False)
 
 
-def train(net: DenseNetwork, dataset_split, cfg: TrainConfig) -> PerfReport:
-    """Minibatch-train a network and score it on the validation split.
+def train(
+    net: DenseNetwork, dataset: data_mod.Dataset, train_rows, val: data_mod.Dataset, cfg: TrainConfig
+) -> PerfReport:
+    """Minibatch-train a network on some rows of a dataset and score it on ``val``.
 
-    ``dataset_split`` is a ``(train, validation)`` pair of datasets. All
-    randomness (shuffling, dropout masks) flows from ``cfg.seed``, so the
-    result is deterministic. Training runs in the network's dtype; features
-    already in it are not copied. The output layer picks the loss and the
-    validation data's problem the metric; a softmax output needs
-    classification data, and classification data a softmax output.
+    ``train_rows`` indexes the rows of ``dataset`` to train on; each
+    minibatch is gathered from ``dataset.features``, so the training rows
+    are never copied as a whole. All randomness (shuffling, dropout masks)
+    flows from ``cfg.seed``, so the result is deterministic. Training runs
+    in the network's dtype: a minibatch in another dtype is cast. The output
+    layer picks the loss and the validation data's problem the metric; a
+    softmax output needs classification data, and classification data a
+    softmax output.
     """
-    train_ds, val_ds = dataset_split
-    for ds in dataset_split:
+    for ds in (dataset, val):
         if net.softmax_output != (ds.problem == ProblemKind.CLASSIFICATION):
             raise ValueError(
                 f"a {net.layers[-1].activation.name.lower()} output layer cannot train on "
                 f"{ds.problem.value} data: softmax outputs and classification data go together"
             )
-    Y = _target_matrix(net, train_ds)
-    X = np.asarray(train_ds.features, dtype=net.flat.dtype)
+    X = dataset.features
+    Y = _target_matrix(net, dataset.problem, dataset.targets[train_rows])
     rng = np.random.default_rng(cfg.seed)
     optimizer = make_optimizer(net.flat, cfg.learning_rate)
-    # one layer's gradient at a time, reused by every layer and minibatch
-    grad = np.empty(max(layer.size for layer in net.layers), net.flat.dtype)
+    # adjacent layers' gradients, handed to Adam together, reused by every minibatch
+    size = max(layer.size for layer in net.layers)
+    grad = np.empty(min(net.param_count, max(size, optimizer.chunk)), net.flat.dtype)
 
     curve: list[float] = []
     for epoch in range(cfg.epochs):
-        perm = rng.permutation(len(X))
+        order = rng.permutation(len(train_rows))
         epoch_losses = []
-        for at in range(0, len(X), cfg.batch_size):
-            idx = perm[at : at + cfg.batch_size]
+        for at in range(0, len(order), cfg.batch_size):
+            idx = order[at : at + cfg.batch_size]
             with np.errstate(over="ignore", invalid="ignore"):
                 value, _ = loss_and_gradients(
-                    net, X[idx], Y[idx], training=True, rng=rng, out=grad, optimizer=optimizer
+                    net, X[train_rows[idx]], Y[idx], training=True, rng=rng, out=grad, optimizer=optimizer
                 )
             if not np.isfinite(value):
                 raise DivergedError(epoch)
             epoch_losses.append(value)
         curve.append(float(np.mean(epoch_losses)))
 
-    preds = net.forward(val_ds.features, training=False)
-    return PerfReport(metric(val_ds.problem, preds, val_ds.targets), curve)
+    preds = net.forward(val.features, training=False)
+    return PerfReport(metric(val.problem, preds, val.targets), curve)
 
 
 # --- metrics ----------------------------------------------------------------
@@ -475,14 +491,14 @@ def metric(problem: ProblemKind, predictions, targets) -> float:
 
 def _in_score_dtype(dataset: data_mod.Dataset) -> data_mod.Dataset:
     """The dataset with its features cast once to :data:`SCORE_DTYPE`."""
-    return replace(dataset, features=dataset.features.astype(SCORE_DTYPE))
+    return replace(dataset, features=dataset.features.astype(SCORE_DTYPE, copy=False))
 
 
-def _score(g: Genotype, split_pair, cfg: TrainConfig) -> tuple[float, int]:
-    """Materialize ``g`` from ``cfg.seed`` in :data:`SCORE_DTYPE`, train it on a
-    ``(train, validation)`` pair, and return ``(validation metric, parameter count)``."""
-    net = materialize(g, split_pair[0].feature_count, cfg.seed, SCORE_DTYPE)
-    return train(net, split_pair, cfg).value, net.param_count
+def _score(g: Genotype, dataset, train_rows, val, cfg: TrainConfig) -> tuple[float, int]:
+    """Materialize ``g`` from ``cfg.seed`` in :data:`SCORE_DTYPE`, :func:`train` it,
+    and return ``(validation metric, parameter count)``."""
+    net = materialize(g, dataset.feature_count, cfg.seed, SCORE_DTYPE)
+    return train(net, dataset, train_rows, val, cfg).value, net.param_count
 
 
 def kfold_evaluate(g: Genotype, dataset: data_mod.Dataset, k: int, cfg: TrainConfig):
@@ -491,15 +507,16 @@ def kfold_evaluate(g: Genotype, dataset: data_mod.Dataset, k: int, cfg: TrainCon
     Every fold trains a fresh materialization from the same seed, so the
     only variation between folds is the data split itself. Each fold's
     network only yields a score, so it trains in :data:`SCORE_DTYPE`; the
-    features are cast once, before folding.
+    features are cast once, before folding. A fold's validation rows are
+    copied, its training rows are not.
     """
     folds = data_mod.kfold(dataset, k, cfg.seed)
     dataset = _in_score_dtype(dataset)
     all_idx = np.arange(dataset.sample_count)
     values = []
     for i, fold in enumerate(folds):
-        train_idx = np.setdiff1d(all_idx, fold)
-        value, _ = _score(g, (dataset.take(train_idx), dataset.take(fold)), cfg)
+        train_rows = np.setdiff1d(all_idx, fold)
+        value, _ = _score(g, dataset, train_rows, dataset.take(fold), cfg)
         values.append(value)
         log.debug("fold %d/%d: %s=%.4f", i + 1, k, METRIC_NAME[dataset.problem], value)
     return float(np.mean(values)), float(np.std(values))
@@ -510,17 +527,20 @@ def kfold_evaluate(g: Genotype, dataset: data_mod.Dataset, k: int, cfg: TrainCon
 def make_evaluator(dataset: data_mod.Dataset, cv_ratio: float, cfg: TrainConfig):
     """Partial-training fitness evaluator for the search loop.
 
-    The train/validation split is fixed once from ``cfg.seed`` and cast
-    once to :data:`SCORE_DTYPE`, the precision every candidate trains in.
+    The features are cast once to :data:`SCORE_DTYPE`, the precision every
+    candidate trains in; the train/validation split is fixed once from
+    ``cfg.seed``, and only its validation rows are copied.
     Each candidate trains with ``cfg`` but its own seed, which draws its
     weights and shuffle stream, so evaluation order and the worker count
     cannot change a result at a fixed BLAS thread count. Returns a ``(validation metric, parameter count)``
     pair.
     """
-    split_pair = tuple(map(_in_score_dtype, data_mod.split(dataset, cv_ratio, cfg.seed)))
+    dataset = _in_score_dtype(dataset)
+    train_rows, val_rows = data_mod.split(dataset, cv_ratio, cfg.seed)
+    val = dataset.take(val_rows)
 
     def evaluate(genotype: Genotype, seed: int) -> tuple[float, int]:
-        return _score(genotype, split_pair, replace(cfg, seed=seed))
+        return _score(genotype, dataset, train_rows, val, replace(cfg, seed=seed))
 
     return evaluate
 

@@ -219,11 +219,11 @@ def _load_mnist_train():
 def test_criterion_8_desk_scale_training():
     with criterion(8, "56-unit network reaches 0.92 validation accuracy in 5 epochs"):
         ds = _load_mnist_train()
-        train_ds, val_ds = split(ds, 0.2, seed=0)
+        train_rows, val_rows = split(ds, 0.2, seed=0)
         g = mlp_classifier([(56, A.RELU)])
         net = materialize(g, 784, seed=0)
         started = time.perf_counter()
-        report = train(net, (train_ds, val_ds), TrainConfig(5, learning_rate=0.001, seed=0))
+        report = train(net, ds, train_rows, ds.take(val_rows), TrainConfig(5, learning_rate=0.001, seed=0))
         elapsed = time.perf_counter() - started
         assert report.value >= 0.92, report.value
         assert elapsed <= 300.0, elapsed

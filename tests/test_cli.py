@@ -653,9 +653,9 @@ class TestTrainCommand:
         seen = []
         train = trainer.train
 
-        def spy(net, pair, cfg):
-            seen.append((net.flat.dtype, pair[0].features.dtype))
-            return train(net, pair, cfg)
+        def spy(net, dataset, train_rows, val, cfg):
+            seen.append((net.flat.dtype, dataset.features.dtype))
+            return train(net, dataset, train_rows, val, cfg)
 
         monkeypatch.setattr(trainer, "train", spy)
         gpath = workdir / "g.json"

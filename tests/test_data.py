@@ -53,6 +53,14 @@ class TestLoadIdx:
         ds = load_idx(tmp_path / "i.idx", tmp_path / "l.idx")
         assert np.all(ds.features == 0.0)
 
+    def test_scaling_equals_float64_division_for_every_byte(self, tmp_path):
+        pixels = np.arange(256, dtype=np.uint8).reshape(1, 16, 16)
+        write_idx_images(tmp_path / "i.idx", pixels)
+        write_idx_labels(tmp_path / "l.idx", np.zeros(1, dtype=np.uint8))
+        ds = load_idx(tmp_path / "i.idx", tmp_path / "l.idx")
+        assert ds.features.dtype == np.float64
+        assert ds.features.tobytes() == (pixels.reshape(1, -1).astype(np.float64) / 255.0).tobytes()
+
     def test_max_intensity_maps_to_one(self, tmp_path):
         write_idx_images(tmp_path / "i.idx", np.full((1, 2, 2), 255, dtype=np.uint8))
         write_idx_labels(tmp_path / "l.idx", np.zeros(1, dtype=np.uint8))
@@ -214,14 +222,27 @@ class TestSplitAndKfold:
     def test_eighty_twenty(self):
         ds = Dataset(np.arange(40).reshape(10, 4), np.zeros(10), ProblemKind.REGRESSION)
         train, val = split(ds, 0.2, seed=0)
-        assert (train.sample_count, val.sample_count) == (8, 2)
+        assert (len(train), len(val)) == (8, 2)
 
     def test_same_seed_same_split(self):
         ds = Dataset(np.arange(60).reshape(15, 4), np.arange(15.0), ProblemKind.REGRESSION)
         a_train, a_val = split(ds, 0.3, seed=5)
         b_train, b_val = split(ds, 0.3, seed=5)
-        np.testing.assert_array_equal(a_train.features, b_train.features)
-        np.testing.assert_array_equal(a_val.targets, b_val.targets)
+        np.testing.assert_array_equal(a_train, b_train)
+        np.testing.assert_array_equal(a_val, b_val)
+
+    @given(st.integers(2, 60), st.floats(0.05, 0.95), st.integers(0, 2**32))
+    def test_split_rows_are_the_seeded_permutation(self, n, ratio, seed):
+        ds = Dataset(np.ones((n, 2)), np.zeros(n), ProblemKind.REGRESSION)
+        n_val = round(ratio * n)
+        if n_val in (0, n):
+            return
+        train, val = split(ds, ratio, seed)
+        assert np.intersect1d(train, val).size == 0
+        assert sorted(np.concatenate([train, val])) == list(range(n))
+        perm = np.random.default_rng(seed).permutation(n)  # the rows the split once copied
+        np.testing.assert_array_equal(train, perm[n_val:])
+        np.testing.assert_array_equal(val, perm[:n_val])
 
     def test_empty_side_rejected(self):
         ds = Dataset(np.ones((3, 1)), np.ones(3), ProblemKind.REGRESSION)

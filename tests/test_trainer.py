@@ -1,6 +1,7 @@
 """Tests for network materialization, training, gradients, and metrics."""
 
 import hashlib
+import json
 import math
 import re
 import tracemalloc
@@ -27,10 +28,12 @@ from evonas import (
     make_evaluator,
     materialize,
     metric,
+    serialize,
     split,
     train,
 )
 from evonas import trainer
+from evonas.cli import main
 from evonas.evolution import random_genotype
 from evonas.trainer import (
     DenseNetwork,
@@ -45,6 +48,12 @@ from evonas.trainer import (
 from conftest import genotypes, mlp_classifier, mlp_regressor
 
 A = Activation
+
+
+def holdout(ds: Dataset, ratio: float, seed: int) -> tuple[np.ndarray, Dataset]:
+    """``ds``'s training rows and its validation rows copied, as :func:`train` takes them."""
+    train_rows, val_rows = split(ds, ratio, seed)
+    return train_rows, ds.take(val_rows)
 
 
 def linear_unit(weight: float, bias: float) -> DenseNetwork:
@@ -274,6 +283,22 @@ class TestGradientVector:
             assert nets[0].flat.tobytes() == nets[1].flat.tobytes()
         assert opts[0].t == opts[1].t == 2
 
+    @pytest.mark.parametrize("room, steps", [(136, [27, 136, 112]), (163, [163, 112]), (275, [275])])
+    def test_adjacent_layers_share_a_step_while_they_fit(self, room, steps):
+        # layers of 112, 136 and 27 parameters; the output layer's comes first
+        nets = [materialize(mlp_classifier([(16, A.RELU), 0.5, (8, A.TANH)], classes=3), 6, 1) for _ in "ab"]
+        opts = [_Adam(net.flat, 0.01) for net in nets]
+        sizes = []
+        step = opts[0].step
+        opts[0].step = lambda grad, at: (sizes.append(grad.size), step(grad, at))
+        grad = np.empty_like(nets[1].flat)
+        for X in (self.X, -self.X):
+            loss_and_gradients(nets[0], X, self.Y, out=np.empty(room), optimizer=opts[0])
+            loss_and_gradients(nets[1], X, self.Y, out=grad)
+            opts[1].step(grad)
+            assert nets[0].flat.tobytes() == nets[1].flat.tobytes()
+        assert sizes == steps * 2
+
     def test_non_finite_loss_hands_over_nothing(self):
         net = linear_unit(1e200, 0.0)  # half the squared error overflows
         opt = _Adam(net.flat, 0.1)
@@ -330,10 +355,10 @@ class TestOptimizers:
 
 class TestTrain:
     def test_separable_data_reaches_full_accuracy(self, blob_dataset):
-        tr, va = split(blob_dataset, 0.2, seed=1)
+        tr, va = holdout(blob_dataset, 0.2, seed=1)
         g = mlp_classifier([(16, A.RELU)], classes=2)
         net = materialize(g, 4, seed=0)
-        report = train(net, (tr, va), TrainConfig(50, seed=0, batch_size=64))
+        report = train(net, blob_dataset, tr, va, TrainConfig(50, seed=0, batch_size=64))
         assert report.value == 1.0
 
     def test_linear_regression_fits_exactly(self):
@@ -341,16 +366,16 @@ class TestTrain:
         X = rng.uniform(-1, 1, (256, 1))
         y = 3.0 * X[:, 0]
         ds = Dataset(X, y, ProblemKind.REGRESSION)
-        tr, va = split(ds, 0.2, seed=1)
+        tr, va = holdout(ds, 0.2, seed=1)
         net = linear_unit(0.0, 0.0)
         cfg = TrainConfig(200, learning_rate=0.5, batch_size=256, seed=0)
-        report = train(net, (tr, va), cfg)
+        report = train(net, ds, tr, va, cfg)
         assert report.value < 1e-3
 
     def test_zero_epochs_reports_untrained_metric(self, blob_dataset):
-        tr, va = split(blob_dataset, 0.2, seed=1)
+        tr, va = holdout(blob_dataset, 0.2, seed=1)
         net = materialize(mlp_classifier([(16, A.RELU)], classes=2), 4, seed=0)
-        report = train(net, (tr, va), TrainConfig(0, seed=0))
+        report = train(net, blob_dataset, tr, va, TrainConfig(0, seed=0))
         assert math.isfinite(report.value)
         assert report.loss_curve == []
 
@@ -358,20 +383,20 @@ class TestTrain:
         rng = np.random.default_rng(3)
         X = rng.uniform(-1, 1, (64, 1))
         ds = Dataset(X, 3.0 * X[:, 0], ProblemKind.REGRESSION)
-        tr, va = split(ds, 0.2, seed=1)
+        tr, va = holdout(ds, 0.2, seed=1)
         # Adam's step is about lr, whatever the gradient: 1e200 overflows the squared error
         cfg = TrainConfig(60, learning_rate=1e200, batch_size=64, seed=0)
         with pytest.raises(DivergedError) as err:
-            train(linear_unit(0.5, 0.0), (tr, va), cfg)
+            train(linear_unit(0.5, 0.0), ds, tr, va, cfg)
         assert err.value.epoch >= 0
 
     def test_training_is_deterministic(self, blob_dataset):
-        tr, va = split(blob_dataset, 0.2, seed=1)
+        tr, va = holdout(blob_dataset, 0.2, seed=1)
         g = mlp_classifier([(16, A.RELU), 0.3], classes=2)
         reports = []
         for _ in range(2):
             net = materialize(g, 4, seed=7)
-            reports.append(train(net, (tr, va), TrainConfig(10, seed=7, batch_size=32)))
+            reports.append(train(net, blob_dataset, tr, va, TrainConfig(10, seed=7, batch_size=32)))
         assert reports[0].value == reports[1].value
         assert reports[0].loss_curve == reports[1].loss_curve
 
@@ -388,10 +413,10 @@ class TestTrain:
         # shift the rate-0.5 masks and the shuffles after it. The digests were
         # recorded when rate 1.0 multiplied by a zero array (numpy 2.4,
         # OpenBLAS 0.3.31, x86-64).
-        tr, va = split(golden_data(C), 0.2, seed=1)
-        pair = tuple(replace(part, features=part.features.astype(dtype)) for part in (tr, va))
+        ds = golden_data(C)
+        ds = replace(ds, features=ds.features.astype(dtype))
         net = materialize(mlp_classifier([(16, A.RELU), 1.0, (8, A.TANH), 0.5], classes=3), 6, 4, dtype)
-        train(net, pair, TrainConfig(3, learning_rate=0.01, batch_size=32, seed=5))
+        train(net, ds, *holdout(ds, 0.2, seed=1), TrainConfig(3, learning_rate=0.01, batch_size=32, seed=5))
         assert hashlib.sha256(net.flat.tobytes()).hexdigest() == digest
 
 
@@ -428,9 +453,9 @@ def test_train_reproduces_recorded_numbers(name):
         y, g = rng.integers(3, size=90), mlp_classifier(hidden, classes=3)
     else:
         y, g = X @ rng.normal(size=6), mlp_regressor(hidden)
-    tr, va = split(Dataset(X, y, problem), 0.2, seed=1)
+    ds = Dataset(X, y, problem)
     cfg = TrainConfig(3, learning_rate=0.01, batch_size=32, seed=5)
-    report = train(materialize(g, 6, seed=4), (tr, va), cfg)
+    report = train(materialize(g, 6, seed=4), ds, *holdout(ds, 0.2, seed=1), cfg)
     assert report.value == value
     assert report.loss_curve == curve
 
@@ -441,6 +466,50 @@ def golden_data(problem):
     X = rng.normal(size=(90, 6))
     y = rng.integers(3, size=90) if problem == C else X @ rng.normal(size=6)
     return Dataset(X, y, problem)
+
+
+#: k-fold results on :func:`golden_data`, recorded when each fold still
+#: trained on a copy of its rows, as (genotype, (mean, std)). A fold that
+#: trains on other rows, or on its rows in another order, changes them. Like
+#: ``GOLDEN``, they depend on the BLAS kernels.
+KFOLD_GOLDEN = {
+    C: ([(16, A.RELU), 0.3, (8, A.SIGMOID)], (0.2777777777777778, 0.1227262335243029)),
+    R: ([(16, A.RELU), 0.5, (8, A.TANH)], (1.3739644755478657, 0.26949559549034535)),
+}
+
+#: sha256 of ``model.bin`` from ``evonas train --kfold 3`` on
+#: :func:`golden_data`'s classification set, recorded with ``KFOLD_GOLDEN``.
+TRAIN_MODEL_DIGEST = "2e136115caf8638c2d4065c5d463b8bf98fc18a03fd7a6a4f944589d4db711b8"
+
+
+@pytest.mark.parametrize("problem", [C, R])
+def test_kfold_reproduces_recorded_numbers(problem):
+    hidden, expected = KFOLD_GOLDEN[problem]
+    g = mlp_classifier(hidden, classes=3) if problem == C else mlp_regressor(hidden)
+    cfg = TrainConfig(3, learning_rate=0.01, batch_size=32, seed=5)
+    assert kfold_evaluate(g, golden_data(problem), 3, cfg) == expected
+
+
+def test_train_command_reproduces_recorded_model(tmp_path, capsys):
+    ds = golden_data(C)
+    columns = [f"f{i}" for i in range(ds.feature_count)]
+    rows = [",".join(columns + ["y"])]
+    rows += [",".join([*map(repr, map(float, x)), str(y)]) for x, y in zip(ds.features, ds.targets)]
+    (tmp_path / "golden.csv").write_text("\n".join(rows) + "\n")
+    manifest = {"format": "csv", "path": "golden.csv", "feature_columns": columns,
+                "target_column": "y", "problem": "classification"}
+    (tmp_path / "data.json").write_text(json.dumps(manifest))
+    (tmp_path / "g.json").write_text(serialize(mlp_classifier(KFOLD_GOLDEN[C][0], classes=3)))
+    code = main([
+        "train", str(tmp_path / "g.json"), str(tmp_path / "data.json"), "--kfold", "3",
+        "--epochs", "3", "--seed", "5", "--batch-size", "32", "--learning-rate", "0.01",
+        "--out-model", str(tmp_path / "model"),
+    ])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[:2] == [
+        "3-fold accuracy: 0.2778 +/- 0.1227", "validation accuracy: 0.2222 (3 epochs)"
+    ]
+    assert hashlib.sha256((tmp_path / "model.bin").read_bytes()).hexdigest() == TRAIN_MODEL_DIGEST
 
 
 class TestFloat32:
@@ -468,17 +537,16 @@ class TestFloat32:
 
         monkeypatch.setattr(trainer, "make_optimizer", spy)
         ds = golden_data(C)
-        pair = tuple(
-            replace(part, features=part.features.astype(np.float32)) for part in split(ds, 0.2, 1)
-        )
+        ds = replace(ds, features=ds.features.astype(np.float32))
+        tr, va = holdout(ds, 0.2, 1)
         net = materialize(mlp_classifier(self.GENOTYPE, classes=3), 6, 4, np.float32)
-        train(net, pair, TrainConfig(1, batch_size=128, seed=5))  # 72 rows: one step
+        train(net, ds, tr, va, TrainConfig(1, batch_size=128, seed=5))  # 72 rows: one step
         opt = seen["opt"]
         assert opt.t == 1
         assert seen["grad"] == np.float32
         assert {a.dtype for a in (net.flat, opt.m, opt.v, opt.scratch)} == {np.dtype(np.float32)}
-        assert net.forward(pair[1].features).dtype == np.float32
-        assert trainer._target_matrix(net, pair[0]).dtype == np.float32
+        assert net.forward(va.features).dtype == np.float32
+        assert trainer._target_matrix(net, C, ds.targets[tr]).dtype == np.float32
 
     @pytest.mark.parametrize("act", [A.SIGMOID, A.RELU])
     def test_gradients_match_float64(self, act):
@@ -546,12 +614,12 @@ class TestFloat32:
         candidates = [random_genotype(cfg, draw) for _ in range(10)]
         settings_ = dict(learning_rate=0.01, batch_size=32)
         evaluate = make_evaluator(ds, 0.2, TrainConfig(2, seed=5, **settings_))
-        pair = split(ds, 0.2, 5)
+        tr, va = holdout(ds, 0.2, 5)
         single, double = [], []
         for seed, g in enumerate(candidates, start=100):
             single.append(evaluate(g, seed))
             net = materialize(g, 12, seed)
-            double.append((train(net, pair, TrainConfig(2, seed=seed, **settings_)).value, net.param_count))
+            double.append((train(net, ds, tr, va, TrainConfig(2, seed=seed, **settings_)).value, net.param_count))
         ranks = [
             np.argsort(compute_costs(pop, cfg.alpha, problem=problem), kind="stable").tolist()
             for pop in (single, double)
@@ -585,7 +653,7 @@ class TestObjective:
 
     def test_regression_trains_with_a_plain_config(self):
         ds = golden_data(R)
-        report = train(materialize(mlp_regressor([(16, A.RELU)]), 6, 4), split(ds, 0.2, 1), TrainConfig(3))
+        report = train(materialize(mlp_regressor([(16, A.RELU)]), 6, 4), ds, *holdout(ds, 0.2, 1), TrainConfig(3))
         assert math.isfinite(report.value) and report.value >= 0.0  # an MSE, not an accuracy
         assert len(report.loss_curve) == 3
 
@@ -598,9 +666,9 @@ class TestObjective:
         (C, lambda: mlp_regressor([(8, A.RELU)])),  # linear output
     ])
     def test_output_layer_must_fit_the_data(self, problem, make):
-        net = materialize(make(), 6, 4)
+        net, ds = materialize(make(), 6, 4), golden_data(problem)
         with pytest.raises(ValueError, match=f"cannot train on {problem.value} data"):
-            train(net, split(golden_data(problem), 0.2, 1), TrainConfig(1))
+            train(net, ds, *holdout(ds, 0.2, 1), TrainConfig(1))
 
 
 class TestMetric:
@@ -668,10 +736,10 @@ class TestEvaluator:
 
 class TestModelExport:
     def test_roundtrip_preserves_predictions(self, tmp_path, blob_dataset):
-        tr, va = split(blob_dataset, 0.2, seed=1)
+        tr, va = holdout(blob_dataset, 0.2, seed=1)
         g = mlp_classifier([(16, A.RELU), 0.25], classes=2)
         net = materialize(g, 4, seed=0)
-        report = train(net, (tr, va), TrainConfig(5, seed=0, batch_size=32))
+        report = train(net, blob_dataset, tr, va, TrainConfig(5, seed=0, batch_size=32))
         base = tmp_path / "model"
         save_model(net, g, report.loss_curve, base)
         g2, net2, header = load_model(base)
@@ -681,14 +749,14 @@ class TestModelExport:
         np.testing.assert_allclose(net2.forward(X), net.forward(X), rtol=1e-5, atol=1e-6)
 
     def test_loaded_model_trains_and_round_trips_exactly(self, tmp_path, blob_dataset):
-        tr, va = split(blob_dataset, 0.2, seed=1)
+        tr, va = holdout(blob_dataset, 0.2, seed=1)
         g = mlp_classifier([(16, A.RELU), 0.25], classes=2)
         net = materialize(g, 4, seed=0)
-        train(net, (tr, va), TrainConfig(2, seed=0, batch_size=32))
+        train(net, blob_dataset, tr, va, TrainConfig(2, seed=0, batch_size=32))
         save_model(net, g, [], tmp_path / "a")
         _, loaded, _ = load_model(tmp_path / "a")
         weights = [p.copy() for p in loaded.parameters()]
-        train(loaded, (tr, va), TrainConfig(2, seed=1, batch_size=32))
+        train(loaded, blob_dataset, tr, va, TrainConfig(2, seed=1, batch_size=32))
         assert all(not np.array_equal(p, w) for p, w in zip(loaded.parameters(), weights))
         save_model(loaded, g, [], tmp_path / "b")
         _, again, _ = load_model(tmp_path / "b")
@@ -737,12 +805,12 @@ class TestMemory:
             X = rng.normal(size=(n, 784)).astype(np.float32)
             return Dataset(X, rng.integers(0, 10, n), ProblemKind.CLASSIFICATION)
 
-        pair = (data(880), data(220))
+        fit, val = data(880), data(220)
         net = materialize(mlp_classifier(spec), 784, 0, np.float32)
         assert not tracemalloc.is_tracing()
         tracemalloc.start()
         try:
-            train(net, pair, TrainConfig(1, batch_size=512))
+            train(net, fit, np.arange(880), val, TrainConfig(1, batch_size=512))
             return tracemalloc.get_traced_memory()[1], net
         finally:
             tracemalloc.stop()
@@ -774,6 +842,23 @@ class TestMemory:
         # size of the parameters.
         arrays = (peak - 2 * net.flat.nbytes - largest) / self.UNIT
         assert arrays < 8.5
+
+    def test_kfold_copies_no_training_rows(self):
+        n, k, batch = 4000, 4, 256
+        rng = np.random.default_rng(0)
+        ds = Dataset(rng.random((n, 784)), rng.integers(0, 10, n), ProblemKind.CLASSIFICATION)
+        cast = n * 784 * 4  # the float32 features every fold trains on
+        assert not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            kfold_evaluate(mlp_classifier([(16, A.RELU)]), ds, k, TrainConfig(1, batch_size=batch))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the cast, one fold's validation rows, and four batch x 784 arrays
+        # for training. Measured 1.44 casts; 2.11 to 2.19 when each fold
+        # copied its training rows.
+        assert peak < cast * (1 + 1 / k) + 4 * batch * 784 * 4
 
 
 def test_readme_lists_exactly_the_train_config_fields():
