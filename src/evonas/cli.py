@@ -173,7 +173,7 @@ def cmd_search(args) -> int:
             f"config input_shape implies {cfg.input_dim} features, dataset has {dataset.feature_count}"
         )
     evaluator = trainer.make_evaluator(dataset, cfg.cv_ratio, train_cfg)
-    del dataset  # the evaluator holds its own float32 features; free the float64 ones
+    del dataset  # float features: the evaluator holds their float32 cast; free the float64 ones
 
     out_dir.mkdir(parents=True, exist_ok=True)
     for name in ("archive.json", "best.json", "trace.jsonl"):

@@ -35,7 +35,12 @@ class DataError(ValueError):
 
 @dataclass(frozen=True)
 class Dataset:
-    """Immutable feature matrix with aligned targets."""
+    """Immutable feature matrix with aligned targets.
+
+    ``uint8`` features are pixel bytes: a byte ``b`` reads as ``b / 255``,
+    and :meth:`rows` makes the float rows. Float32 features stay float32;
+    features of any other dtype become float64.
+    """
 
     features: np.ndarray
     targets: np.ndarray
@@ -43,8 +48,9 @@ class Dataset:
     column_names: tuple[str, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        feats = np.asarray(self.features)  # float32 stays float32; anything else becomes float64
-        feats = np.ascontiguousarray(feats, np.float32 if feats.dtype == np.float32 else np.float64)
+        feats = np.asarray(self.features)
+        kept = feats.dtype if feats.dtype in (np.uint8, np.float32) else np.float64
+        feats = np.ascontiguousarray(feats, kept)
         if feats.ndim != 2:
             raise DataError(f"features must be 2-D (samples x features), got shape {feats.shape}")
         if feats.shape[1] == 0:
@@ -64,7 +70,8 @@ class Dataset:
             raise DataError(
                 f"feature rows ({len(feats)}) and targets ({len(targets)}) are misaligned"
             )
-        if not np.all(np.isfinite(feats)):
+        # bytes are always finite; a NaN propagates to the min and max, so no mask is allocated
+        if feats.dtype != np.uint8 and not np.isfinite([feats.min(initial=0), feats.max(initial=0)]).all():
             raise DataError("features contain non-finite values")
         if targets.dtype.kind == "f" and not np.all(np.isfinite(targets)):
             raise DataError("targets contain non-finite values")
@@ -86,6 +93,14 @@ class Dataset:
     def take(self, indices) -> "Dataset":
         idx = np.asarray(indices)  # an index array, so both lookups below copy
         return Dataset(self.features[idx], self.targets[idx], self.problem, self.column_names)
+
+    def rows(self, index, dtype) -> np.ndarray:
+        """The features of rows ``index`` in ``dtype``, a numpy scalar type. A byte ``b``
+        becomes ``b / 255`` divided in ``dtype``, equal to ``b / 255.0`` rounded to it."""
+        x = self.features[index]
+        if x.dtype == np.uint8:
+            return np.divide(x, dtype(255), dtype=dtype)
+        return x.astype(dtype, copy=False)
 
 
 # --- IDX --------------------------------------------------------------------
@@ -117,7 +132,7 @@ def _read_idx(path) -> np.ndarray:
 
 
 def load_idx(images: str | Path, labels: str | Path) -> Dataset:
-    """Load an IDX image/label file pair; pixels scaled to [0, 1] and unrolled."""
+    """Load an IDX image/label file pair; each image unrolled into one row of pixel bytes."""
     pixels = _read_idx(images)
     classes = _read_idx(labels)
     if pixels.ndim != 3:
@@ -128,8 +143,7 @@ def load_idx(images: str | Path, labels: str | Path) -> Dataset:
         raise DataError(
             f"image count {len(pixels)} does not match label count {len(classes)}"
         )
-    feats = np.divide(pixels.reshape(len(pixels), -1), 255.0, dtype=np.float64)  # one float64 array
-    return Dataset(feats, classes.astype(np.int64), ProblemKind.CLASSIFICATION)
+    return Dataset(pixels.reshape(len(pixels), -1), classes.astype(np.int64), ProblemKind.CLASSIFICATION)
 
 
 # --- normalization ----------------------------------------------------------

@@ -423,13 +423,14 @@ def train(
     """Minibatch-train a network on some rows of a dataset and score it on ``val``.
 
     ``train_rows`` indexes the rows of ``dataset`` to train on; each
-    minibatch is gathered from ``dataset.features``, so the training rows
-    are never copied as a whole. All randomness (shuffling, dropout masks)
-    flows from ``cfg.seed``, so the result is deterministic. Training runs
-    in the network's dtype: a minibatch in another dtype is cast. The output
-    layer picks the loss and the validation data's problem the metric; a
-    softmax output needs classification data, and classification data a
-    softmax output.
+    minibatch is gathered in the network's dtype by
+    :meth:`~evonas.data.Dataset.rows`, and so is ``val``'s input, so the
+    training rows are never copied as a whole and pixel bytes become floats
+    one minibatch at a time. All randomness (shuffling, dropout masks) flows
+    from ``cfg.seed``, so the result is deterministic. The output layer
+    picks the loss and the validation data's problem the metric; a softmax
+    output needs classification data, and classification data a softmax
+    output.
     """
     for ds in (dataset, val):
         if net.softmax_output != (ds.problem == ProblemKind.CLASSIFICATION):
@@ -437,7 +438,7 @@ def train(
                 f"a {net.layers[-1].activation.name.lower()} output layer cannot train on "
                 f"{ds.problem.value} data: softmax outputs and classification data go together"
             )
-    X = dataset.features
+    dtype = net.flat.dtype.type
     Y = _target_matrix(net, dataset.problem, dataset.targets[train_rows])
     rng = np.random.default_rng(cfg.seed)
     optimizer = make_optimizer(net.flat, cfg.learning_rate)
@@ -453,14 +454,15 @@ def train(
             idx = order[at : at + cfg.batch_size]
             with np.errstate(over="ignore", invalid="ignore"):
                 value, _ = loss_and_gradients(
-                    net, X[train_rows[idx]], Y[idx], training=True, rng=rng, out=grad, optimizer=optimizer
+                    net, dataset.rows(train_rows[idx], dtype), Y[idx],
+                    training=True, rng=rng, out=grad, optimizer=optimizer,
                 )
             if not np.isfinite(value):
                 raise DivergedError(epoch)
             epoch_losses.append(value)
         curve.append(float(np.mean(epoch_losses)))
 
-    preds = net.forward(val.features, training=False)
+    preds = net.forward(val.rows(slice(None), dtype), training=False)
     return PerfReport(metric(val.problem, preds, val.targets), curve)
 
 
@@ -490,7 +492,9 @@ def metric(problem: ProblemKind, predictions, targets) -> float:
 
 
 def _in_score_dtype(dataset: data_mod.Dataset) -> data_mod.Dataset:
-    """The dataset with its features cast once to :data:`SCORE_DTYPE`."""
+    """The dataset with float features cast once to :data:`SCORE_DTYPE`; pixel bytes stay bytes."""
+    if dataset.features.dtype == np.uint8:
+        return dataset
     return replace(dataset, features=dataset.features.astype(SCORE_DTYPE, copy=False))
 
 
@@ -506,12 +510,11 @@ def kfold_evaluate(g: Genotype, dataset: data_mod.Dataset, k: int, cfg: TrainCon
 
     Every fold trains a fresh materialization from the same seed, so the
     only variation between folds is the data split itself. Each fold's
-    network only yields a score, so it trains in :data:`SCORE_DTYPE`; the
-    features are cast once, before folding. A fold's validation rows are
-    copied, its training rows are not.
+    network only yields a score, so it trains in :data:`SCORE_DTYPE`, each
+    minibatch cast as it is gathered; no cast of the whole feature matrix is
+    made. A fold's validation rows are copied, its training rows are not.
     """
     folds = data_mod.kfold(dataset, k, cfg.seed)
-    dataset = _in_score_dtype(dataset)
     all_idx = np.arange(dataset.sample_count)
     values = []
     for i, fold in enumerate(folds):
@@ -527,8 +530,9 @@ def kfold_evaluate(g: Genotype, dataset: data_mod.Dataset, k: int, cfg: TrainCon
 def make_evaluator(dataset: data_mod.Dataset, cv_ratio: float, cfg: TrainConfig):
     """Partial-training fitness evaluator for the search loop.
 
-    The features are cast once to :data:`SCORE_DTYPE`, the precision every
-    candidate trains in; the train/validation split is fixed once from
+    Every candidate trains in :data:`SCORE_DTYPE`. Float features are cast
+    to it once; pixel bytes stay bytes, and each minibatch is scaled as it
+    is gathered. The train/validation split is fixed once from
     ``cfg.seed``, and only its validation rows are copied.
     Each candidate trains with ``cfg`` but its own seed, which draws its
     weights and shuffle stream, so evaluation order and the worker count

@@ -5,6 +5,7 @@ import inspect
 import json
 import re
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +46,8 @@ class TestLoadIdx:
         assert ds.features.shape == (20, 20)
         assert ds.problem == ProblemKind.CLASSIFICATION
         np.testing.assert_array_equal(ds.targets, labels)
-        np.testing.assert_allclose(ds.features, images.reshape(20, -1) / 255.0)
+        np.testing.assert_array_equal(ds.features, images.reshape(20, -1))  # the bytes as read
+        np.testing.assert_allclose(ds.rows(slice(None), np.float64), images.reshape(20, -1) / 255.0)
 
     def test_all_zero_images(self, tmp_path):
         write_idx_images(tmp_path / "i.idx", np.zeros((3, 2, 2), dtype=np.uint8))
@@ -58,14 +60,18 @@ class TestLoadIdx:
         write_idx_images(tmp_path / "i.idx", pixels)
         write_idx_labels(tmp_path / "l.idx", np.zeros(1, dtype=np.uint8))
         ds = load_idx(tmp_path / "i.idx", tmp_path / "l.idx")
-        assert ds.features.dtype == np.float64
-        assert ds.features.tobytes() == (pixels.reshape(1, -1).astype(np.float64) / 255.0).tobytes()
+        assert ds.features.dtype == np.uint8
+        exact = pixels.reshape(1, -1).astype(np.float64) / 255.0
+        assert ds.rows(slice(None), np.float64).tobytes() == exact.tobytes()
+        # dividing in float32 rounds like dividing in float64 and casting
+        assert ds.rows(slice(None), np.float32).tobytes() == exact.astype(np.float32).tobytes()
 
     def test_max_intensity_maps_to_one(self, tmp_path):
         write_idx_images(tmp_path / "i.idx", np.full((1, 2, 2), 255, dtype=np.uint8))
         write_idx_labels(tmp_path / "l.idx", np.zeros(1, dtype=np.uint8))
         ds = load_idx(tmp_path / "i.idx", tmp_path / "l.idx")
-        assert np.all(ds.features == 1.0)
+        for dtype in (np.float64, np.float32):
+            assert np.all(ds.rows(slice(None), dtype) == 1.0)
 
     def test_gzip_transparent(self, tmp_path):
         images = np.arange(8, dtype=np.uint8).reshape(2, 2, 2)
@@ -275,10 +281,27 @@ class TestDatasetInvariants:
             Dataset(np.ones((3, 2)), np.ones(2), ProblemKind.REGRESSION)
 
     def test_finiteness_checked(self):
-        X = np.ones((2, 2))
-        X[0, 0] = np.nan
-        with pytest.raises(DataError, match="finite"):
-            Dataset(X, np.ones(2), ProblemKind.REGRESSION)
+        for dtype in (np.float64, np.float32):
+            for value in (np.nan, np.inf, -np.inf):
+                X = np.ones((2, 2), dtype)
+                X[1, 0] = value
+                with pytest.raises(DataError, match="finite"):
+                    Dataset(X, np.ones(2), ProblemKind.REGRESSION)
+        Dataset(np.empty((0, 2)), np.empty(0), ProblemKind.REGRESSION)  # nothing to check
+
+    def test_finiteness_check_allocates_no_mask(self):
+        X = np.random.default_rng(0).random((4000, 784), dtype=np.float32)
+        y = np.zeros(4000, dtype=np.int64)
+        assert not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            ds = Dataset(X, y, ProblemKind.CLASSIFICATION)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.shares_memory(ds.features, X)
+        # measured 25% of the matrix when the check built a boolean mask
+        assert peak < X.nbytes / 100
 
     def test_negative_class_labels_rejected(self):
         with pytest.raises(DataError, match="class labels must be 0 or more, got -1"):
@@ -294,13 +317,22 @@ class TestDatasetInvariants:
 
     @pytest.mark.parametrize(
         "given, kept",
-        [(np.float32, np.float32), (np.float64, np.float64), (np.uint8, np.float64), (int, np.float64)],
+        [(np.float32, np.float32), (np.float64, np.float64), (np.uint8, np.uint8), (int, np.float64)],
     )
     def test_float32_features_stay_float32_and_others_become_float64(self, given, kept):
+        """Pixel bytes (``uint8``) are kept as well."""
         X = np.ones((2, 2), dtype=given)
         ds = Dataset(X, np.ones(2), ProblemKind.REGRESSION)
         assert ds.features.dtype == kept
         assert ds.take([0]).features.dtype == kept
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rows_of_float_features_are_a_cast_gather(self, dtype):
+        ds = Dataset(np.arange(12.0).reshape(6, 2) / 7, np.arange(6), ProblemKind.REGRESSION)
+        got = ds.rows([4, 1, 1], dtype)
+        assert got.dtype == dtype
+        assert got.tobytes() == ds.features[[4, 1, 1]].astype(dtype).tobytes()
+        assert np.shares_memory(ds.rows(slice(None), np.float64), ds.features)  # no copy to make
 
     def test_features_become_read_only(self):
         ds = Dataset(np.ones((2, 2)), np.ones(2), ProblemKind.REGRESSION)
