@@ -182,9 +182,9 @@ class DenseNetwork:
     def parameters(self) -> list[np.ndarray]:
         return [p for layer in self.layers for p in (layer.W, layer.b)]
 
-    def forward(self, batch: np.ndarray, training: bool = False, rng=None) -> np.ndarray:
-        """Predictions for a batch; dropout is active only while training."""
-        a, _ = self._forward_cached(batch, training, rng)
+    def forward(self, batch: np.ndarray) -> np.ndarray:
+        """Predictions for a batch, with no dropout: dropout is active only while training."""
+        a, _ = self._forward_cached(batch, False, None)
         return a
 
     def _forward_cached(self, batch, training, rng):
@@ -274,34 +274,26 @@ def _loss_value(outputs: np.ndarray, Y: np.ndarray, softmax: bool) -> float:
     return float(0.5 * np.sum((outputs - Y) ** 2) / n)
 
 
-def loss_and_gradients(net: DenseNetwork, X, Y, training=False, rng=None, out=None, optimizer=None):
-    """The loss on a batch and its gradient for every weight matrix and bias.
+def loss_and_gradients(net: DenseNetwork, X, Y, rng, out, optimizer) -> float:
+    """Train the network on one batch and return the batch's loss.
 
-    The output layer picks the loss (see :attr:`DenseNetwork.softmax_output`).
-    Without ``optimizer`` the gradients are written into ``out``, a vector
-    laid out like ``net.flat``, and returned as per-parameter views of it in
-    the order of ``net.parameters()``. Without ``out`` a fresh vector is
-    allocated, so gradients returned earlier are never overwritten.
-
-    With ``optimizer`` the batch trains the network instead, and the
-    gradients are ``None``. From the output layer down, each layer's
-    gradient is written into ``out``, a buffer at least as long as the
-    largest layer (a vector laid out like ``net.flat`` will do), below the
-    layers above it, laid out like their slice of ``net.flat``. Such a run
-    of adjacent layers is handed to ``optimizer.step(grad, at)`` in one call,
-    ``at`` being its offset in ``net.flat``, before a layer that would not
-    fit beside it and after the first layer; by then the delta below each
-    layer of the run has been computed from its weights. A non-finite loss
-    hands over nothing.
+    The output layer picks the loss (see :attr:`DenseNetwork.softmax_output`);
+    dropout draws its masks from ``rng``. From the output layer down, each
+    layer's gradient is written into ``out``, a buffer at least as long as
+    the largest layer (a vector laid out like ``net.flat`` will do), below
+    the layers above it, laid out like their slice of ``net.flat``. Such a
+    run of adjacent layers is handed to ``optimizer.step(grad, at)`` in one
+    call, ``at`` being its offset in ``net.flat``, before a layer that would
+    not fit beside it and after the first layer; by then the delta below
+    each layer of the run has been computed from its weights. A non-finite
+    loss hands over nothing.
     """
-    outputs, caches = net._forward_cached(X, training, rng)
+    outputs, caches = net._forward_cached(X, True, rng)
     n = len(outputs)
     softmax = net.softmax_output
     value = _loss_value(outputs, Y, softmax)
-    if optimizer is not None and not math.isfinite(value):
-        return value, None
-    if out is None:
-        out = np.empty_like(net.flat)
+    if not math.isfinite(value):
+        return value
 
     delta = outputs - Y
     delta /= n  # d loss / d outputs
@@ -310,19 +302,15 @@ def loss_and_gradients(net: DenseNetwork, X, Y, training=False, rng=None, out=No
         _backprop_activation(delta, a, layer.activation)
 
     at = net.param_count
-    run = out.size  # with optimizer: out[run:] holds flat[at : at + out.size - run]'s gradients
+    run = out.size  # out[run:] holds flat[at : at + out.size - run]'s gradients
     for k in range(len(caches) - 1, -1, -1):
         layer, a_in = caches[k][:2]
-        if optimizer is not None and run < layer.size:  # no room below the run
+        if run < layer.size:  # no room below the run
             optimizer.step(out[run:], at)
             run = out.size
         at -= layer.size
-        if optimizer is None:
-            grad = out[at : at + layer.size]
-        else:
-            run -= layer.size
-            grad = out[run : run + layer.size]
-        gW, gb = layer.split(grad)
+        run -= layer.size
+        gW, gb = layer.split(out[run : run + layer.size])
         np.matmul(a_in.T, delta, out=gW)
         np.sum(delta, axis=0, out=gb)
         # Nothing below the first layer needs its input gradient. Rebinding
@@ -335,10 +323,8 @@ def loss_and_gradients(net: DenseNetwork, X, Y, training=False, rng=None, out=No
         if keep is not None:
             _dropout(delta, keep, below.dropout, out=delta)
         _backprop_activation(delta, a, below.activation)
-    if optimizer is None:
-        return value, [g for pair in net.views(out) for g in pair]
     optimizer.step(out[run:], 0)  # the run that ends with the first layer
-    return value, None
+    return value
 
 
 class _Adam:
@@ -453,16 +439,15 @@ def train(
         for at in range(0, len(order), cfg.batch_size):
             idx = order[at : at + cfg.batch_size]
             with np.errstate(over="ignore", invalid="ignore"):
-                value, _ = loss_and_gradients(
-                    net, dataset.rows(train_rows[idx], dtype), Y[idx],
-                    training=True, rng=rng, out=grad, optimizer=optimizer,
+                value = loss_and_gradients(
+                    net, dataset.rows(train_rows[idx], dtype), Y[idx], rng, grad, optimizer
                 )
             if not np.isfinite(value):
                 raise DivergedError(epoch)
             epoch_losses.append(value)
         curve.append(float(np.mean(epoch_losses)))
 
-    preds = net.forward(val.rows(slice(None), dtype), training=False)
+    preds = net.forward(val.rows(slice(None), dtype))
     return PerfReport(metric(val.problem, preds, val.targets), curve)
 
 
@@ -471,9 +456,9 @@ def train(
 def metric(problem: ProblemKind, predictions, targets) -> float:
     """Score predictions against targets with the problem's metric.
 
-    Accuracy (classification) accepts probability rows or already-argmaxed
-    labels. MSE (regression) is half the per-sample squared error,
-    averaged, like the training loss.
+    Accuracy (classification) takes the argmax of each row of the
+    network's output, a one-unit output included. MSE (regression) is half
+    the per-sample squared error, averaged, like the training loss.
     """
     problem = ProblemKind(problem)
     preds = np.asarray(predictions)
@@ -486,9 +471,7 @@ def metric(problem: ProblemKind, predictions, targets) -> float:
         ).reshape(len(targets), -1)
         return float(0.5 * np.sum(diff**2, axis=1).mean())
 
-    labels = preds.argmax(axis=1) if preds.ndim == 2 and preds.shape[1] > 1 else preds
-    labels = np.asarray(labels).reshape(-1).astype(np.int64)
-    return float(np.mean(labels == targets.astype(np.int64)))
+    return float(np.mean(preds.argmax(axis=1) == targets.astype(np.int64)))
 
 
 def _in_score_dtype(dataset: data_mod.Dataset) -> data_mod.Dataset:

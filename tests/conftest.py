@@ -18,6 +18,7 @@ from evonas import (
     SearchConfig,
 )
 from evonas.genotype import FOLLOWERS, LayerKind
+from evonas.trainer import loss_and_gradients
 
 A = Activation
 
@@ -57,6 +58,32 @@ def mlp_regressor(spec) -> Genotype:
             genes.append(LayerGene.dense(units, act))
     genes.append(LayerGene.dense(1, A.LINEAR))
     return regressor(*genes)
+
+
+class RecordingOptimizer:
+    """An optimizer for :func:`~evonas.trainer.loss_and_gradients` that
+    changes no weight: ``step(grad, at)`` copies each run of gradients it is
+    handed into :attr:`grad`, a vector laid out like ``net.flat``, and
+    records the run's size in :attr:`sizes`. :attr:`buffer` is the gradient
+    buffer to pass with it: ``room`` elements, or as many as ``net.flat``."""
+
+    def __init__(self, net, room: int | None = None):
+        self.grad = np.full_like(net.flat, np.nan)
+        self.buffer = np.empty(net.param_count if room is None else room, net.flat.dtype)
+        self.sizes: list[int] = []
+
+    def step(self, grad: np.ndarray, at: int) -> None:
+        self.grad[at : at + grad.size] = grad
+        self.sizes.append(grad.size)
+
+
+def recorded_gradients(net, X, Y, rng=None) -> tuple[float, np.ndarray]:
+    """The loss of one training pass on a batch and its whole gradient, laid
+    out like ``net.flat``; ``net.views`` splits it per parameter. No weight
+    changes; dropout draws from ``rng``."""
+    recorder = RecordingOptimizer(net)
+    value = loss_and_gradients(net, X, Y, rng, recorder.buffer, recorder)
+    return value, recorder.grad
 
 
 # --- published fixture models -------------------------------------------------

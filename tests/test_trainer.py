@@ -45,7 +45,13 @@ from evonas.trainer import (
     save_model,
 )
 
-from conftest import genotypes, mlp_classifier, mlp_regressor
+from conftest import (
+    RecordingOptimizer,
+    genotypes,
+    mlp_classifier,
+    mlp_regressor,
+    recorded_gradients,
+)
 
 A = Activation
 
@@ -123,15 +129,15 @@ class TestForward:
             net = materialize(g, 8, seed=seed)
             X = rng.normal(scale=5.0, size=(16, 8))
             Y = np.eye(4)[rng.integers(4, size=16)]
-            value, _ = loss_and_gradients(net, X, Y)
+            value, _ = recorded_gradients(net, X, Y)
             assert value >= 0.0
 
     def test_dropout_inactive_at_inference(self):
         g = mlp_classifier([(16, A.RELU), 0.9])
         net = materialize(g, 8, seed=0)
         X = np.random.default_rng(1).normal(size=(10, 8))
-        a = net.forward(X, training=False)
-        b = net.forward(X, training=False)
+        a = net.forward(X)
+        b = net.forward(X)
         np.testing.assert_array_equal(a, b)
 
     def test_affine_arithmetic(self):
@@ -146,7 +152,7 @@ class TestForward:
         X = np.random.default_rng(1).normal(scale=3.0, size=(10, 8)).astype(dtype)
         before = X.copy()
         net.forward(X)
-        net.forward(X, training=True, rng=np.random.default_rng(2))
+        recorded_gradients(net, X, np.eye(10, dtype=dtype), np.random.default_rng(2))
         np.testing.assert_array_equal(X, before)
 
     def test_shape_mismatch_rejected(self):
@@ -157,39 +163,31 @@ class TestForward:
 
 
 def loss_at(net, X, Y, dropout_seed=None):
-    """``loss_and_gradients`` in inference mode, or in training mode with the
-    dropout rng seeded afresh, so that every call draws the same masks."""
-    if dropout_seed is None:
-        return loss_and_gradients(net, X, Y)
-    return loss_and_gradients(net, X, Y, training=True, rng=np.random.default_rng(dropout_seed))
+    """A recorded training pass (see :func:`recorded_gradients`), its dropout
+    rng seeded afresh, so that every call draws the same masks."""
+    rng = None if dropout_seed is None else np.random.default_rng(dropout_seed)
+    return recorded_gradients(net, X, Y, rng)
 
 
-def numeric_gradients(net, X, Y, h=1e-5, dropout_seed=None):
-    grads = []
-    for p in net.parameters():
-        flat = p.ravel()
-        g = np.empty_like(flat)
-        for k in range(flat.size):
-            orig = flat[k]
-            flat[k] = orig + h
-            up, _ = loss_at(net, X, Y, dropout_seed)
-            flat[k] = orig - h
-            down, _ = loss_at(net, X, Y, dropout_seed)
-            flat[k] = orig
-            g[k] = (up - down) / (2 * h)
-        grads.append(g.reshape(p.shape))
-    return grads
+def numeric_gradients(net, X, Y, h=1e-5, dropout_seed=None) -> np.ndarray:
+    """Central differences of the loss, laid out like ``net.flat``."""
+    grad = np.empty_like(net.flat)
+    for k in range(net.flat.size):
+        orig = net.flat[k]
+        net.flat[k] = orig + h
+        up, _ = loss_at(net, X, Y, dropout_seed)
+        net.flat[k] = orig - h
+        down, _ = loss_at(net, X, Y, dropout_seed)
+        net.flat[k] = orig
+        grad[k] = (up - down) / (2 * h)
+    return grad
 
 
 def gradient_agreement(net, X, Y, dropout_seed=None) -> float:
     _, analytic = loss_at(net, X, Y, dropout_seed)
     numeric = numeric_gradients(net, X, Y, dropout_seed=dropout_seed)
-    good = total = 0
-    for a, n in zip(analytic, numeric):
-        rel = np.abs(a - n) / np.maximum(1e-8, np.abs(a) + np.abs(n))
-        good += int(np.sum(rel <= 1e-4))
-        total += a.size
-    return good / total
+    rel = np.abs(analytic - numeric) / np.maximum(1e-8, np.abs(analytic) + np.abs(numeric))
+    return float(np.mean(rel <= 1e-4))
 
 
 @pytest.mark.parametrize("act", [A.SIGMOID, A.TANH, A.RELU])
@@ -247,39 +245,20 @@ class TestGradientVector:
         self.X = rng.normal(size=(20, 6))
         self.Y = np.eye(3)[rng.integers(3, size=20)]
 
-    def grads(self, X, out=None):
-        return loss_and_gradients(self.net, X, self.Y, out=out)[1]
-
-    def test_returned_gradients_survive_a_later_call(self):
-        first = self.grads(self.X)
-        kept = [g.copy() for g in first]
-        self.grads(-self.X)
-        for g, k in zip(first, kept):
-            np.testing.assert_array_equal(g, k)
-
-    def test_out_vector_holds_the_gradients_in_parameter_layout(self):
-        out = np.full_like(self.net.flat, np.nan)
-        views = self.grads(self.X, out=out)
-        assert all(np.shares_memory(v, out) for v in views)
-        assert [v.shape for v in views] == [p.shape for p in self.net.parameters()]
-        np.testing.assert_array_equal(out, np.concatenate([v.ravel() for v in views]))
-        for v, fresh in zip(views, self.grads(self.X)):
-            np.testing.assert_array_equal(v, fresh)
-
-
     @pytest.mark.parametrize("dropout_seed", [None, 3])
     def test_handoff_updates_like_one_whole_vector_step(self, dropout_seed):
         nets = [materialize(mlp_classifier([(16, A.RELU), 0.5, (8, A.TANH)], classes=3), 6, 1) for _ in "ab"]
         opts = [_Adam(net.flat, 0.01) for net in nets]
-        rngs = [np.random.default_rng(dropout_seed) for _ in "ab"]
-        training = dropout_seed is not None
+        if dropout_seed is None:  # no dropout: the pass draws nothing and needs no rng
+            for net in nets:
+                net.layers[0].dropout = 0.0
+        rngs = [None if dropout_seed is None else np.random.default_rng(dropout_seed) for _ in "ab"]
         layer_grad = np.empty(max(layer.size for layer in nets[0].layers))
-        grad = np.empty_like(nets[1].flat)
         for X in (self.X, -self.X):  # two minibatches
-            handed = loss_and_gradients(nets[0], X, self.Y, training, rngs[0], layer_grad, opts[0])
-            whole = loss_and_gradients(nets[1], X, self.Y, training, rngs[1], out=grad)
+            handed = loss_and_gradients(nets[0], X, self.Y, rngs[0], layer_grad, opts[0])
+            whole, grad = recorded_gradients(nets[1], X, self.Y, rngs[1])
             opts[1].step(grad)
-            assert handed[0] == whole[0] and handed[1] is None
+            assert handed == whole
             assert nets[0].flat.tobytes() == nets[1].flat.tobytes()
         assert opts[0].t == opts[1].t == 2
 
@@ -288,27 +267,31 @@ class TestGradientVector:
         # layers of 112, 136 and 27 parameters; the output layer's comes first
         nets = [materialize(mlp_classifier([(16, A.RELU), 0.5, (8, A.TANH)], classes=3), 6, 1) for _ in "ab"]
         opts = [_Adam(net.flat, 0.01) for net in nets]
-        sizes = []
-        step = opts[0].step
-        opts[0].step = lambda grad, at: (sizes.append(grad.size), step(grad, at))
-        grad = np.empty_like(nets[1].flat)
         for X in (self.X, -self.X):
-            loss_and_gradients(nets[0], X, self.Y, out=np.empty(room), optimizer=opts[0])
-            loss_and_gradients(nets[1], X, self.Y, out=grad)
+            rngs = [np.random.default_rng(3) for _ in "abc"]  # the same dropout masks
+            small = RecordingOptimizer(nets[0], room)
+            loss_and_gradients(nets[0], X, self.Y, rngs[0], small.buffer, small)
+            assert small.sizes == steps
+            loss_and_gradients(nets[0], X, self.Y, rngs[1], np.empty(room), opts[0])
+            _, grad = recorded_gradients(nets[1], X, self.Y, rngs[2])
+            assert small.grad.tobytes() == grad.tobytes()
             opts[1].step(grad)
             assert nets[0].flat.tobytes() == nets[1].flat.tobytes()
-        assert sizes == steps * 2
 
     def test_non_finite_loss_hands_over_nothing(self):
         net = linear_unit(1e200, 0.0)  # half the squared error overflows
         opt = _Adam(net.flat, 0.1)
         with np.errstate(over="ignore"):
-            value, grads = loss_and_gradients(
-                net, np.ones((2, 1)), np.zeros((2, 1)), out=np.empty(2), optimizer=opt
-            )
-        assert value == math.inf and grads is None
+            value = loss_and_gradients(net, np.ones((2, 1)), np.zeros((2, 1)), None, np.empty(2), opt)
+        assert value == math.inf
         assert opt.t == 0
         np.testing.assert_array_equal(net.flat, (1e200, 0.0))
+
+    def test_dropout_without_an_rng_is_refused_before_any_step(self):
+        recorder = RecordingOptimizer(self.net)
+        with pytest.raises(ValueError, match="training-mode dropout needs an rng"):
+            loss_and_gradients(self.net, self.X, self.Y, None, recorder.buffer, recorder)
+        assert recorder.sizes == []
 
 
 class TestOptimizers:
@@ -371,6 +354,12 @@ class TestTrain:
         cfg = TrainConfig(200, learning_rate=0.5, batch_size=256, seed=0)
         report = train(net, ds, tr, va, cfg)
         assert report.value < 1e-3
+
+    def test_one_unit_softmax_classifier_scores_every_row_right(self):
+        rng = np.random.default_rng(0)
+        ds = Dataset(rng.normal(size=(50, 8)), np.zeros(50, dtype=int), ProblemKind.CLASSIFICATION)
+        net = materialize(mlp_classifier([(8, A.RELU)], classes=1), 8, seed=0)
+        assert train(net, ds, *holdout(ds, 0.2, 1), TrainConfig(2, batch_size=16)).value == 1.0
 
     def test_zero_epochs_reports_untrained_metric(self, blob_dataset):
         tr, va = holdout(blob_dataset, 0.2, seed=1)
@@ -557,17 +546,12 @@ class TestFloat32:
         results = []
         for dtype in (np.float64, np.float32):
             net = materialize(g, 10, 2, dtype)
-            results.append(
-                loss_and_gradients(
-                    net, X.astype(dtype), Y.astype(dtype),
-                    training=True, rng=np.random.default_rng(3),  # the same dropout masks
-                )
-            )
+            rng = np.random.default_rng(3)  # the same dropout masks
+            results.append(recorded_gradients(net, X.astype(dtype), Y.astype(dtype), rng))
         (v64, g64), (v32, g32) = results
         assert v32 == pytest.approx(v64, rel=1e-4)
-        for single, double in zip(g32, g64):
-            assert single.dtype == np.float32
-            np.testing.assert_allclose(single, double, rtol=1e-4)
+        assert g32.dtype == np.float32
+        np.testing.assert_allclose(g32, g64, rtol=1e-4)
 
     def test_sigmoid_saturates_without_overflow_warnings(self):
         net = DenseNetwork([_DenseLayer(1, 1, A.SIGMOID)], input_dim=1, dtype=np.float32)
@@ -673,12 +657,14 @@ class TestObjective:
 
 class TestMetric:
     def test_perfect_predictions(self):
-        assert metric(C, np.array([0, 1, 2]), np.array([0, 1, 2])) == 1.0
+        assert metric(C, np.eye(3), np.array([0, 1, 2])) == 1.0
+        # a one-unit softmax outputs 1.0 in every row: class 0, not label 1
+        assert metric(C, np.ones((4, 1)), np.zeros(4)) == 1.0
         assert metric(R, np.array([1.0, 2.0]), np.array([1.0, 2.0])) == 0.0
 
     def test_symmetric_confusion(self):
         targets = np.array([1, 0, 1, 0])
-        preds = np.array([1, 1, 0, 0])  # tp=1 fp=1 fn=1 tn=1
+        preds = np.eye(2)[[1, 1, 0, 0]]  # tp=1 fp=1 fn=1 tn=1
         assert metric(C, preds, targets) == 0.5
 
     def test_multiclass_accuracy_equals_argmax_count(self):
@@ -695,7 +681,7 @@ class TestMetric:
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            metric(C, np.array([1]), np.array([1, 2]))
+            metric(C, np.ones((1, 2)), np.array([1, 2]))
 
 
 class TestKfoldEvaluate:
