@@ -13,12 +13,11 @@ import json
 import logging
 import os
 import sys
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import replace
 from pathlib import Path
-from typing import get_type_hints
 
 from . import data as data_mod
-from . import evalpool, evolution, trainer
+from . import evalpool, evolution, rundir, trainer
 from .genotype import (
     Genotype,
     LayerKind,
@@ -27,9 +26,8 @@ from .genotype import (
     count_params,
     input_fan_in,
     parse,
-    serialize,
-    to_dict,
 )
+from .rundir import write_run_record
 
 log = logging.getLogger(__name__)
 
@@ -37,51 +35,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_RUNTIME = 4
-
-
-@dataclass(frozen=True)
-class RunRecord:
-    """One evaluation of one candidate during a search.
-
-    This is the ``runs.csv`` schema: one row per record, one column per
-    field, in field order, each cell read back with the field's type.
-    """
-
-    experiment: int
-    generation: int
-    index: int
-    genotype: str
-    perf: float
-    params: int
-    cost: float
-    millis: int
-
-
-RUNS_CSV_FIELDS = tuple(f.name for f in fields(RunRecord))
-
-
-def write_run_record(writer, record: RunRecord) -> None:
-    writer.writerow(astuple(record))
-
-
-def read_runs(path) -> list[RunRecord]:
-    """Parse a runs.csv produced by the search command."""
-    types = list(get_type_hints(RunRecord).values())  # field order
-    out = []
-    with Path(path).open(newline="") as fh:
-        reader = csv.reader(fh)
-        if tuple(next(reader, ())) != RUNS_CSV_FIELDS:
-            raise data_mod.DataError(f"{path}: not a runs.csv file")
-        for row in reader:
-            if len(row) != len(types):
-                raise data_mod.DataError(
-                    f"{path}: line {reader.line_num} has {len(row)} cells, expected {len(types)}"
-                )
-            try:
-                out.append(RunRecord(*(t(cell) for t, cell in zip(types, row))))
-            except ValueError as exc:
-                raise data_mod.DataError(f"{path}: line {reader.line_num}: {exc}") from None
-    return out
 
 
 def _parse_input_dim(text: str) -> int:
@@ -107,15 +60,6 @@ def _train_config(args, epochs: int, seed: int) -> trainer.TrainConfig:
     return trainer.TrainConfig(
         epochs, learning_rate=args.learning_rate, batch_size=args.batch_size, seed=seed
     )
-
-
-def _out_dir(flag: str, path: str) -> Path:
-    """An output directory flag's path, refused unless it is a directory or can be made one."""
-    path = Path(path)
-    existing = next(p for p in (path, *path.parents) if p.exists())
-    if not existing.is_dir():
-        raise evolution.ConfigError(f"{flag} {path}: {existing} is not a directory")
-    return path
 
 
 def _out_file(flag: str, path: str) -> Path:
@@ -164,7 +108,7 @@ def cmd_search(args) -> int:
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)  # validated like the config's own seed
     train_cfg = _train_config(args, cfg.train_epochs, cfg.seed)
-    out_dir = _out_dir("--out", args.out)
+    out_dir = rundir.checked_path("--out", args.out)
 
     dataset = data_mod.load_manifest(args.data)
     _check_problem(dataset, "config", cfg.problem, "output_size", cfg.output_size)
@@ -175,44 +119,21 @@ def cmd_search(args) -> int:
     evaluator = trainer.make_evaluator(dataset, cfg.cv_ratio, train_cfg)
     del dataset  # float features: the evaluator holds their float32 cast; free the float64 ones
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name in ("archive.json", "best.json", "trace.jsonl"):
-        (out_dir / name).unlink(missing_ok=True)  # nothing of an earlier run outlives this one
-    (out_dir / "config.json").write_text(json.dumps(cfg.to_dict(), indent=2))
-    trace_path = out_dir / "trace.jsonl" if args.trace else None
+    trace_path = out_dir / rundir.TRACE if args.trace else None
     evaluate = functools.partial(  # evolution's name, not evalpool's: the benchmark rebinds it
         evolution.evaluate_all, evaluator=evaluator, worker_count=workers, trace_path=trace_path
     )
-
-    runs_path = out_dir / "runs.csv"
-    with runs_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RUNS_CSV_FIELDS)
+    with rundir.start(out_dir, cfg) as runs:
+        writer = csv.writer(runs)
 
         def on_generation(rec: evolution.GenerationRecord) -> None:
-            for ind, r in zip(rec.individuals, rec.results):
-                row = (rec.experiment, rec.generation, r.job_id[2], serialize(ind.genotype))
-                write_run_record(writer, RunRecord(*row, ind.perf, ind.size, ind.cost, r.millis))
+            for record in rundir.run_records(rec):
+                write_run_record(writer, record)  # this module's name: the benchmark times each row
+            runs.flush()  # each generation's rows reach runs.csv before the next one runs
 
         archive = evolution.run_search(cfg, evaluate, on_generation)
     winner = evolution.finalize(archive, cfg)
-
-    archive_doc = {
-        "entries": [
-            {
-                "experiment": i,
-                "genotype": to_dict(e.genotype),
-                "perf": e.perf,
-                "params": e.size,
-                "cost": e.cost,
-                "eval_seed": e.eval_seed,
-            }
-            for i, e in enumerate(archive.entries)
-        ],
-        "winner": archive.winner,
-    }
-    (out_dir / "archive.json").write_text(json.dumps(archive_doc, indent=2))
-    (out_dir / "best.json").write_text(json.dumps(to_dict(winner.genotype), indent=2))
+    rundir.finish(out_dir, archive, winner)
     print(
         f"search done: {len(archive.entries)} experiment(s), winner perf "
         f"{winner.perf:.4f}, {winner.size} parameters, cost {winner.cost:.4f}"
@@ -285,36 +206,18 @@ def cmd_inspect(args) -> int:
 
 # --- plot data ------------------------------------------------------------------
 
-def _discover_run_dirs(root: Path) -> list[Path]:
-    if (root / "runs.csv").exists():
-        return [root]
-    return sorted(d for d in root.iterdir() if d.is_dir() and (d / "runs.csv").exists())
-
-
 def cmd_plotdata(args) -> int:
     out_path = _out_file("--out", args.out)
     root = Path(args.runs_dir)
     if not root.is_dir():
         raise data_mod.DataError(f"no such directory: {root}")
-    run_dirs = _discover_run_dirs(root)
-    if not run_dirs:
-        raise data_mod.DataError(f"{root}: no run directories with a runs.csv found")
 
     rows = []  # (params, error, alpha, experiment, cost)
-    for run_dir in run_dirs:
-        config_path = run_dir / "config.json"
-        if not config_path.exists():
-            raise data_mod.DataError(f"{run_dir}: missing config.json next to runs.csv")
-        try:
-            cfg_doc = json.loads(config_path.read_text())
-            alpha = float(cfg_doc["alpha"])
-            problem = ProblemKind(cfg_doc["problem"])
-        except KeyError as exc:
-            raise data_mod.DataError(f"{config_path}: missing key {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise data_mod.DataError(f"{config_path}: not a search config: {exc}") from None
-        for rec in read_runs(run_dir / "runs.csv"):
-            error = evolution.metric_error(rec.perf, problem)
+    for run_dir in rundir.discover(root):
+        cfg, records = rundir.read(run_dir)
+        alpha = float(cfg.alpha)  # a config's "alpha": 1 plots as 1.0
+        for rec in records:
+            error = evolution.metric_error(rec.perf, cfg.problem)
             rows.append((rec.params, error, alpha, rec.experiment, rec.cost))
 
     if args.alpha is not None:

@@ -481,6 +481,22 @@ def _in_score_dtype(dataset: data_mod.Dataset) -> data_mod.Dataset:
     return replace(dataset, features=dataset.features.astype(SCORE_DTYPE, copy=False))
 
 
+#: Bytes of float rows gathered at a time by :func:`_take_in_score_dtype`.
+_GATHER_BYTES = 1 << 20
+
+
+def _take_in_score_dtype(dataset: data_mod.Dataset, rows) -> data_mod.Dataset:
+    """Rows ``rows`` of the dataset, float features gathered a chunk of rows at a
+    time straight into one :data:`SCORE_DTYPE` matrix; pixel bytes stay bytes."""
+    if dataset.features.dtype == np.uint8:
+        return dataset.take(rows)
+    features = np.empty((len(rows), dataset.feature_count), SCORE_DTYPE)
+    step = max(1, _GATHER_BYTES // (dataset.feature_count * dataset.features.itemsize))
+    for at in range(0, len(rows), step):
+        features[at : at + step] = dataset.features[rows[at : at + step]]
+    return replace(dataset, features=features, targets=dataset.targets[rows])
+
+
 def _score(g: Genotype, dataset, train_rows, val, cfg: TrainConfig) -> tuple[float, int]:
     """Materialize ``g`` from ``cfg.seed`` in :data:`SCORE_DTYPE`, :func:`train` it,
     and return ``(validation metric, parameter count)``."""
@@ -495,14 +511,15 @@ def kfold_evaluate(g: Genotype, dataset: data_mod.Dataset, k: int, cfg: TrainCon
     only variation between folds is the data split itself. Each fold's
     network only yields a score, so it trains in :data:`SCORE_DTYPE`, each
     minibatch cast as it is gathered; no cast of the whole feature matrix is
-    made. A fold's validation rows are copied, its training rows are not.
+    made. A fold's validation rows are copied, float ones straight into
+    :data:`SCORE_DTYPE`; its training rows are not copied.
     """
     folds = data_mod.kfold(dataset, k, cfg.seed)
     all_idx = np.arange(dataset.sample_count)
     values = []
     for i, fold in enumerate(folds):
         train_rows = np.setdiff1d(all_idx, fold)
-        value, _ = _score(g, dataset, train_rows, dataset.take(fold), cfg)
+        value, _ = _score(g, dataset, train_rows, _take_in_score_dtype(dataset, fold), cfg)
         values.append(value)
         log.debug("fold %d/%d: %s=%.4f", i + 1, k, METRIC_NAME[dataset.problem], value)
     return float(np.mean(values)), float(np.std(values))

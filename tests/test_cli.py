@@ -1,13 +1,18 @@
 """End-to-end tests of the command-line interface and its artifacts."""
 
+import csv
+import hashlib
+import io
 import json
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from evonas import count_params, evalpool, parse, serialize, trainer
-from evonas.cli import RUNS_CSV_FIELDS, main, read_runs
+from evonas import SearchConfig, count_params, evalpool, parse, serialize, trainer
+from evonas.cli import main
+from evonas.rundir import RUNS_CSV_FIELDS, read_runs
 
 from conftest import mlp_classifier
 from evonas import Activation
@@ -153,6 +158,76 @@ class TestSearchCommand:
             )
             outputs.append((out / "runs.csv").read_bytes())
         assert outputs[0] == outputs[1]
+
+    # sha256 of each artifact of a surrogate search, runs.csv with its millis
+    # cells blanked: any change to the run directory's format shows here
+    GOLDEN = {
+        7: {
+            "config.json": "d3d33296ebe28947b97e85702b700ebdff837be82da329c911dc5b79c6a61c18",
+            "archive.json": "5a320061b760be7250923ac39291bef867e702d8f46bfc7284ed78a9e15eab99",
+            "best.json": "367f1132346680bd176681b831837517cad65c1744241412a0fe6c1af57daff4",
+            "runs.csv": "7456d371635c6ea4af854e6dc6f0eb580e55b3f670dfa1ceecc32101c0e652c2",
+        },
+        11: {
+            "config.json": "82c82d529e3f535063352d3f00658ed425ccc4326281565dcfe17c8f485c4285",
+            "archive.json": "12b5d1f3a725add21516a5dd80f89c290e96e64bf8586f055bbf5c43d37c7ff9",
+            "best.json": "61f55fad4b1dc73d7fdaf299a04e559a3e746d75da24f9318fd76a1a19724207",
+            "runs.csv": "171c977b5c6812f599243d6018608b09be5e089e69e8f8109be558cd8e648bd4",
+        },
+    }
+
+    @pytest.mark.parametrize("seed", sorted(GOLDEN))
+    def test_run_directory_is_byte_identical_to_the_golden_one(self, workdir, monkeypatch, seed):
+        monkeypatch.setattr("evonas.trainer.make_evaluator", surrogate_make_evaluator)
+        out = workdir / "golden"
+        assert main([*search_args(workdir, out), "--seed", str(seed)]) == 0
+        with (out / "runs.csv").open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        blanked = io.StringIO()
+        csv.writer(blanked).writerows([rows[0], *([*row[:-1], ""] for row in rows[1:])])
+        blobs = {name: (out / name).read_bytes() for name in ("config.json", "archive.json", "best.json")}
+        blobs["runs.csv"] = blanked.getvalue().encode()
+        assert {name: hashlib.sha256(blob).hexdigest() for name, blob in blobs.items()} == self.GOLDEN[seed]
+
+    def test_failed_rename_of_best_json_leaves_no_partial_file(self, workdir, monkeypatch, capsys):
+        monkeypatch.setattr("evonas.trainer.make_evaluator", surrogate_make_evaluator)
+        rename = os.replace
+
+        def failing_rename(src, dst):
+            if Path(dst).name == "best.json":
+                raise OSError("disk full")
+            rename(src, dst)
+
+        monkeypatch.setattr(os, "replace", failing_rename)
+        out = workdir / "run"
+        assert main(search_args(workdir, out)) == 4
+        assert "disk full" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["archive.json", "config.json", "runs.csv"]
+        for name in ("archive.json", "config.json"):
+            json.loads((out / name).read_text())  # whole
+
+    def test_each_generation_reaches_runs_csv_before_the_next_runs(self, workdir, monkeypatch):
+        out = workdir / "run"
+        seen = []  # the rows in runs.csv at each evaluation
+
+        def reading_make_evaluator(dataset, cv_ratio, cfg):
+            evaluate = surrogate_make_evaluator(dataset, cv_ratio, cfg)
+
+            def evaluator(genotype, seed):
+                seen.append(len(read_runs(out / "runs.csv")))
+                return evaluate(genotype, seed)
+
+            return evaluator
+
+        monkeypatch.setattr("evonas.trainer.make_evaluator", reading_make_evaluator)
+        assert main([*search_args(workdir, out), "--workers", "1"]) == 0
+        rows = read_runs(out / "runs.csv")
+        first = {}  # (experiment, generation) -> its first row
+        for k, r in enumerate(rows):
+            first.setdefault((r.experiment, r.generation), k)
+        assert len(first) > 1
+        # evaluation k writes row k, and sees every row of the generations before its own
+        assert seen == [first[r.experiment, r.generation] for r in rows]
 
     def test_seed_flag_overrides_config(self, workdir, monkeypatch):
         monkeypatch.setattr("evonas.trainer.make_evaluator", surrogate_make_evaluator)
@@ -454,7 +529,7 @@ def test_plot_data_out_of_the_wrong_kind_exits_2_before_reading_runs(
     run.mkdir()
     (run / "runs.csv").write_text(",".join(RUNS_CSV_FIELDS) + "\n")
     (run / "config.json").write_text('{"alpha": 0.5, "problem": "classification"}')
-    forbid(monkeypatch, "evonas.cli.read_runs")
+    forbid(monkeypatch, "evonas.rundir.read_runs")
     assert main(["plot-data", str(run), "--out", str(workdir / out)]) == 2
     err = capsys.readouterr().err
     assert "configuration error: --out" in err and message in err
@@ -906,15 +981,27 @@ class TestPlotDataCommand:
         err = capsys.readouterr().err
         assert "data error" in err and message in err
 
+    # every key but alpha and problem of a config that search could write
+    REST = json.dumps(
+        {k: v for k, v in SearchConfig("classification", "mlp", 4, 2).to_dict().items() if k not in ("alpha", "problem")}
+    )[1:-1]
+
     @pytest.mark.parametrize(
         "config, message",
         [
             ("{bad", "not a search config"),
-            ('{"problem": "classification"}', "missing key 'alpha'"),
-            ('{"alpha": 0.5}', "missing key 'problem'"),
-            ('{"alpha": 0.5, "problem": "ranking"}', "not a search config"),
+            ('{"problem": "classification", %s}' % REST, "not a search config: missing key(s): alpha"),
+            ('{"alpha": 0.5, %s}' % REST, "not a search config: missing key(s): problem"),
+            ('{"alpha": 0.5, "problem": "ranking", %s}' % REST, "not a search config: 'ranking' is not a valid"),
+            ('{"alpha": true, "problem": "classification", %s}' % REST, "not a search config: alpha must be a number, got True"),
+            ('{"alpha": 7, "problem": "classification", %s}' % REST, "not a search config: alpha must be in [0, 1]"),
+            ('{"alpha": NaN, "problem": "classification", %s}' % REST, "not a search config: alpha must be finite, got nan"),
+            ('{"alpha": "0.5", "problem": "classification", %s}' % REST, "not a search config: alpha must be a number, got '0.5'"),
         ],
-        ids=["not-json", "no-alpha", "no-problem", "unknown-problem"],
+        ids=[
+            "not-json", "no-alpha", "no-problem", "unknown-problem",
+            "boolean-alpha", "alpha-out-of-range", "nan-alpha", "string-alpha",
+        ],
     )
     def test_bad_config_json_exits_3_naming_the_file(self, workdir, capsys, config, message):
         run = workdir / "run"

@@ -699,6 +699,16 @@ class TestKfoldEvaluate:
         with pytest.raises(ValueError):
             kfold_evaluate(g, blob_dataset, blob_dataset.sample_count + 1, TrainConfig(1))
 
+    def test_fold_rows_gathered_in_chunks_equal_their_cast(self, monkeypatch):
+        monkeypatch.setattr(trainer, "_GATHER_BYTES", 3 * 5 * 8)  # three float64 rows a chunk
+        rng = np.random.default_rng(0)
+        ds = Dataset(rng.normal(size=(20, 5)), rng.integers(0, 3, 20), ProblemKind.CLASSIFICATION)
+        rows = rng.permutation(20)[:11]
+        val = trainer._take_in_score_dtype(ds, rows)
+        assert val.features.dtype == np.float32
+        assert np.array_equal(val.features, ds.features[rows].astype(np.float32))
+        assert np.array_equal(val.targets, ds.targets[rows])
+
     def test_mnist_five_fold_reference_model(self):
         from evonas import load_idx
         from conftest import require_mnist
@@ -841,11 +851,12 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # one fold's validation rows in float64 and in float32, and four
-        # batch x 784 float32 arrays for training. Measured 0.88 casts; 1.44
-        # with the whole set cast up front, 2.11 to 2.19 when each fold
-        # copied its training rows.
-        assert peak < cast * 3 / k + 4 * batch * 784 * 4
+        # one fold's validation rows, gathered straight into float32, and six
+        # batch x 784 float32 arrays for training and the gather's float64
+        # chunk. Measured 0.56 casts (4.83 such arrays above the fold); 0.88
+        # with a float64 copy of the fold beside its cast, 1.44 with the whole
+        # set cast up front, 2.11 to 2.19 when each fold copied its training rows.
+        assert peak < cast / k + 6 * batch * 784 * 4
 
     def test_evaluator_keeps_pixel_bytes(self):
         n = 4000
