@@ -117,7 +117,6 @@ def cmd_search(args) -> int:
             f"config input_shape implies {cfg.input_dim} features, dataset has {dataset.feature_count}"
         )
     evaluator = trainer.make_evaluator(dataset, cfg.cv_ratio, train_cfg)
-    del dataset  # float features: the evaluator holds their float32 cast; free the float64 ones
 
     trace_path = out_dir / rundir.TRACE if args.trace else None
     evaluate = functools.partial(  # evolution's name, not evalpool's: the benchmark rebinds it
@@ -166,7 +165,7 @@ def cmd_train(args) -> int:
 
     train_rows, val_rows = data_mod.split(dataset, 0.2, cfg.seed)
     net = trainer.materialize(g, dataset.feature_count, cfg.seed)
-    report = trainer.train(net, dataset, train_rows, dataset.take(val_rows), cfg)
+    report = trainer.train(net, dataset, train_rows, val_rows, cfg)
     print(f"validation {metric_name}: {report.value:.4f} ({cfg.epochs} epochs)")
 
     if args.out_model:

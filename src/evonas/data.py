@@ -28,6 +28,9 @@ from .genotype import ProblemKind
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 
+#: Bytes per chunk of rows that :meth:`Dataset.take` gathers and converts at a time.
+_GATHER_BYTES = 1 << 20
+
 
 class DataError(ValueError):
     """A dataset could not be loaded or is malformed."""
@@ -37,9 +40,10 @@ class DataError(ValueError):
 class Dataset:
     """Immutable feature matrix with aligned targets.
 
-    ``uint8`` features are pixel bytes: a byte ``b`` reads as ``b / 255``,
-    and :meth:`rows` makes the float rows. Float32 features stay float32;
-    features of any other dtype become float64.
+    ``uint8`` features are pixel bytes: a byte ``b`` reads as ``b / 255``.
+    :meth:`rows`, and :meth:`take` through it, are the only code that turns
+    stored rows into floats. Float32 features stay float32; features of any
+    other dtype become float64.
     """
 
     features: np.ndarray
@@ -90,9 +94,19 @@ class Dataset:
     def feature_count(self) -> int:
         return self.features.shape[1]
 
-    def take(self, indices) -> "Dataset":
-        idx = np.asarray(indices)  # an index array, so both lookups below copy
-        return Dataset(self.features[idx], self.targets[idx], self.problem, self.column_names)
+    def take(self, indices, dtype=None) -> "Dataset":
+        """Rows ``indices`` copied. With a ``dtype``, their features are made by
+        :meth:`rows` a chunk of :data:`_GATHER_BYTES` at a time into one ``dtype``
+        matrix, so no copy of them in any other dtype is held whole."""
+        idx = np.asarray(indices)  # an index array, so every lookup below copies
+        if dtype is None:
+            return Dataset(self.features[idx], self.targets[idx], self.problem, self.column_names)
+        features = np.empty((len(idx), self.feature_count), dtype)
+        itemsize = max(self.features.itemsize, features.itemsize)
+        step = max(1, _GATHER_BYTES // (self.feature_count * itemsize))
+        for at in range(0, len(idx), step):
+            features[at : at + step] = self.rows(idx[at : at + step], dtype)
+        return Dataset(features, self.targets[idx], self.problem, self.column_names)
 
     def rows(self, index, dtype) -> np.ndarray:
         """The features of rows ``index`` in ``dtype``, a numpy scalar type. A byte ``b``
@@ -347,8 +361,11 @@ def split(ds: Dataset, ratio: float, seed: int) -> tuple[np.ndarray, np.ndarray]
     return perm[n_val:], perm[:n_val]
 
 
-def kfold(ds: Dataset, k: int, seed: int) -> list[np.ndarray]:
-    """Deterministic disjoint folds covering the dataset; sizes differ by at most one."""
+def kfold(ds: Dataset, k: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Deterministic ``(train_rows, val_rows)`` index arrays into ``ds``, one
+    pair per fold. The validation folds are disjoint, sorted, cover the
+    dataset and differ in size by at most one; each fold trains on every
+    other row, in ascending order."""
     if k < 2:
         raise DataError(f"need at least 2 folds, got {k}")
     n = ds.sample_count
@@ -356,12 +373,13 @@ def kfold(ds: Dataset, k: int, seed: int) -> list[np.ndarray]:
         raise DataError(f"cannot make {k} folds from {n} samples")
     perm = np.random.default_rng(seed).permutation(n)
     base, extra = divmod(n, k)
-    folds, at = [], 0
+    pairs, at = [], 0
     for i in range(k):
         size = base + (1 if i < extra else 0)
-        folds.append(np.sort(perm[at : at + size]))
+        fold = np.sort(perm[at : at + size])
+        pairs.append((np.setdiff1d(np.arange(n), fold), fold))
         at += size
-    return folds
+    return pairs
 
 
 # --- manifest ---------------------------------------------------------------

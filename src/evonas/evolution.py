@@ -547,13 +547,6 @@ def finalize(archive: Archive, cfg: SearchConfig) -> Individual:
     """Re-cost the archive as one population and return its best entry."""
     if not archive.entries:
         raise ValueError("cannot finalize an empty archive")
-    costs = compute_costs(
-        [(e.perf, e.size) for e in archive.entries],
-        cfg.alpha,
-        cfg.fitness_mode,
-        cfg.problem,
-    )
-    for entry, c in zip(archive.entries, costs):
-        entry.cost = c
-    archive.winner = min(range(len(costs)), key=costs.__getitem__)
+    _assign_costs(archive.entries, cfg)
+    archive.winner = min(range(len(archive.entries)), key=lambda i: archive.entries[i].cost)
     return archive.entries[archive.winner]

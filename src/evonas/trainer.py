@@ -403,27 +403,23 @@ def _target_matrix(net: DenseNetwork, problem: ProblemKind, targets: np.ndarray)
     return targets.reshape(-1, 1).astype(net.flat.dtype, copy=False)
 
 
-def train(
-    net: DenseNetwork, dataset: data_mod.Dataset, train_rows, val: data_mod.Dataset, cfg: TrainConfig
-) -> PerfReport:
-    """Minibatch-train a network on some rows of a dataset and score it on ``val``.
+def train(net: DenseNetwork, dataset: data_mod.Dataset, train_rows, val_rows, cfg: TrainConfig) -> PerfReport:
+    """Minibatch-train a network on some rows of a dataset and score it on others.
 
-    ``train_rows`` indexes the rows of ``dataset`` to train on; each
-    minibatch is gathered in the network's dtype by
-    :meth:`~evonas.data.Dataset.rows`, and so is ``val``'s input, so the
-    training rows are never copied as a whole and pixel bytes become floats
-    one minibatch at a time. All randomness (shuffling, dropout masks) flows
-    from ``cfg.seed``, so the result is deterministic. The output layer
-    picks the loss and the validation data's problem the metric; a softmax
-    output needs classification data, and classification data a softmax
-    output.
+    ``train_rows`` and ``val_rows`` index the rows of ``dataset`` to train
+    on and to score on. Each minibatch is gathered in the network's dtype by
+    :meth:`~evonas.data.Dataset.rows`, and after the epochs the validation
+    rows by :meth:`~evonas.data.Dataset.take`, so no set of rows is copied
+    whole in any other dtype. All randomness (shuffling, dropout masks)
+    flows from ``cfg.seed``, so the result is deterministic. The output
+    layer picks the loss and the data's problem the metric; a softmax output
+    needs classification data, and classification data a softmax output.
     """
-    for ds in (dataset, val):
-        if net.softmax_output != (ds.problem == ProblemKind.CLASSIFICATION):
-            raise ValueError(
-                f"a {net.layers[-1].activation.name.lower()} output layer cannot train on "
-                f"{ds.problem.value} data: softmax outputs and classification data go together"
-            )
+    if net.softmax_output != (dataset.problem == ProblemKind.CLASSIFICATION):
+        raise ValueError(
+            f"a {net.layers[-1].activation.name.lower()} output layer cannot train on "
+            f"{dataset.problem.value} data: softmax outputs and classification data go together"
+        )
     dtype = net.flat.dtype.type
     Y = _target_matrix(net, dataset.problem, dataset.targets[train_rows])
     rng = np.random.default_rng(cfg.seed)
@@ -447,7 +443,8 @@ def train(
             epoch_losses.append(value)
         curve.append(float(np.mean(epoch_losses)))
 
-    preds = net.forward(val.rows(slice(None), dtype))
+    val = dataset.take(val_rows, dtype)
+    preds = net.forward(val.features)
     return PerfReport(metric(val.problem, preds, val.targets), curve)
 
 
@@ -474,34 +471,11 @@ def metric(problem: ProblemKind, predictions, targets) -> float:
     return float(np.mean(preds.argmax(axis=1) == targets.astype(np.int64)))
 
 
-def _in_score_dtype(dataset: data_mod.Dataset) -> data_mod.Dataset:
-    """The dataset with float features cast once to :data:`SCORE_DTYPE`; pixel bytes stay bytes."""
-    if dataset.features.dtype == np.uint8:
-        return dataset
-    return replace(dataset, features=dataset.features.astype(SCORE_DTYPE, copy=False))
-
-
-#: Bytes of float rows gathered at a time by :func:`_take_in_score_dtype`.
-_GATHER_BYTES = 1 << 20
-
-
-def _take_in_score_dtype(dataset: data_mod.Dataset, rows) -> data_mod.Dataset:
-    """Rows ``rows`` of the dataset, float features gathered a chunk of rows at a
-    time straight into one :data:`SCORE_DTYPE` matrix; pixel bytes stay bytes."""
-    if dataset.features.dtype == np.uint8:
-        return dataset.take(rows)
-    features = np.empty((len(rows), dataset.feature_count), SCORE_DTYPE)
-    step = max(1, _GATHER_BYTES // (dataset.feature_count * dataset.features.itemsize))
-    for at in range(0, len(rows), step):
-        features[at : at + step] = dataset.features[rows[at : at + step]]
-    return replace(dataset, features=features, targets=dataset.targets[rows])
-
-
-def _score(g: Genotype, dataset, train_rows, val, cfg: TrainConfig) -> tuple[float, int]:
+def _score(g: Genotype, dataset, train_rows, val_rows, cfg: TrainConfig) -> tuple[float, int]:
     """Materialize ``g`` from ``cfg.seed`` in :data:`SCORE_DTYPE`, :func:`train` it,
     and return ``(validation metric, parameter count)``."""
     net = materialize(g, dataset.feature_count, cfg.seed, SCORE_DTYPE)
-    return train(net, dataset, train_rows, val, cfg).value, net.param_count
+    return train(net, dataset, train_rows, val_rows, cfg).value, net.param_count
 
 
 def kfold_evaluate(g: Genotype, dataset: data_mod.Dataset, k: int, cfg: TrainConfig):
@@ -509,17 +483,11 @@ def kfold_evaluate(g: Genotype, dataset: data_mod.Dataset, k: int, cfg: TrainCon
 
     Every fold trains a fresh materialization from the same seed, so the
     only variation between folds is the data split itself. Each fold's
-    network only yields a score, so it trains in :data:`SCORE_DTYPE`, each
-    minibatch cast as it is gathered; no cast of the whole feature matrix is
-    made. A fold's validation rows are copied, float ones straight into
-    :data:`SCORE_DTYPE`; its training rows are not copied.
+    network only yields a score, so it trains in :data:`SCORE_DTYPE`.
     """
-    folds = data_mod.kfold(dataset, k, cfg.seed)
-    all_idx = np.arange(dataset.sample_count)
     values = []
-    for i, fold in enumerate(folds):
-        train_rows = np.setdiff1d(all_idx, fold)
-        value, _ = _score(g, dataset, train_rows, _take_in_score_dtype(dataset, fold), cfg)
+    for i, (train_rows, val_rows) in enumerate(data_mod.kfold(dataset, k, cfg.seed)):
+        value, _ = _score(g, dataset, train_rows, val_rows, cfg)
         values.append(value)
         log.debug("fold %d/%d: %s=%.4f", i + 1, k, METRIC_NAME[dataset.problem], value)
     return float(np.mean(values)), float(np.std(values))
@@ -530,21 +498,17 @@ def kfold_evaluate(g: Genotype, dataset: data_mod.Dataset, k: int, cfg: TrainCon
 def make_evaluator(dataset: data_mod.Dataset, cv_ratio: float, cfg: TrainConfig):
     """Partial-training fitness evaluator for the search loop.
 
-    Every candidate trains in :data:`SCORE_DTYPE`. Float features are cast
-    to it once; pixel bytes stay bytes, and each minibatch is scaled as it
-    is gathered. The train/validation split is fixed once from
-    ``cfg.seed``, and only its validation rows are copied.
-    Each candidate trains with ``cfg`` but its own seed, which draws its
-    weights and shuffle stream, so evaluation order and the worker count
-    cannot change a result at a fixed BLAS thread count. Returns a ``(validation metric, parameter count)``
-    pair.
+    Every candidate trains in :data:`SCORE_DTYPE` on a train/validation
+    split fixed once from ``cfg.seed``; the evaluator holds the split's row
+    indices, and no copy of the rows. Each candidate trains with ``cfg`` but
+    its own seed, which draws its weights and shuffle stream, so evaluation
+    order and the worker count cannot change a result at a fixed BLAS thread
+    count. Returns a ``(validation metric, parameter count)`` pair.
     """
-    dataset = _in_score_dtype(dataset)
     train_rows, val_rows = data_mod.split(dataset, cv_ratio, cfg.seed)
-    val = dataset.take(val_rows)
 
     def evaluate(genotype: Genotype, seed: int) -> tuple[float, int]:
-        return _score(genotype, dataset, train_rows, val, replace(cfg, seed=seed))
+        return _score(genotype, dataset, train_rows, val_rows, replace(cfg, seed=seed))
 
     return evaluate
 

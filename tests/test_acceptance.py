@@ -225,7 +225,7 @@ def test_criterion_8_desk_scale_training():
         g = mlp_classifier([(56, A.RELU)])
         net = materialize(g, 784, seed=0)
         started = time.perf_counter()
-        report = train(net, ds, train_rows, ds.take(val_rows), TrainConfig(5, learning_rate=0.001, seed=0))
+        report = train(net, ds, train_rows, val_rows, TrainConfig(5, learning_rate=0.001, seed=0))
         elapsed = time.perf_counter() - started
         assert report.value >= 0.92, report.value
         assert elapsed <= 300.0, elapsed

@@ -81,6 +81,19 @@ def failing_make_evaluator(*_a, **_k):
     return evaluate
 
 
+def runs_csv_without_millis(path: Path) -> bytes:
+    """A ``runs.csv`` with every ``millis`` cell blanked: every other column
+    is a result, and the evaluation time is not."""
+    with path.open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    col = rows[0].index("millis")
+    for row in rows[1:]:
+        row[col] = ""
+    blanked = io.StringIO()
+    csv.writer(blanked).writerows(rows)
+    return blanked.getvalue().encode()
+
+
 def search_args(workdir, out):
     return ["search", str(workdir / "config.json"), str(workdir / "data.json"), "--out", str(out)]
 
@@ -125,19 +138,8 @@ class TestSearchCommand:
         blobs = []
         for name in ("a", "b"):
             out = workdir / name
-            assert (
-                main(
-                    [
-                        "search",
-                        str(workdir / "config.json"),
-                        str(workdir / "data.json"),
-                        "--out",
-                        str(out),
-                    ]
-                )
-                == 0
-            )
-            blobs.append((out / "runs.csv").read_bytes())
+            assert main(search_args(workdir, out)) == 0
+            blobs.append(runs_csv_without_millis(out / "runs.csv"))
         assert blobs[0] == blobs[1]
 
     def test_worker_count_leaves_results_unchanged(self, workdir, monkeypatch):
@@ -145,18 +147,8 @@ class TestSearchCommand:
         outputs = []
         for name, workers in (("w1", "1"), ("w8", "8")):
             out = workdir / name
-            main(
-                [
-                    "search",
-                    str(workdir / "config.json"),
-                    str(workdir / "data.json"),
-                    "--out",
-                    str(out),
-                    "--workers",
-                    workers,
-                ]
-            )
-            outputs.append((out / "runs.csv").read_bytes())
+            assert main([*search_args(workdir, out), "--workers", workers]) == 0
+            outputs.append(runs_csv_without_millis(out / "runs.csv"))
         assert outputs[0] == outputs[1]
 
     # sha256 of each artifact of a surrogate search, runs.csv with its millis
@@ -181,12 +173,8 @@ class TestSearchCommand:
         monkeypatch.setattr("evonas.trainer.make_evaluator", surrogate_make_evaluator)
         out = workdir / "golden"
         assert main([*search_args(workdir, out), "--seed", str(seed)]) == 0
-        with (out / "runs.csv").open(newline="") as fh:
-            rows = list(csv.reader(fh))
-        blanked = io.StringIO()
-        csv.writer(blanked).writerows([rows[0], *([*row[:-1], ""] for row in rows[1:])])
         blobs = {name: (out / name).read_bytes() for name in ("config.json", "archive.json", "best.json")}
-        blobs["runs.csv"] = blanked.getvalue().encode()
+        blobs["runs.csv"] = runs_csv_without_millis(out / "runs.csv")
         assert {name: hashlib.sha256(blob).hexdigest() for name, blob in blobs.items()} == self.GOLDEN[seed]
 
     def test_failed_rename_of_best_json_leaves_no_partial_file(self, workdir, monkeypatch, capsys):
@@ -728,9 +716,9 @@ class TestTrainCommand:
         seen = []
         train = trainer.train
 
-        def spy(net, dataset, train_rows, val, cfg):
+        def spy(net, dataset, train_rows, val_rows, cfg):
             seen.append(net.flat.dtype)
-            return train(net, dataset, train_rows, val, cfg)
+            return train(net, dataset, train_rows, val_rows, cfg)
 
         monkeypatch.setattr(trainer, "train", spy)
         gpath = workdir / "g.json"

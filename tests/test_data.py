@@ -14,6 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from evonas import Dataset, DataError, ProblemKind, kfold, load_csv, load_idx, split, window_rul
+from evonas import data
 from evonas.data import FORMATS, load_manifest, load_rul_table, normalize_features
 
 
@@ -260,7 +261,10 @@ class TestSplitAndKfold:
         if k > n:
             return
         ds = Dataset(np.ones((n, 2)), np.zeros(n), ProblemKind.REGRESSION)
-        folds = kfold(ds, k, seed=1)
+        pairs = kfold(ds, k, seed=1)
+        folds = [val for _, val in pairs]
+        for train_rows, val in pairs:
+            assert np.array_equal(train_rows, np.setdiff1d(np.arange(n), val))
         sizes = [len(f) for f in folds]
         assert max(sizes) - min(sizes) <= 1
         joined = np.concatenate(folds)
@@ -348,6 +352,27 @@ class TestDatasetInvariants:
             assert not got.flags.writeable
         np.testing.assert_array_equal(part.features, [[8.0, 9.0], [2.0, 3.0], [2.0, 3.0]])
         np.testing.assert_array_equal(part.targets, [4, 1, 1])
+
+    @pytest.mark.parametrize("stored", [np.uint8, np.float64, np.float32])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_take_in_a_dtype_equals_rows_in_chunks(self, stored, dtype, monkeypatch):
+        monkeypatch.setattr(data, "_GATHER_BYTES", 3 * 5 * 8)  # three to six rows a chunk
+        rng = np.random.default_rng(0)
+        X = rng.integers(0, 256, (20, 5)).astype(np.uint8) if stored == np.uint8 else rng.normal(size=(20, 5))
+        ds = Dataset(X.astype(stored), rng.integers(0, 3, 20), ProblemKind.CLASSIFICATION)
+        rows = rng.permutation(20)[:11]
+        chunks, rows_of = [], Dataset.rows
+
+        def counted(self, index, dt):
+            chunks.append(len(index))
+            return rows_of(self, index, dt)
+
+        monkeypatch.setattr(Dataset, "rows", counted)
+        part = ds.take(rows, dtype)
+        assert len(chunks) > 1 and sum(chunks) == 11
+        assert part.features.dtype == dtype and not part.features.flags.writeable
+        assert part.features.tobytes() == ds.rows(rows, dtype).tobytes()
+        np.testing.assert_array_equal(part.targets, ds.targets[rows])
 
 
 class TestManifest:

@@ -32,7 +32,7 @@ from evonas import (
     split,
     train,
 )
-from evonas import trainer
+from evonas import data, trainer
 from evonas.cli import main
 from evonas.evolution import random_genotype
 from evonas.trainer import (
@@ -56,10 +56,9 @@ from conftest import (
 A = Activation
 
 
-def holdout(ds: Dataset, ratio: float, seed: int) -> tuple[np.ndarray, Dataset]:
-    """``ds``'s training rows and its validation rows copied, as :func:`train` takes them."""
-    train_rows, val_rows = split(ds, ratio, seed)
-    return train_rows, ds.take(val_rows)
+def holdout(ds: Dataset, ratio: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """``ds``'s training and validation rows, as :func:`train` takes them."""
+    return split(ds, ratio, seed)
 
 
 def linear_unit(weight: float, bias: float) -> DenseNetwork:
@@ -534,7 +533,7 @@ class TestFloat32:
         assert opt.t == 1
         assert seen["grad"] == np.float32
         assert {a.dtype for a in (net.flat, opt.m, opt.v, opt.scratch)} == {np.dtype(np.float32)}
-        assert net.forward(va.features).dtype == np.float32
+        assert net.forward(ds.features[va]).dtype == np.float32
         assert trainer._target_matrix(net, C, ds.targets[tr]).dtype == np.float32
 
     @pytest.mark.parametrize("act", [A.SIGMOID, A.RELU])
@@ -700,11 +699,11 @@ class TestKfoldEvaluate:
             kfold_evaluate(g, blob_dataset, blob_dataset.sample_count + 1, TrainConfig(1))
 
     def test_fold_rows_gathered_in_chunks_equal_their_cast(self, monkeypatch):
-        monkeypatch.setattr(trainer, "_GATHER_BYTES", 3 * 5 * 8)  # three float64 rows a chunk
+        monkeypatch.setattr(data, "_GATHER_BYTES", 3 * 5 * 8)  # three float64 rows a chunk
         rng = np.random.default_rng(0)
         ds = Dataset(rng.normal(size=(20, 5)), rng.integers(0, 3, 20), ProblemKind.CLASSIFICATION)
         rows = rng.permutation(20)[:11]
-        val = trainer._take_in_score_dtype(ds, rows)
+        val = ds.take(rows, np.float32)
         assert val.features.dtype == np.float32
         assert np.array_equal(val.features, ds.features[rows].astype(np.float32))
         assert np.array_equal(val.targets, ds.targets[rows])
@@ -741,7 +740,7 @@ class TestModelExport:
         g2, net2, header = load_model(base)
         assert g2 == g
         assert header["param_count"] == net.param_count
-        X = va.features
+        X = blob_dataset.features[va]
         np.testing.assert_allclose(net2.forward(X), net.forward(X), rtol=1e-5, atol=1e-6)
 
     def test_loaded_model_trains_and_round_trips_exactly(self, tmp_path, blob_dataset):
@@ -797,16 +796,13 @@ class TestMemory:
         """The traced peak of one float32 training epoch at batch 512, and the network."""
         rng = np.random.default_rng(0)
 
-        def data(n):
-            X = rng.normal(size=(n, 784)).astype(np.float32)
-            return Dataset(X, rng.integers(0, 10, n), ProblemKind.CLASSIFICATION)
-
-        fit, val = data(880), data(220)
+        X = rng.normal(size=(1100, 784)).astype(np.float32)
+        ds = Dataset(X, rng.integers(0, 10, 1100), ProblemKind.CLASSIFICATION)
         net = materialize(mlp_classifier(spec), 784, 0, np.float32)
         assert not tracemalloc.is_tracing()
         tracemalloc.start()
         try:
-            train(net, fit, np.arange(880), val, TrainConfig(1, batch_size=512))
+            train(net, ds, np.arange(880), np.arange(880, 1100), TrainConfig(1, batch_size=512))
             return tracemalloc.get_traced_memory()[1], net
         finally:
             tracemalloc.stop()
@@ -853,7 +849,8 @@ class TestMemory:
             tracemalloc.stop()
         # one fold's validation rows, gathered straight into float32, and six
         # batch x 784 float32 arrays for training and the gather's float64
-        # chunk. Measured 0.56 casts (4.83 such arrays above the fold); 0.88
+        # chunk. Measured 0.42 casts (2.63 such arrays above the fold) with the
+        # fold gathered after training; 0.48 (3.63) gathered before it, 0.88
         # with a float64 copy of the fold beside its cast, 1.44 with the whole
         # set cast up front, 2.11 to 2.19 when each fold copied its training rows.
         assert peak < cast / k + 6 * batch * 784 * 4
@@ -870,9 +867,24 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the split and the validation bytes. Measured 0.05 float32 copies;
-        # 1.25 when the evaluator cast the features to float32.
+        # the split's row indices. Measured 0.003 float32 copies; 0.05 when the
+        # evaluator copied the validation bytes, 1.25 when it cast the features.
         assert peak < n * 784 * 4 / 2
+
+    def test_evaluator_keeps_no_copy_of_float_features(self):
+        n = 4000
+        rng = np.random.default_rng(0)
+        ds = Dataset(rng.random((n, 784)), rng.integers(0, 10, n), ProblemKind.CLASSIFICATION)
+        assert not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            make_evaluator(ds, 0.2, TrainConfig(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the split's row indices. Measured 0.003 float32 copies; 1.20 when the
+        # evaluator cast the features to float32 and copied its validation rows.
+        assert peak < n * 784 * 4 / 4
 
 
 def test_readme_lists_exactly_the_train_config_fields():
