@@ -16,7 +16,7 @@ import json
 import struct
 import warnings
 from collections import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from types import UnionType
 from typing import Mapping, Sequence, Union, get_args, get_origin, get_type_hints
@@ -49,7 +49,6 @@ class Dataset:
     features: np.ndarray
     targets: np.ndarray
     problem: ProblemKind
-    column_names: tuple[str, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self):
         feats = np.asarray(self.features)
@@ -97,24 +96,29 @@ class Dataset:
     def take(self, indices, dtype=None) -> "Dataset":
         """Rows ``indices`` copied. With a ``dtype``, their features are made by
         :meth:`rows` a chunk of :data:`_GATHER_BYTES` at a time into one ``dtype``
-        matrix, so no copy of them in any other dtype is held whole."""
+        matrix, each chunk written in place, so no copy of them in any other dtype
+        is held whole."""
         idx = np.asarray(indices)  # an index array, so every lookup below copies
         if dtype is None:
-            return Dataset(self.features[idx], self.targets[idx], self.problem, self.column_names)
+            return Dataset(self.features[idx], self.targets[idx], self.problem)
         features = np.empty((len(idx), self.feature_count), dtype)
         itemsize = max(self.features.itemsize, features.itemsize)
         step = max(1, _GATHER_BYTES // (self.feature_count * itemsize))
         for at in range(0, len(idx), step):
-            features[at : at + step] = self.rows(idx[at : at + step], dtype)
-        return Dataset(features, self.targets[idx], self.problem, self.column_names)
+            self.rows(idx[at : at + step], dtype, out=features[at : at + step])
+        return Dataset(features, self.targets[idx], self.problem)
 
-    def rows(self, index, dtype) -> np.ndarray:
-        """The features of rows ``index`` in ``dtype``, a numpy scalar type. A byte ``b``
-        becomes ``b / 255`` divided in ``dtype``, equal to ``b / 255.0`` rounded to it."""
+    def rows(self, index, dtype, out=None) -> np.ndarray:
+        """The features of rows ``index`` in ``dtype``, a numpy scalar type, written
+        into ``out`` when it is given. A byte ``b`` becomes ``b / 255`` divided in
+        ``dtype``, equal to ``b / 255.0`` rounded to it."""
         x = self.features[index]
         if x.dtype == np.uint8:
-            return np.divide(x, dtype(255), dtype=dtype)
-        return x.astype(dtype, copy=False)
+            return np.divide(x, dtype(255), dtype=dtype, out=out)
+        if out is None:
+            return x.astype(dtype, copy=False)
+        out[...] = x
+        return out
 
 
 # --- IDX --------------------------------------------------------------------
@@ -259,9 +263,7 @@ def load_csv(
                 feats[r, j] = value
             else:
                 tgts[r] = value
-    feats = normalize_features(feats, normalization)
-    col_names = tuple(names[i] for i in feat_idx) if names else None
-    return Dataset(feats, tgts, kind, col_names)
+    return Dataset(normalize_features(feats, normalization), tgts, kind)
 
 
 # --- sliding-window RUL -----------------------------------------------------

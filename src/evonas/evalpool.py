@@ -53,8 +53,8 @@ def derive_seed(root_seed: int, *parts: int) -> int:
     return int.from_bytes(digest, "big") >> 1
 
 
-def resolve_worker_count(cli_value: int | None, default: int = 1) -> int:
-    """Worker count from the CLI flag, else the environment, else ``default``.
+def resolve_worker_count(cli_value: int | None) -> int:
+    """Worker count from the CLI flag, else the environment, else 1.
 
     A count below 1 from either source is rejected, not clamped.
     """
@@ -71,7 +71,7 @@ def resolve_worker_count(cli_value: int | None, default: int = 1) -> int:
         if count < 1:
             raise ValueError(f"{WORKERS_ENV} must be at least 1, got {count}")
         return count
-    return default
+    return 1
 
 
 def usable_cores() -> int:
@@ -191,11 +191,11 @@ class EvalJob:
 
 @dataclass(frozen=True)
 class EvalResult:
-    """Outcome of one job; ``params`` is 0 and ``perf`` None when it failed."""
+    """Outcome of one job: its score, None when it failed. A candidate's size
+    is not a result: it comes from its genotype."""
 
     job_id: tuple[int, int, int]
     perf: float | None
-    params: int
     status: str
     millis: int = 0
 
@@ -204,19 +204,19 @@ class EvalResult:
         return self.status == "ok"
 
 
-Evaluator = Callable[[Genotype, int], tuple[float, int]]
+#: Scores a genotype trained from a seed; the score is all a worker sends back.
+Evaluator = Callable[[Genotype, int], float]
 
 
 def _run_job(job: EvalJob, evaluator: Evaluator) -> EvalResult:
     started = time.perf_counter_ns()
     try:
-        perf, params = evaluator(job.genotype, job.seed)
-        status, perf, params = "ok", float(perf), int(params)
+        status, perf = "ok", float(evaluator(job.genotype, job.seed))
     except Exception as exc:  # a failing candidate must not sink the pool
         log.warning("evaluation %s failed: %r", job.job_id, exc)
-        status, perf, params = f"failed: {exc!r}", None, 0
+        status, perf = f"failed: {exc!r}", None
     millis = (time.perf_counter_ns() - started) // 1_000_000
-    return EvalResult(job.job_id, perf, params, status, int(millis))
+    return EvalResult(job.job_id, perf, status, int(millis))
 
 
 def evaluate_all(
@@ -252,7 +252,6 @@ def evaluate_all(
                             "job_id": list(r.job_id),
                             "status": r.status,
                             "perf": r.perf,
-                            "params": r.params,
                             "millis": r.millis,
                         }
                     )

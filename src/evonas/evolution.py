@@ -476,7 +476,8 @@ def run_search(
     ``evaluate`` maps one generation's jobs to their results in job order,
     for example the evaluation pool bound to an evaluator and a worker
     count. Each job's seed is derived from (config seed, experiment,
-    generation, index). A failing evaluation is logged and assigned the
+    generation, index). Every individual's size is its genotype's
+    :func:`count_params`. A failing evaluation is logged and assigned the
     worst performance seen in its generation; a generation in which every
     evaluation fails raises ``RuntimeError`` before ``on_generation`` sees it.
 
@@ -515,7 +516,7 @@ def run_search(
             individuals = []
             for job, r in zip(jobs, results):
                 perf = r.perf if r.ok else fallback
-                size = r.params if r.ok else count_params(job.genotype, cfg.input_dim)
+                size = count_params(job.genotype, cfg.input_dim)
                 individuals.append(Individual(job.genotype, perf, size, eval_seed=job.seed))
             _assign_costs(individuals, cfg)
             if on_generation is not None:  # copied: elitism below re-costs them in place

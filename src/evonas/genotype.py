@@ -198,9 +198,6 @@ class ValidityReport:
     ok: bool
     violations: tuple[Violation, ...]
 
-    def __bool__(self) -> bool:
-        return self.ok
-
     def summary(self) -> str:
         return "valid" if self.ok else "; ".join(str(v) for v in self.violations)
 
@@ -280,22 +277,31 @@ def input_fan_in(shape) -> int:
     return math.prod(int(d) for d in dims)
 
 
-def count_params(g: Genotype, input_dim) -> int:
-    """Trainable parameter count of the network a genotype describes.
+def dense_layers(g: Genotype, input_dim) -> list[tuple[int, int, Activation, float]]:
+    """The layout of the network a genotype describes: its dense layers in order.
 
+    Each is ``(fan_in, units, activation, dropout)``, where ``dropout`` is the
+    rate of the dropout gene after the layer, 0.0 when there is none.
     ``input_dim`` is a flat feature count or an ``(H, W, C)`` shape (see
-    :func:`input_fan_in`). Each dense layer contributes
-    ``(fan_in + 1) * units``; dropout contributes nothing.
+    :func:`input_fan_in`). An invalid genotype raises :class:`GenotypeError`.
     """
     report = validate(g)
     if not report.ok:
-        raise GenotypeError(f"cannot count parameters of an invalid genotype: {report.summary()}")
-    fan, total = input_fan_in(input_dim), 0
+        raise GenotypeError(f"cannot lay out an invalid genotype: {report.summary()}")
+    layers, fan = [], input_fan_in(input_dim)
     for gene in g.layers:
         if gene.kind == LayerKind.FULLY_CONNECTED:
-            total += (fan + 1) * gene.units
+            layers.append((fan, gene.units, gene.activation, 0.0))
             fan = gene.units
-    return total
+        else:  # a valid genotype puts a dropout gene only after a dense one
+            layers[-1] = (*layers[-1][:3], gene.dropout_rate)
+    return layers
+
+
+def count_params(g: Genotype, input_dim) -> int:
+    """Trainable parameter count of the network a genotype describes: each
+    dense layer of :func:`dense_layers` contributes ``(fan_in + 1) * units``."""
+    return sum((fan + 1) * units for fan, units, _, _ in dense_layers(g, input_dim))
 
 
 def distance(s1: Genotype, s2: Genotype) -> float:

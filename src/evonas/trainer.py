@@ -18,15 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data as data_mod
-from .genotype import (
-    Activation,
-    Genotype,
-    LayerKind,
-    ProblemKind,
-    count_params,
-    from_dict,
-    to_dict,
-)
+from .genotype import Activation, Genotype, ProblemKind, dense_layers, from_dict, to_dict
 
 log = logging.getLogger(__name__)
 
@@ -127,11 +119,11 @@ class _DenseLayer:
     the rate of the dropout gene after the layer, 0.0 when there is none.
     """
 
-    def __init__(self, fan_in: int, units: int, activation: Activation):
+    def __init__(self, fan_in: int, units: int, activation: Activation, dropout: float):
         self.shape = (fan_in, units)
         self.size = (fan_in + 1) * units  # weights and biases
         self.activation = activation
-        self.dropout = 0.0
+        self.dropout = dropout
         self.W = self.b = None
 
     def split(self, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -143,7 +135,9 @@ class _DenseLayer:
 class DenseNetwork:
     """A stack of affine+activation layers, each with optional inverted dropout.
 
-    Every parameter lives in one vector, ``flat``: each layer's weights
+    ``layout`` holds one ``(fan_in, units, activation, dropout)`` per layer,
+    as :func:`~evonas.genotype.dense_layers` returns it. Every parameter
+    lives in one zero-filled vector, ``flat``: each layer's weights
     (row-major) and then its biases, in layer order. The layers' ``W`` and
     ``b`` are views into it, so the optimizer and model export work on the
     vector while the passes read the views. The dtype of ``flat`` is the
@@ -151,11 +145,11 @@ class DenseNetwork:
     in it.
     """
 
-    def __init__(self, layers, input_dim: int, dtype=np.float64):
-        self.layers = layers
+    def __init__(self, layout, input_dim: int, dtype=np.float64):
+        self.layers = [_DenseLayer(*layer) for layer in layout]
         self.input_dim = input_dim
-        self.flat = np.zeros(sum(layer.size for layer in layers), dtype=dtype)
-        for layer, (W, b) in zip(layers, self.views(self.flat)):
+        self.flat = np.zeros(sum(layer.size for layer in self.layers), dtype=dtype)
+        for layer, (W, b) in zip(self.layers, self.views(self.flat)):
             layer.W, layer.b = W, b
 
     def views(self, vec: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -231,28 +225,18 @@ _DRAW_CHUNK = 16384
 
 
 def materialize(g: Genotype, input_dim: int, seed: int, dtype=np.float64) -> DenseNetwork:
-    """Build the network a genotype describes, Glorot-initialized from ``seed``.
+    """Build the network a genotype lays out, Glorot-initialized from ``seed``.
 
-    Each dropout gene becomes the ``dropout`` of the dense layer before it.
     The weights are drawn in float64 and rounded into ``dtype``, so a
     network's weights are the same draw whatever its precision. A bounded
     chunk at a time, computed like ``rng.uniform`` computes them (``low +
     (high - low) * u``, rounding once per operation).
     """
-    params = count_params(g, int(input_dim))  # raises GenotypeError for an invalid genotype
-    layers = []
-    fan = int(input_dim)
-    for gene in g.layers:
-        if gene.kind == LayerKind.FULLY_CONNECTED:
-            layers.append(_DenseLayer(fan, gene.units, gene.activation))
-            fan = gene.units
-        else:  # a valid genotype puts a dropout gene only after a dense one
-            layers[-1].dropout = gene.dropout_rate
-    net = DenseNetwork(layers, int(input_dim), dtype)
-    assert net.param_count == params
+    input_dim = int(input_dim)
+    net = DenseNetwork(dense_layers(g, input_dim), input_dim, dtype)  # GenotypeError if invalid
     rng = np.random.default_rng(seed)
     draw = np.empty(min(net.param_count, _DRAW_CHUNK))
-    for layer in layers:  # biases stay zero
+    for layer in net.layers:  # biases stay zero
         fan, units = layer.shape
         limit = np.sqrt(6.0 / (fan + units))
         low, high = -limit, limit
@@ -471,11 +455,11 @@ def metric(problem: ProblemKind, predictions, targets) -> float:
     return float(np.mean(preds.argmax(axis=1) == targets.astype(np.int64)))
 
 
-def _score(g: Genotype, dataset, train_rows, val_rows, cfg: TrainConfig) -> tuple[float, int]:
+def _score(g: Genotype, dataset, train_rows, val_rows, cfg: TrainConfig) -> float:
     """Materialize ``g`` from ``cfg.seed`` in :data:`SCORE_DTYPE`, :func:`train` it,
-    and return ``(validation metric, parameter count)``."""
+    and return its validation metric."""
     net = materialize(g, dataset.feature_count, cfg.seed, SCORE_DTYPE)
-    return train(net, dataset, train_rows, val_rows, cfg).value, net.param_count
+    return train(net, dataset, train_rows, val_rows, cfg).value
 
 
 def kfold_evaluate(g: Genotype, dataset: data_mod.Dataset, k: int, cfg: TrainConfig):
@@ -487,7 +471,7 @@ def kfold_evaluate(g: Genotype, dataset: data_mod.Dataset, k: int, cfg: TrainCon
     """
     values = []
     for i, (train_rows, val_rows) in enumerate(data_mod.kfold(dataset, k, cfg.seed)):
-        value, _ = _score(g, dataset, train_rows, val_rows, cfg)
+        value = _score(g, dataset, train_rows, val_rows, cfg)
         values.append(value)
         log.debug("fold %d/%d: %s=%.4f", i + 1, k, METRIC_NAME[dataset.problem], value)
     return float(np.mean(values)), float(np.std(values))
@@ -503,11 +487,12 @@ def make_evaluator(dataset: data_mod.Dataset, cv_ratio: float, cfg: TrainConfig)
     indices, and no copy of the rows. Each candidate trains with ``cfg`` but
     its own seed, which draws its weights and shuffle stream, so evaluation
     order and the worker count cannot change a result at a fixed BLAS thread
-    count. Returns a ``(validation metric, parameter count)`` pair.
+    count. Returns the validation metric alone: a candidate's size is its
+    genotype's :func:`~evonas.genotype.count_params`.
     """
     train_rows, val_rows = data_mod.split(dataset, cv_ratio, cfg.seed)
 
-    def evaluate(genotype: Genotype, seed: int) -> tuple[float, int]:
+    def evaluate(genotype: Genotype, seed: int) -> float:
         return _score(genotype, dataset, train_rows, val_rows, replace(cfg, seed=seed))
 
     return evaluate
@@ -540,13 +525,13 @@ def save_model(net: DenseNetwork, g: Genotype, history: list[float], base_path) 
 
 
 def load_model(base_path) -> tuple[Genotype, DenseNetwork, dict]:
-    """Inverse of :func:`save_model`."""
+    """Inverse of :func:`save_model`: a float64 network laid out by the
+    genotype, its parameters read from the blob and none drawn."""
     json_path, bin_path = _model_paths(base_path)
     header = json.loads(json_path.read_text())
     g = from_dict(header["genotype"])
-    blob = bin_path.read_bytes()
-    net = materialize(g, header["input_dim"], seed=0)
-    floats = np.frombuffer(blob, dtype="<f4")
+    net = DenseNetwork(dense_layers(g, header["input_dim"]), header["input_dim"])
+    floats = np.frombuffer(bin_path.read_bytes(), dtype="<f4")
     if floats.size != net.param_count:
         raise ValueError(
             f"parameter blob has {floats.size} floats, header promises {net.param_count}"

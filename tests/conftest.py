@@ -17,7 +17,7 @@ from evonas import (
     ProblemKind,
     SearchConfig,
 )
-from evonas.genotype import FOLLOWERS, LayerKind
+from evonas.genotype import FOLLOWERS, MAX_LAYERS, LayerKind, validate
 from evonas.trainer import loss_and_gradients
 
 A = Activation
@@ -115,6 +115,20 @@ LISTED_PAIRS = [
     (0, 0), (0, 2), (0, 4), (0, 5), (1, 2), (1, 4), (1, 5),
     (2, 2), (2, 4), (2, 5), (4, 4), (4, 5), (5, 5),
 ]
+
+
+def oracle_pairs(base, r1, r2, donor, max_layers=MAX_LAYERS):
+    """Brute force: a pair qualifies iff splicing it yields a valid genotype."""
+    out = []
+    for r3 in range(len(donor.layers) - 1):
+        for r4 in range(r3, len(donor.layers) - 1):
+            layers = base.layers[:r1] + donor.layers[r3 : r4 + 1] + base.layers[r2 + 1 :]
+            if len(layers) > max_layers:
+                continue
+            if validate(Genotype(layers, base.problem)).ok:
+                out.append((r3, r4))
+    return out
+
 
 # Published (spec, accuracy, parameter count, fitness, alpha) rows. Dense
 # entries are (units, activation); floats are dropout rates.

@@ -49,6 +49,7 @@ from conftest import (
     RUL_WINNER_TABLE,
     mlp_classifier,
     mlp_regressor,
+    oracle_pairs,
     recorded_gradients,
     require_mnist,
 )
@@ -114,24 +115,12 @@ def test_criterion_3_crossover_fixture(crossover_parents, crossover_child, mnist
         assert child == crossover_child
 
 
-def _oracle_pairs(base, donor, r1, r2, max_layers=64):
-    out = []
-    for r3 in range(len(donor.layers) - 1):
-        for r4 in range(r3, len(donor.layers) - 1):
-            layers = base.layers[:r1] + donor.layers[r3 : r4 + 1] + base.layers[r2 + 1 :]
-            if len(layers) > max_layers:
-                continue
-            if validate(Genotype(layers, base.problem)).ok:
-                out.append((r3, r4))
-    return out
-
-
 def test_criterion_4_compatible_pair_rule(crossover_parents):
     with criterion(4, "compatible pairs: superset of the listed 13, equal to brute force"):
         base, donor = crossover_parents
         rule = compatible_pairs(base, 1, 3, donor, 64)
         assert set(LISTED_PAIRS) <= set(rule)
-        assert rule == _oracle_pairs(base, donor, 1, 3)
+        assert rule == oracle_pairs(base, 1, 3, donor)
 
 
 def test_criterion_5_operator_validity_fuzz(mnist_search_config):

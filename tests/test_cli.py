@@ -68,8 +68,7 @@ def workdir(tmp_path):
 
 def surrogate_make_evaluator(dataset, cv_ratio, cfg):
     def evaluate(genotype, seed):
-        w = count_params(genotype, dataset.feature_count)
-        return 1.0 / (1.0 + w / 5000.0), w
+        return 1.0 / (1.0 + count_params(genotype, dataset.feature_count) / 5000.0)
 
     return evaluate
 

@@ -17,7 +17,6 @@ from evonas import (
     Dataset,
     EvalJob,
     ProblemKind,
-    count_params,
     derive_seed,
     evalpool,
     evaluate_all,
@@ -40,30 +39,30 @@ def make_jobs(n=12, gen=0):
     return jobs
 
 
-def sized_evaluator(g, seed):
-    return float(seed % 1000) / 1000.0, count_params(g, 784)
+def seeded_evaluator(g, seed):
+    return float(seed % 1000) / 1000.0
 
 
 def jittery_evaluator(g, seed):
     # deterministic per-seed output, scheduling-dependent completion order
     time.sleep((seed % 7) * 0.002)
-    return sized_evaluator(g, seed)
+    return seeded_evaluator(g, seed)
 
 
 class TestEvaluateAll:
     def test_one_result_per_job_in_id_order(self):
         jobs = make_jobs()
-        results = evaluate_all(jobs, sized_evaluator, worker_count=1)
+        results = evaluate_all(jobs, seeded_evaluator, worker_count=1)
         assert [r.job_id for r in results] == [j.job_id for j in jobs]
         assert all(r.ok for r in results)
 
     def test_worker_count_does_not_change_results(self):
         jobs = make_jobs()
-        reference = evaluate_all(jobs, sized_evaluator, worker_count=1)
+        reference = evaluate_all(jobs, seeded_evaluator, worker_count=1)
         for workers in (2, 8):
             parallel = evaluate_all(jobs, jittery_evaluator, worker_count=workers)
-            assert [(r.job_id, r.perf, r.params, r.status) for r in parallel] == [
-                (r.job_id, r.perf, r.params, r.status) for r in reference
+            assert [(r.job_id, r.perf, r.status) for r in parallel] == [
+                (r.job_id, r.perf, r.status) for r in reference
             ]
 
     def test_scheduling_stress(self):
@@ -80,7 +79,7 @@ class TestEvaluateAll:
         def sometimes(g, seed):
             if g.layers[0].units == 16:  # job index 1
                 raise RuntimeError("bad candidate")
-            return sized_evaluator(g, seed)
+            return seeded_evaluator(g, seed)
 
         results = evaluate_all(jobs, sometimes, worker_count=3)
         assert [r.ok for r in results] == [True, False, True, True, True]
@@ -92,19 +91,20 @@ class TestEvaluateAll:
         jobs = make_jobs(3)
         dupe = [jobs[0], jobs[0], jobs[2]]
         with pytest.raises(ValueError, match="unique"):
-            evaluate_all(dupe, sized_evaluator)
+            evaluate_all(dupe, seeded_evaluator)
 
     def test_worker_count_validated(self):
         with pytest.raises(ValueError):
-            evaluate_all(make_jobs(2), sized_evaluator, worker_count=0)
+            evaluate_all(make_jobs(2), seeded_evaluator, worker_count=0)
 
     def test_trace_lines_written(self, tmp_path):
         trace = tmp_path / "trace.jsonl"
         jobs = make_jobs(4)
-        evaluate_all(jobs, sized_evaluator, worker_count=2, trace_path=trace)
+        evaluate_all(jobs, seeded_evaluator, worker_count=2, trace_path=trace)
         lines = [json.loads(line) for line in trace.read_text().splitlines()]
         assert [tuple(l["job_id"]) for l in lines] == [j.job_id for j in jobs]
         assert all(l["status"] == "ok" for l in lines)
+        assert all(set(l) == {"job_id", "status", "perf", "millis"} for l in lines)
 
 
 class TestSeedDerivation:
@@ -132,7 +132,7 @@ class TestWorkerCountResolution:
 
     def test_default_when_unset(self, monkeypatch):
         monkeypatch.delenv(WORKERS_ENV, raising=False)
-        assert resolve_worker_count(None, default=2) == 2
+        assert resolve_worker_count(None) == 1
 
     def test_bad_env_rejected(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV, "many")
@@ -165,7 +165,7 @@ def blas():
 def threads_seen(log):
     def evaluator(g, seed):
         log.append(evalpool._openblas().get_threads())
-        return sized_evaluator(g, seed)
+        return seeded_evaluator(g, seed)
 
     return evaluator
 
@@ -192,7 +192,7 @@ class TestThreadBudget:
         def failing(g, seed):
             raise RuntimeError("bad candidate")
 
-        for evaluator in (sized_evaluator, failing):
+        for evaluator in (seeded_evaluator, failing):
             evaluate_all(make_jobs(4), evaluator, worker_count=2)
             assert blas.get_threads() == 3
 
@@ -248,17 +248,17 @@ class TestThreadBudget:
         single = evaluate_all(jobs, evaluate, worker_count=1)
         parallel = evaluate_all(jobs, evaluate, worker_count=2)
         assert all(r.ok for r in single)
-        assert [(r.perf, r.params) for r in parallel] == [(r.perf, r.params) for r in single]
+        assert [r.perf for r in parallel] == [r.perf for r in single]
 
 
 def test_pool_runs_unmanaged_without_openblas(monkeypatch):
     jobs = make_jobs()
-    reference = evaluate_all(jobs, sized_evaluator, worker_count=1)
+    reference = evaluate_all(jobs, seeded_evaluator, worker_count=1)
     monkeypatch.setattr(evalpool, "_openblas", lambda: None)
     assert evalpool.blas_threads(2) is None
     parallel = evaluate_all(jobs, jittery_evaluator, worker_count=4)
-    assert [(r.job_id, r.perf, r.params, r.status) for r in parallel] == [
-        (r.job_id, r.perf, r.params, r.status) for r in reference
+    assert [(r.job_id, r.perf, r.status) for r in parallel] == [
+        (r.job_id, r.perf, r.status) for r in reference
     ]
 
 

@@ -17,7 +17,6 @@ from evonas import (
     Activation,
     Archive,
     ConfigError,
-    Genotype,
     Individual,
     ProblemKind,
     SearchConfig,
@@ -37,9 +36,9 @@ from evonas import (
     tournament_select,
     validate,
 )
-from evonas.genotype import MAX_LAYERS, LayerKind
+from evonas.genotype import LayerKind
 
-from conftest import LISTED_PAIRS, genotypes, mlp_classifier, mlp_regressor
+from conftest import LISTED_PAIRS, genotypes, mlp_classifier, mlp_regressor, oracle_pairs
 
 A = Activation
 
@@ -62,8 +61,7 @@ def surrogate_by_size(input_dim=784):
     """Deterministic evaluator: accuracy-like score falling with model size."""
 
     def evaluate(g, seed):
-        w = count_params(g, input_dim)
-        return 1.0 / (1.0 + w / 50000.0), w
+        return 1.0 / (1.0 + count_params(g, input_dim) / 50000.0)
 
     return evaluate
 
@@ -247,20 +245,6 @@ class TestRandomGenotype:
         shallow = np.mean([len(random_genotype(shallow_cfg, rng1).layers) for _ in range(300)])
         deep = np.mean([len(random_genotype(deep_cfg, rng2).layers) for _ in range(300)])
         assert deep > shallow
-
-
-def oracle_pairs(base, r1, r2, donor, max_layers=MAX_LAYERS):
-    """Brute force: a pair qualifies iff splicing it yields a valid genotype."""
-    out = []
-    for r3 in range(len(donor.layers) - 1):
-        for r4 in range(r3, len(donor.layers) - 1):
-            layers = base.layers[:r1] + donor.layers[r3 : r4 + 1] + base.layers[r2 + 1 :]
-            if len(layers) > max_layers:
-                continue
-            candidate = Genotype(layers, base.problem)
-            if validate(candidate).ok:
-                out.append((r3, r4))
-    return out
 
 
 class TestCompatiblePairs:
@@ -728,6 +712,22 @@ class TestRunSearch:
         pattern = r"experiment \d generation \d: best cost \d\.\d{3}"
         assert all(re.fullmatch(pattern, line) for line in generations)
         assert re.fullmatch(r"winner cost \d\.\d{3}", winner)
+
+    def test_every_size_is_the_genotypes_parameter_count(self):
+        """An evaluator returns a bare score; each individual's size, a failed
+        evaluation's included, is its genotype's count_params."""
+        cfg = small_search_config(experiments=2)
+
+        def score(g, seed):
+            if len(g.layers) > 3:
+                raise RuntimeError("boom")
+            return 0.5
+
+        records = []
+        archive = run_search(cfg, pool(score), records.append)
+        rows = [ind for _, _, _, ind in flat(records)] + archive.entries
+        assert any(not r.ok for rec in records for r in rec.results)
+        assert all(ind.size == count_params(ind.genotype, cfg.input_dim) for ind in rows)
 
     def test_population_l2_mode_runs(self):
         cfg = small_search_config(fitness_mode="population_l2", experiments=1)

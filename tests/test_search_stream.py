@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from evonas import SearchConfig, count_params, evaluate_all, finalize, run_search, serialize
+from evonas import SearchConfig, evaluate_all, finalize, run_search, serialize
 from evonas.genotype import ProblemKind
 
 GOLDEN = Path(__file__).with_name("search_stream_golden.json")
@@ -48,7 +48,7 @@ def hashed_evaluator(cfg: SearchConfig):
         if u < 0.08:
             raise RuntimeError("scripted failure")
         perf = u if cfg.problem == ProblemKind.CLASSIFICATION else 50.0 * u
-        return perf, count_params(g, cfg.input_shape)
+        return perf
 
     return evaluate
 

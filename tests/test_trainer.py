@@ -62,7 +62,7 @@ def holdout(ds: Dataset, ratio: float, seed: int) -> tuple[np.ndarray, np.ndarra
 
 
 def linear_unit(weight: float, bias: float) -> DenseNetwork:
-    net = DenseNetwork([_DenseLayer(1, 1, A.LINEAR)], input_dim=1)
+    net = DenseNetwork([(1, 1, A.LINEAR, 0.0)], input_dim=1)
     net.flat[:] = (weight, bias)
     return net
 
@@ -553,7 +553,7 @@ class TestFloat32:
         np.testing.assert_allclose(g32, g64, rtol=1e-4)
 
     def test_sigmoid_saturates_without_overflow_warnings(self):
-        net = DenseNetwork([_DenseLayer(1, 1, A.SIGMOID)], input_dim=1, dtype=np.float32)
+        net = DenseNetwork([(1, 1, A.SIGMOID, 0.0)], input_dim=1, dtype=np.float32)
         net.flat[:] = (1.0, 0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -563,7 +563,7 @@ class TestFloat32:
         assert out[0, 0] == 0.0 and out[2, 0] == 0.5 and out[3, 0] == 1.0
 
     #: ``make_evaluator`` results on :func:`golden_data`, recorded when search
-    #: evaluations moved to float32, as (perf, params). Like ``GOLDEN``, they
+    #: evaluations moved to float32, as (perf, parameter count). Like ``GOLDEN``, they
     #: depend on the BLAS kernels: numpy 2.4 and OpenBLAS 0.3.31 on x86-64.
     EVALUATOR_GOLDEN = {
         C: ([(16, A.RELU), 0.3, (8, A.SIGMOID)], (0.2777777777777778, 275)),
@@ -577,7 +577,7 @@ class TestFloat32:
         evaluate = make_evaluator(
             golden_data(problem), 0.2, TrainConfig(3, learning_rate=0.01, batch_size=32, seed=1)
         )
-        assert evaluate(g, 4) == expected
+        assert (evaluate(g, 4), count_params(g, 6)) == expected
 
     @pytest.mark.parametrize("problem", [C, R])
     def test_search_ranks_random_genotypes_like_float64(self, problem):
@@ -600,7 +600,7 @@ class TestFloat32:
         tr, va = holdout(ds, 0.2, 5)
         single, double = [], []
         for seed, g in enumerate(candidates, start=100):
-            single.append(evaluate(g, seed))
+            single.append((evaluate(g, seed), count_params(g, 12)))
             net = materialize(g, 12, seed)
             double.append((train(net, ds, tr, va, TrainConfig(2, seed=seed, **settings_)).value, net.param_count))
         ranks = [
@@ -723,10 +723,9 @@ class TestEvaluator:
     def test_same_seed_same_result(self, blob_dataset):
         evaluate = make_evaluator(blob_dataset, 0.2, TrainConfig(3, batch_size=32))
         g = mlp_classifier([(16, A.RELU), 0.2], classes=2)
-        assert evaluate(g, 123) == evaluate(g, 123)
-        perf, params = evaluate(g, 123)
+        perf = evaluate(g, 123)
+        assert type(perf) is float and perf == evaluate(g, 123)
         assert 0.0 <= perf <= 1.0
-        assert params == count_params(g, 4)
 
 
 class TestModelExport:
@@ -772,6 +771,19 @@ class TestModelExport:
             _, loaded, _ = load_model(tmp_path / base)
             np.testing.assert_array_equal(loaded.flat, net.flat.astype(np.float32))
         assert not np.array_equal(nets["model.v1"].flat, nets["model.v2"].flat)
+
+    def test_load_draws_no_random_numbers(self, tmp_path, monkeypatch):
+        g = mlp_classifier([(8, A.RELU), 0.5], classes=2)
+        net = materialize(g, 4, seed=3)
+        save_model(net, g, [], tmp_path / "model")
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("load_model drew random numbers")
+
+        monkeypatch.setattr(trainer.np.random, "default_rng", no_draws)
+        _, loaded, _ = load_model(tmp_path / "model")
+        assert loaded.flat.dtype == np.float64 and loaded.layers[0].dropout == 0.5
+        np.testing.assert_array_equal(loaded.flat, net.flat.astype(np.float32))
 
     def test_blob_length_checked(self, tmp_path):
         g = mlp_classifier([(8, A.RELU)], classes=2)
