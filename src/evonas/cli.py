@@ -163,7 +163,7 @@ def cmd_train(args) -> int:
         mean, std = trainer.kfold_evaluate(g, dataset, args.kfold, cfg)
         print(f"{args.kfold}-fold {metric_name}: {mean:.4f} +/- {std:.4f}")
 
-    train_rows, val_rows = data_mod.split(dataset, 0.2, cfg.seed)
+    train_rows, val_rows = data_mod.split(dataset, evolution.SearchConfig.cv_ratio, cfg.seed)
     net = trainer.materialize(g, dataset.feature_count, cfg.seed)
     report = trainer.train(net, dataset, train_rows, val_rows, cfg)
     print(f"validation {metric_name}: {report.value:.4f} ({cfg.epochs} epochs)")

@@ -274,7 +274,6 @@ def window_rul(
     window: int,
     stride: int,
     early_rul: float,
-    sensor_columns: Sequence[int] | None = None,
 ) -> Dataset:
     """Turn per-unit run-to-failure series into flattened strided windows.
 
@@ -293,11 +292,6 @@ def window_rul(
         arr = np.asarray(series[unit], dtype=np.float64)
         if arr.ndim != 2:
             raise DataError(f"unit {unit}: series must be 2-D (cycles x sensors)")
-        if sensor_columns is not None:
-            bad = [c for c in sensor_columns if not 0 <= c < arr.shape[1]]
-            if bad:
-                raise DataError(f"unit {unit}: sensor column(s) {bad} out of range")
-            arr = arr[:, list(sensor_columns)]
         T = len(arr)
         if T < window:
             raise DataError(f"unit {unit}: series length {T} shorter than window {window}")

@@ -25,8 +25,8 @@ from .genotype import (
     ARCH,
     HIDDEN_ACTIVATIONS,
     MAX_LAYERS,
+    OUTPUT_ACTIVATION,
     UNIT_CHOICES,
-    Activation,
     Genotype,
     LayerGene,
     LayerKind,
@@ -36,6 +36,7 @@ from .genotype import (
     distance,
     input_fan_in,
     rectify_activations,
+    with_hidden_activation,
 )
 from .trainer import ConfigError
 
@@ -193,19 +194,14 @@ def sample_stop_variate(u: float) -> float:
     return 1.0 - math.sqrt(1.0 - u)
 
 
-def _output_layer(cfg: SearchConfig) -> LayerGene:
-    if cfg.problem == ProblemKind.CLASSIFICATION:
-        return LayerGene.dense(cfg.output_size, Activation.SOFTMAX)
-    return LayerGene.dense(1, Activation.LINEAR)
-
-
 def random_genotype(cfg: SearchConfig, rng) -> Genotype:
     """Stack random layers until the stop variate fires, then cap with the output layer.
 
     The first layer is dense. After a dense layer the next kind is dense or
     dropout, drawn uniformly; after a dropout layer it is dense. Every hidden
-    dense layer shares the first layer's activation. Larger
-    ``more_layers_prob`` yields deeper models.
+    dense layer shares the first layer's activation, and the output layer
+    has ``output_size`` units with the problem's :data:`OUTPUT_ACTIVATION`.
+    Larger ``more_layers_prob`` yields deeper models.
     """
     units = _pick(rng, UNIT_CHOICES)
     activation = _pick(rng, HIDDEN_ACTIVATIONS)
@@ -221,8 +217,8 @@ def random_genotype(cfg: SearchConfig, rng) -> Genotype:
             layers.append(LayerGene.dropout(_pick(rng, DROPOUT_RATE_GRID)))
         else:
             layers.append(LayerGene.dense(_pick(rng, UNIT_CHOICES), activation))
-    layers.append(_output_layer(cfg))
-    return Genotype(tuple(layers), cfg.problem)
+    layers.append(LayerGene.dense(cfg.output_size, OUTPUT_ACTIVATION[cfg.problem]))
+    return Genotype(layers)
 
 
 def scaled_size(w: int) -> float:
@@ -332,8 +328,7 @@ def splice(
 ) -> Genotype:
     """Replace ``base[r1..r2]`` with ``donor[r3..r4]`` and rectify activations."""
     layers = base.layers[:r1] + donor.layers[r3 : r4 + 1] + base.layers[r2 + 1 :]
-    child = Genotype(layers, base.problem)
-    return rectify_activations(child, base)
+    return rectify_activations(Genotype(layers), base)
 
 
 def crossover(s1: Genotype, s2: Genotype, cfg: SearchConfig, rng) -> Genotype:
@@ -390,26 +385,18 @@ def _edit_param(g: Genotype, i: int, rng) -> Genotype:
     name, grid = _LAYER_GRID[gene.kind]
     choices = [c for c in grid if c != getattr(gene, name)]
     new_gene = replace(gene, **{name: _pick(rng, choices)})
-    layers = g.layers[:i] + (new_gene,) + g.layers[i + 1 :]
-    return Genotype(layers, g.problem)
+    return Genotype(g.layers[:i] + (new_gene,) + g.layers[i + 1 :])
 
 
 def _edit_activation(g: Genotype, i: int, rng) -> Genotype:
-    gene = g.layers[i]
-    options = [a for a in HIDDEN_ACTIVATIONS if a != gene.activation]
-    new_act = _pick(rng, options)
-    # changing one layer's activation re-aligns every layer of that kind
-    layers = list(g.layers)
-    for j, other in enumerate(g.layers[:-1]):
-        if other.kind == gene.kind:
-            layers[j] = replace(other, activation=new_act)
-    return Genotype(tuple(layers), g.problem)
+    # the hidden dense layers share one activation, so changing one changes all
+    options = [a for a in HIDDEN_ACTIVATIONS if a != g.layers[i].activation]
+    return with_hidden_activation(g, _pick(rng, options))
 
 
 def _edit_insert_dropout(g: Genotype, i: int, rng) -> Genotype:
     drop = LayerGene.dropout(_pick(rng, DROPOUT_RATE_GRID))
-    layers = g.layers[: i + 1] + (drop,) + g.layers[i + 1 :]
-    return Genotype(layers, g.problem)
+    return Genotype(g.layers[: i + 1] + (drop,) + g.layers[i + 1 :])
 
 
 def mutate(g: Genotype, cfg: SearchConfig, rng) -> Genotype:
@@ -417,7 +404,7 @@ def mutate(g: Genotype, cfg: SearchConfig, rng) -> Genotype:
 
     The edit is drawn uniformly among those applicable to the chosen
     non-output layer: resample one of its parameters, change its activation
-    (re-aligning same-kind layers), or insert a dropout layer after it.
+    (and so every hidden dense layer's), or insert a dropout layer after it.
     """
     if rng.random() >= cfg.mutation_prob:
         return g

@@ -12,8 +12,10 @@ size, which belong to the paper's convolutional and pooling layers) are
 always zero, and so is every other slot that does not apply to a layer's
 kind. Which kind may be stacked after which is governed by a follower
 rule (see ``FOLLOWERS``); the first layer is fully connected, and every
-network ends in a fully connected output layer whose activation is
-determined by the problem kind.
+network ends in a fully connected output layer that names the problem it
+solves (see ``OUTPUT_ACTIVATION``): softmax for classification, one linear
+unit for regression. Every hidden dense layer of a searched genotype shares
+one activation (see :func:`with_hidden_activation`).
 """
 
 from __future__ import annotations
@@ -113,6 +115,15 @@ class ProblemKind(str, Enum):
     REGRESSION = "regression"
 
 
+#: The output activation of each problem kind, and the only statement of it: a
+#: classifier ends in softmax, a regressor in one linear unit.
+OUTPUT_ACTIVATION: dict[ProblemKind, Activation] = {
+    ProblemKind.CLASSIFICATION: Activation.SOFTMAX,
+    ProblemKind.REGRESSION: Activation.LINEAR,
+}
+_PROBLEM_OF = {activation: problem for problem, activation in OUTPUT_ACTIVATION.items()}
+
+
 @dataclass(frozen=True)
 class LayerGene:
     """One layer of a network, with only its kind-applicable fields set."""
@@ -172,81 +183,72 @@ class LayerGene:
 
 @dataclass(frozen=True)
 class Genotype:
-    """An ordered stack of layer genes plus its problem tag."""
+    """An ordered stack of layer genes; the last, the output layer, names the problem."""
 
     layers: tuple[LayerGene, ...]
-    problem: ProblemKind
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
 
-
-@dataclass(frozen=True)
-class Violation:
-    """A single validity failure, located by layer index where applicable."""
-
-    index: int | None
-    message: str
-
-    def __str__(self) -> str:
-        where = "genotype" if self.index is None else f"layer {self.index}"
-        return f"{where}: {self.message}"
+    @property
+    def problem(self) -> ProblemKind:
+        """The problem whose :data:`OUTPUT_ACTIVATION` the output layer uses."""
+        try:
+            return _PROBLEM_OF[self.layers[-1].activation]
+        except KeyError:
+            raise GenotypeError("the output layer must use softmax or the linear activation") from None
 
 
 @dataclass(frozen=True)
 class ValidityReport:
     ok: bool
-    violations: tuple[Violation, ...]
+    violations: tuple[str, ...]  # each "layer <index>: ..." or "genotype: ..."
 
     def summary(self) -> str:
-        return "valid" if self.ok else "; ".join(str(v) for v in self.violations)
+        return "valid" if self.ok else "; ".join(self.violations)
 
 
-def _check_fields(i: int, gene: LayerGene, is_output: bool, out: list[Violation]):
+def _check_fields(i: int, gene: LayerGene, is_output: bool, out: list[str]):
     own, takes_activation = _KIND_SLOTS[gene.kind]
     label = gene.kind.label()
     for slot, (_, _, legal, text) in _SLOTS.items():
         value = getattr(gene, slot)
         if slot != own:
             if value:
-                out.append(Violation(i, f"{slot} must be zero for a {label} layer"))
+                out.append(f"layer {i}: {slot} must be zero for a {label} layer")
         elif is_output and slot == "units":
             if value < 1:
-                out.append(Violation(i, "output layer needs at least one unit"))
+                out.append(f"layer {i}: output layer needs at least one unit")
         elif not legal(value):
-            out.append(Violation(i, f"{slot} {value} {text}"))
+            out.append(f"layer {i}: {slot} {value} {text}")
     if not takes_activation:
         if gene.activation is not None:
-            out.append(Violation(i, f"activation not applicable to a {label} layer"))
+            out.append(f"layer {i}: activation not applicable to a {label} layer")
     elif gene.activation is None:
-        out.append(Violation(i, "missing activation"))
+        out.append(f"layer {i}: missing activation")
     elif not is_output and gene.activation not in HIDDEN_ACTIVATIONS:
-        out.append(Violation(i, f"activation {gene.activation} is reserved for output layers"))
+        out.append(f"layer {i}: activation {gene.activation} is reserved for output layers")
 
 
 def validate(g: Genotype) -> ValidityReport:
     """Check every structural rule; report violations instead of raising."""
-    out: list[Violation] = []
+    out: list[str] = []
     n = len(g.layers)
     if n < 2:
-        out.append(Violation(None, "a genotype needs at least one hidden layer plus the output layer"))
+        out.append("genotype: a genotype needs at least one hidden layer plus the output layer")
     if n > MAX_LAYERS:
-        out.append(Violation(None, f"{n} layers exceeds the maximum of {MAX_LAYERS}"))
+        out.append(f"genotype: {n} layers exceeds the maximum of {MAX_LAYERS}")
 
     if n >= 1 and g.layers[0].kind != LayerKind.FULLY_CONNECTED:
-        out.append(Violation(0, "first layer must be fully connected"))
+        out.append("layer 0: first layer must be fully connected")
     if n >= 2:
         last = g.layers[-1]
         if last.kind != LayerKind.FULLY_CONNECTED:
-            out.append(Violation(n - 1, "output layer must be fully connected"))
-        elif g.problem == ProblemKind.CLASSIFICATION:
-            if last.activation != Activation.SOFTMAX:
-                out.append(Violation(n - 1, "classification output layer must use softmax"))
-        else:
-            if last.activation != Activation.LINEAR:
-                out.append(Violation(n - 1, "regression output layer must use the linear activation"))
-            if last.units != 1:
-                out.append(Violation(n - 1, "regression output layer must have exactly one unit"))
+            out.append(f"layer {n - 1}: output layer must be fully connected")
+        elif last.activation not in _PROBLEM_OF:
+            out.append(f"layer {n - 1}: output layer must use softmax or the linear activation")
+        elif _PROBLEM_OF[last.activation] == ProblemKind.REGRESSION and last.units != 1:
+            out.append(f"layer {n - 1}: regression output layer must have exactly one unit")
 
     for i, gene in enumerate(g.layers):
         _check_fields(i, gene, is_output=(i == n - 1), out=out)
@@ -255,11 +257,8 @@ def validate(g: Genotype) -> ValidityReport:
         if not can_follow(a, b):
             allowed = ", ".join(k.label() for k in sorted(FOLLOWERS[a]))
             out.append(
-                Violation(
-                    i + 1,
-                    f"{b.label()} layer cannot follow {a.label()} "
-                    f"(allowed followers: {allowed})",
-                )
+                f"layer {i + 1}: {b.label()} layer cannot follow {a.label()} "
+                f"(allowed followers: {allowed})"
             )
     return ValidityReport(ok=not out, violations=tuple(out))
 
@@ -324,23 +323,20 @@ def distance(s1: Genotype, s2: Genotype) -> float:
     return d
 
 
-def rectify_activations(target: Genotype, reference: Genotype) -> Genotype:
-    """Copy per-kind activations from ``reference`` onto ``target``.
+def with_hidden_activation(g: Genotype, activation: Activation) -> Genotype:
+    """``g`` with ``activation`` on every hidden dense layer; dropout genes and
+    the output layer are unchanged."""
+    *hidden, output = g.layers
+    hidden = (gene if gene.activation is None else replace(gene, activation=activation) for gene in hidden)
+    return Genotype((*hidden, output))
 
-    Every non-output layer of ``target`` whose kind also appears among the
-    non-output layers of ``reference`` takes the activation the reference
-    uses for that kind. The output layer is never touched.
-    """
-    by_kind: dict[LayerKind, Activation] = {}
-    for gene in reference.layers[:-1]:
-        if gene.activation is not None and gene.kind not in by_kind:
-            by_kind[gene.kind] = gene.activation
-    new_layers = list(target.layers)
-    for i, gene in enumerate(target.layers[:-1]):
-        wanted = by_kind.get(gene.kind)
-        if wanted is not None and gene.activation != wanted:
-            new_layers[i] = replace(gene, activation=wanted)
-    return Genotype(tuple(new_layers), target.problem)
+
+def rectify_activations(target: Genotype, reference: Genotype) -> Genotype:
+    """``target`` with the activation of ``reference``'s first hidden dense
+    layer on every hidden dense layer; ``target`` itself when the reference
+    has no hidden dense layer."""
+    shared = next((gene.activation for gene in reference.layers[:-1] if gene.activation is not None), None)
+    return target if shared is None else with_hidden_activation(target, shared)
 
 
 # --- canonical text encoding ------------------------------------------------
@@ -382,7 +378,7 @@ def from_dict(doc: dict) -> Genotype:
 
     A document holds the named form (``layers``), the raw array form
     (``raw``), or both; when both are present they must describe the same
-    layers.
+    layers. Its ``problem`` must be the one the output layer names.
     """
     if not isinstance(doc, dict):
         raise ParseError("genotype document must be a JSON object")
@@ -404,13 +400,18 @@ def from_dict(doc: dict) -> Genotype:
             forms.append([decode(i, entry) for i, entry in enumerate(doc[key])])
     if not forms:
         raise ParseError("genotype document needs a 'raw' or 'layers' field")
-    g = Genotype(tuple(forms[0]), problem)
+    g = Genotype(forms[0])
     report = validate(g)
     if not report.ok:
         raise ParseError(f"invalid genotype: {report.summary()}")
     if forms[-1] != forms[0]:
         i = next((i for i, (a, b) in enumerate(zip(*forms)) if a != b), min(map(len, forms)))
         raise ParseError(f"layer {i}: the 'layers' and 'raw' forms disagree")
+    if g.problem != problem:
+        raise ParseError(
+            f"problem {problem.value!r} disagrees with the {g.layers[-1].activation.label()} "
+            f"output layer, which solves {g.problem.value}"
+        )
     return g
 
 

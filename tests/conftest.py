@@ -24,11 +24,11 @@ A = Activation
 
 
 def classifier(*genes: LayerGene) -> Genotype:
-    return Genotype(tuple(genes), ProblemKind.CLASSIFICATION)
+    return Genotype(tuple(genes))
 
 
 def regressor(*genes: LayerGene) -> Genotype:
-    return Genotype(tuple(genes), ProblemKind.REGRESSION)
+    return Genotype(tuple(genes))
 
 
 def mlp_classifier(spec, classes: int = 10) -> Genotype:
@@ -125,7 +125,7 @@ def oracle_pairs(base, r1, r2, donor, max_layers=MAX_LAYERS):
             layers = base.layers[:r1] + donor.layers[r3 : r4 + 1] + base.layers[r2 + 1 :]
             if len(layers) > max_layers:
                 continue
-            if validate(Genotype(layers, base.problem)).ok:
+            if validate(Genotype(layers)).ok:
                 out.append((r3, r4))
     return out
 
@@ -270,4 +270,4 @@ def genotypes(draw, problem: ProblemKind | None = None, max_hidden: int = 8) -> 
         genes.append(LayerGene.dense(draw(st.integers(2, 16)), A.SOFTMAX))
     else:
         genes.append(LayerGene.dense(1, A.LINEAR))
-    return Genotype(tuple(genes), problem)
+    return Genotype(tuple(genes))

@@ -176,10 +176,7 @@ def test_criterion_7_gradient_check():
                 else:
                     out_layer = LayerGene.dense(1, A.LINEAR)
                     Y = rng.normal(size=(16, 1))
-                g = Genotype(
-                    (LayerGene.dense(16, act), LayerGene.dense(8, act), out_layer),
-                    problem,
-                )
+                g = Genotype((LayerGene.dense(16, act), LayerGene.dense(8, act), out_layer))
                 net = materialize(g, 10, seed=5)
                 X = rng.normal(size=(16, 10))
                 _, grad = recorded_gradients(net, X, Y)

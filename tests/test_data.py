@@ -191,20 +191,23 @@ class TestWindowRul:
         assert ds.targets.max() == 129.0
         assert ds.targets.min() == 0.0
 
-    def test_sensor_subset_defines_width(self):
-        series = {1: np.arange(24 * 5, dtype=float).reshape(24, 5)}
-        ds = window_rul(series, window=24, stride=1, early_rul=129, sensor_columns=[1, 3])
+    def test_sensor_subset_defines_width(self, tmp_path):
+        p = tmp_path / "fd.txt"
+        np.savetxt(p, np.hstack([np.ones((24, 1)), np.arange(24 * 4, dtype=float).reshape(24, 4)]))
+        ds = load_rul_table(p, unit_column=0, sensor_columns=[1, 3], window=24)
         assert ds.feature_count == 48
 
     def test_short_series_names_unit(self):
         with pytest.raises(DataError, match="unit 7"):
             window_rul({7: np.ones((10, 2))}, window=24, stride=1, early_rul=129)
 
-    def test_unknown_sensor_column(self):
-        with pytest.raises(DataError, match="out of range"):
-            window_rul({1: np.ones((30, 2))}, window=24, stride=1, early_rul=129, sensor_columns=[5])
+    def test_unknown_sensor_column(self, tmp_path):
+        p = tmp_path / "fd.txt"
+        np.savetxt(p, np.ones((30, 3)))
+        with pytest.raises(DataError, match=re.escape("sensor column(s) [5] out of range (table width 3)")):
+            load_rul_table(p, unit_column=0, sensor_columns=[5], window=24)
         with pytest.raises(DataError, match=re.escape("at least one column, got shape (9, 0)")):
-            window_rul({1: np.ones((10, 3))}, window=2, stride=1, early_rul=5, sensor_columns=[])
+            window_rul({1: np.ones((10, 0))}, window=2, stride=1, early_rul=5)
 
     @given(st.integers(24, 80), st.integers(1, 5))
     def test_window_count_formula(self, length, stride):
@@ -483,12 +486,13 @@ class TestManifest:
             ({"early_rul": -5}, "'early_rul' must be positive, got -5"),
             ({"early_rul": 0}, "'early_rul' must be positive, got 0"),
             ({"sensor_columns": []}, "'sensor_columns' must name at least one column"),
+            ({"sensor_columns": [9]}, "sensor column(s) [9] out of range (table width 4)"),
         ],
         ids=[
             "misspelt-key", "unit-column-past-width", "negative-unit-column", "boolean-stride",
             "string-window", "fractional-window", "zero-window", "numeric-path", "directory-path",
             "string-sensor-columns", "boolean-sensor-column", "string-early-rul", "unknown-normalization",
-            "negative-early-rul", "zero-early-rul", "empty-sensor-columns",
+            "negative-early-rul", "zero-early-rul", "empty-sensor-columns", "sensor-column-past-width",
         ],
     )
     def test_bad_rul_field_names_the_manifest_and_the_field(self, rul_manifest, fields, message):

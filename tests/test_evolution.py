@@ -399,6 +399,30 @@ class TestMutate:
         assert unchanged / n >= p - 3 * sigma
 
 
+@pytest.mark.parametrize("problem", list(ProblemKind))
+def test_operators_keep_the_problem_and_one_hidden_activation(problem):
+    """A seeded sweep of random_genotype, crossover and mutate: every output
+    solves cfg.problem, and its hidden dense layers share one activation."""
+    classes = 10 if problem == ProblemKind.CLASSIFICATION else 1
+    cfg = small_search_config(problem=problem, output_size=classes, more_layers_prob=0.8, mutation_prob=1.0)
+    rng = np.random.default_rng(27)
+
+    def check(g):
+        assert g.problem == cfg.problem
+        assert len({gene.activation for gene in g.layers[:-1] if gene.activation is not None}) == 1
+
+    pop = [random_genotype(cfg, rng) for _ in range(40)]
+    for g in pop:
+        check(g)
+    for _ in range(400):
+        a, b = (pop[int(k)] for k in rng.integers(len(pop), size=2))
+        child = crossover(a, b, cfg, rng)
+        check(child)
+        child = mutate(child, cfg, rng)
+        check(child)
+        pop[int(rng.integers(len(pop)))] = child
+
+
 class TestNominalConvergence:
     def test_identical_population(self, stacked_example):
         pop = [stacked_example] * 4

@@ -26,7 +26,15 @@ from evonas import (
     serialize,
     validate,
 )
-from evonas.genotype import FOLLOWERS, LayerKind, input_fan_in, to_dict
+from evonas.genotype import (
+    FOLLOWERS,
+    HIDDEN_ACTIVATIONS,
+    OUTPUT_ACTIVATION,
+    LayerKind,
+    input_fan_in,
+    to_dict,
+    with_hidden_activation,
+)
 
 from conftest import (
     BEST_ALPHA_03_TABLE,
@@ -77,10 +85,10 @@ class TestValidate:
     def test_dropout_after_dropout_located(self, stacked_example):
         layers = list(stacked_example.layers)
         layers[1], layers[2] = layers[2], layers[1]  # puts the two dropouts adjacent
-        report = validate(Genotype(tuple(layers), ProblemKind.CLASSIFICATION))
+        report = validate(Genotype(tuple(layers)))
         assert not report.ok
-        bad = [v for v in report.violations if "Dropout" in v.message and "follow" in v.message]
-        assert bad and bad[0].index == 3
+        bad = [v for v in report.violations if "Dropout" in v and "follow" in v]
+        assert bad and bad[0].startswith("layer 3: ")
 
     def test_first_layer_must_match_architecture(self):
         g = classifier(LayerGene.dropout(0.5), LayerGene.dense(64, A.RELU), LayerGene.dense(10, A.SOFTMAX))
@@ -91,17 +99,28 @@ class TestValidate:
     def test_output_layer_rules(self):
         wrong_act = classifier(LayerGene.dense(64, A.RELU), LayerGene.dense(10, A.LINEAR))
         assert not validate(wrong_act).ok
-        two_unit_regression = Genotype(
-            (LayerGene.dense(64, A.RELU), LayerGene.dense(2, A.LINEAR)),
-            ProblemKind.REGRESSION,
-        )
+        two_unit_regression = Genotype((LayerGene.dense(64, A.RELU), LayerGene.dense(2, A.LINEAR)))
         assert not validate(two_unit_regression).ok
+
+    def test_output_layer_names_the_problem(self):
+        assert mlp_classifier([(64, A.RELU)]).problem == ProblemKind.CLASSIFICATION
+        assert mlp_regressor([(64, A.RELU)]).problem == ProblemKind.REGRESSION
+        assert OUTPUT_ACTIVATION == {
+            ProblemKind.CLASSIFICATION: A.SOFTMAX,
+            ProblemKind.REGRESSION: A.LINEAR,
+        }
+        sigmoid_output = classifier(LayerGene.dense(64, A.RELU), LayerGene.dense(1, A.SIGMOID))
+        assert validate(sigmoid_output).violations == (
+            "layer 1: output layer must use softmax or the linear activation",
+        )
+        with pytest.raises(GenotypeError, match="output layer must use softmax or the linear activation"):
+            sigmoid_output.problem
 
     def test_hidden_units_must_sit_on_grid(self):
         g = classifier(LayerGene.dense(65, A.RELU), LayerGene.dense(10, A.SOFTMAX))
         report = validate(g)
         assert not report.ok
-        assert any("multiple of 8" in v.message for v in report.violations)
+        assert any("multiple of 8" in v for v in report.violations)
 
     def test_softmax_forbidden_on_hidden_layers(self):
         g = classifier(
@@ -115,7 +134,7 @@ class TestValidate:
         genes = [LayerGene.dense(8, A.RELU)] * 64 + [LayerGene.dense(10, A.SOFTMAX)]
         report = validate(classifier(*genes))
         assert not report.ok
-        assert any("exceeds" in v.message for v in report.violations)
+        assert any("exceeds" in v for v in report.violations)
 
     @given(genotypes())
     def test_strategy_generates_valid_genotypes(self, g):
@@ -188,7 +207,7 @@ class TestDistance:
         bumped = list(g.layers)
         first = bumped[0]  # always dense
         bumped[0] = replace(first, units=first.units + 8 if first.units + 8 <= 1024 else first.units - 8)
-        g2 = Genotype(tuple(bumped), g.problem)
+        g2 = Genotype(tuple(bumped))
         assert distance(g, g2) > 0.0
 
     @given(
@@ -233,6 +252,20 @@ class TestRectifyActivations:
         assert out.layers[0].activation == A.TANH
 
 
+class TestWithHiddenActivation:
+    @given(genotypes(), st.sampled_from(HIDDEN_ACTIVATIONS))
+    def test_only_hidden_dense_layers_change(self, g, activation):
+        out = with_hidden_activation(g, activation)
+        assert len(out.layers) == len(g.layers)
+        for before, after in zip(g.layers[:-1], out.layers[:-1]):
+            if before.kind == K.DROPOUT:
+                assert after == before
+            else:
+                assert after == replace(before, activation=activation)
+        assert out.layers[-1] == g.layers[-1]
+        assert validate(out).ok
+
+
 class TestVecView:
     @given(genotypes())
     def test_only_applicable_slots_nonzero(self, g):
@@ -269,7 +302,6 @@ class TestSerializeParse:
                 LayerGene.dense(32, A.SIGMOID),
                 LayerGene.dense(1, A.LINEAR),
             ),
-            ProblemKind.REGRESSION,
         )
         expected = {
             "arch": "mlp",
@@ -440,6 +472,22 @@ class TestSerializeParse:
         doc = to_dict(stacked_example)
         doc["layers"].insert(-1, {"kind": 1, "units": 8, "activation": 2})
         with pytest.raises(ParseError, match=r"^layer 5: the 'layers' and 'raw' forms disagree$"):
+            parse(json.dumps(doc))
+
+    def test_problem_key_must_agree_with_output_layer(self, stacked_example):
+        doc = to_dict(stacked_example)
+        doc["problem"] = "regression"
+        with pytest.raises(
+            ParseError,
+            match=r"^problem 'regression' disagrees with the Softmax output layer, which solves classification$",
+        ):
+            parse(json.dumps(doc))
+        doc = to_dict(mlp_regressor([(64, A.RELU)]))
+        doc["problem"] = "classification"
+        with pytest.raises(
+            ParseError,
+            match=r"^problem 'classification' disagrees with the Linear output layer, which solves regression$",
+        ):
             parse(json.dumps(doc))
 
     def test_named_form_accepted_without_raw(self):

@@ -198,7 +198,6 @@ class TestGradients:
                 LayerGene.dense(8, act),
                 LayerGene.dense(4, A.SOFTMAX),
             ),
-            ProblemKind.CLASSIFICATION,
         )
         net = materialize(g, 10, seed=2)
         rng = np.random.default_rng(0)
@@ -213,7 +212,6 @@ class TestGradients:
                 LayerGene.dense(8, act),
                 LayerGene.dense(1, A.LINEAR),
             ),
-            ProblemKind.REGRESSION,
         )
         net = materialize(g, 10, seed=2)
         rng = np.random.default_rng(1)
