@@ -57,6 +57,7 @@ def run(out_dir: Path, seed: int, workers: int) -> int:
                 "more_layers_prob": 0.4,
                 "alpha": 0.5,
                 "train_epochs": 4,
+                "batch_size": 64,
                 "max_generations": 5,
                 "experiments": 3,
                 "seed": seed,
@@ -75,8 +76,6 @@ def run(out_dir: Path, seed: int, workers: int) -> int:
             str(search_dir),
             "--workers",
             str(workers),
-            "--batch-size",
-            "64",
         ]
     )
     if code != 0:

@@ -55,11 +55,9 @@ def _load_genotype_file(path) -> Genotype:
     return parse(path.read_text())
 
 
-def _train_config(args, epochs: int, seed: int) -> trainer.TrainConfig:
-    """The training settings of ``search`` and ``train``, checked before any data loads."""
-    return trainer.TrainConfig(
-        epochs, learning_rate=args.learning_rate, batch_size=args.batch_size, seed=seed
-    )
+def _training_flags(args) -> dict:
+    """The training flags given on the command line, by their config key."""
+    return {k: v for k in ("seed", "learning_rate", "batch_size") if (v := getattr(args, k)) is not None}
 
 
 def _out_file(flag: str, path: str) -> Path:
@@ -104,10 +102,8 @@ def cmd_search(args) -> int:
         config_doc = json.loads(config_path.read_text())
     except json.JSONDecodeError as exc:
         raise evolution.ConfigError(f"{config_path}: not valid JSON: {exc}") from None
-    cfg = evolution.SearchConfig.from_dict(config_doc)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)  # validated like the config's own seed
-    train_cfg = _train_config(args, cfg.train_epochs, cfg.seed)
+    # a flag overrides its config key and is checked like it, before any data loads
+    cfg = replace(evolution.SearchConfig.from_dict(config_doc), **_training_flags(args))
     out_dir = rundir.checked_path("--out", args.out)
 
     dataset = data_mod.load_manifest(args.data)
@@ -116,7 +112,7 @@ def cmd_search(args) -> int:
         raise evolution.ConfigError(
             f"config input_shape implies {cfg.input_dim} features, dataset has {dataset.feature_count}"
         )
-    evaluator = trainer.make_evaluator(dataset, cfg.cv_ratio, train_cfg)
+    evaluator = trainer.make_evaluator(dataset, cfg.cv_ratio, cfg.train_config())
 
     trace_path = out_dir / rundir.TRACE if args.trace else None
     evaluate = functools.partial(  # evolution's name, not evalpool's: the benchmark rebinds it
@@ -151,7 +147,7 @@ def cmd_search(args) -> int:
 
 def cmd_train(args) -> int:
     g = _load_genotype_file(args.genotype)
-    cfg = _train_config(args, args.epochs, args.seed if args.seed is not None else 0)
+    cfg = trainer.TrainConfig(args.epochs, **_training_flags(args))
     if args.kfold is not None and args.kfold < 2:
         raise evolution.ConfigError(f"--kfold needs at least 2 folds, got {args.kfold}")
     if args.out_model:
@@ -248,14 +244,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="store_true", help="enable info logging")
     sub = parser.add_subparsers(dest="command", required=True)
     training = argparse.ArgumentParser(add_help=False)  # the flags of search and train
-    training.add_argument("--learning-rate", type=float, default=trainer.TrainConfig.learning_rate)
-    training.add_argument("--batch-size", type=int, default=trainer.TrainConfig.batch_size)
+    for flag, kind in (("--seed", int), ("--learning-rate", float), ("--batch-size", int)):
+        training.add_argument(flag, type=kind, help="search: overrides the config key of this name")
 
     p = sub.add_parser("search", parents=[training], help="run the evolutionary search")
     p.add_argument("config", help="search configuration JSON")
     p.add_argument("data", help="dataset manifest JSON")
     p.add_argument("--out", required=True, help="output directory for run artifacts")
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--workers", type=int, default=None, help="parallel evaluation workers")
     p.add_argument("--trace", action="store_true", help="write a JSONL evaluation trace")
     p.set_defaults(func=cmd_search)
@@ -266,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=100)
     p.add_argument("--kfold", type=int, default=None, help="also report k-fold metrics")
     p.add_argument("--out-model", default=None, help="base path for the exported model")
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("inspect", help="print a genotype's layer table")

@@ -38,7 +38,7 @@ from .genotype import (
     rectify_activations,
     with_hidden_activation,
 )
-from .trainer import ConfigError
+from .trainer import ConfigError, TrainConfig
 
 log = logging.getLogger(__name__)
 
@@ -68,6 +68,8 @@ class SearchConfig:
     convergence_pairs: int = 3
     convergence_threshold: float = 0.0
     train_epochs: int = 5
+    learning_rate: float = TrainConfig.learning_rate
+    batch_size: int = TrainConfig.batch_size
     max_generations: int = 10
     experiments: int = 5
     max_layers: int = MAX_LAYERS
@@ -124,7 +126,11 @@ class SearchConfig:
         need(self.experiments >= 1, "experiments must be at least 1")
         need(2 <= self.max_layers <= MAX_LAYERS, f"max_layers must be in 2..{MAX_LAYERS}")
         need(self.fitness_mode in FITNESS_MODES, f"fitness_mode must be one of {FITNESS_MODES}")
-        need(self.seed >= 0, f"seed must be non-negative, got {self.seed}")
+        self.train_config()  # checks the learning rate, batch size and seed
+
+    def train_config(self) -> TrainConfig:
+        """The training settings every candidate of the search trains with."""
+        return TrainConfig(self.train_epochs, self.learning_rate, self.batch_size, self.seed)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SearchConfig":

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import os
 from pathlib import Path
 
@@ -84,6 +86,40 @@ def recorded_gradients(net, X, Y, rng=None) -> tuple[float, np.ndarray]:
     recorder = RecordingOptimizer(net)
     value = loss_and_gradients(net, X, Y, rng, recorder.buffer, recorder)
     return value, recorder.grad
+
+
+# --- the BLAS kernel behind the golden numbers ----------------------------------
+
+#: Core-name exports of OpenBLAS builds, numpy's bundled one first.
+_CORENAME_SYMBOLS = ("scipy_openblas_get_corename64_", "openblas_get_corename64_", "openblas_get_corename")
+
+
+@functools.cache
+def openblas_core() -> str:
+    """The name of the GEMM kernel the loaded OpenBLAS runs (``SkylakeX``,
+    ``Haswell``, ...), which it picks from the CPU unless ``OPENBLAS_CORETYPE``
+    forces one; ``unknown`` when no loaded library exports the name. The
+    library is found as ``evalpool._openblas`` finds its thread controls."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = dict.fromkeys(line.split()[-1] for line in fh if "openblas" in line.rsplit("/", 1)[-1])
+    except OSError:
+        paths = {}
+    for lib in map(ctypes.CDLL, paths):
+        getter = next((getattr(lib, name) for name in _CORENAME_SYMBOLS if hasattr(lib, name)), None)
+        if getter is not None:
+            getter.argtypes, getter.restype = [], ctypes.c_char_p
+            return getter().decode()
+    return "unknown"
+
+
+def on_this_kernel(recorded: dict):
+    """The value recorded for this process's OpenBLAS kernel, keyed by
+    :func:`openblas_core`; the test skips, naming the kernel, when none was."""
+    core = openblas_core()
+    if core not in recorded:
+        pytest.skip(f"no value recorded for the OpenBLAS {core} kernel")
+    return recorded[core]
 
 
 # --- published fixture models -------------------------------------------------

@@ -319,10 +319,10 @@ def test_determinism_witness_on_synthetic_data():
             max_generations=2,
             experiments=2,
             train_epochs=2,
+            batch_size=32,
             seed=11,
         )
-        evaluator = make_evaluator(ds, cfg.cv_ratio,
-                                   TrainConfig(cfg.train_epochs, batch_size=32, seed=cfg.seed))
+        evaluator = make_evaluator(ds, cfg.cv_ratio, cfg.train_config())
         streams = []
         for workers in (1, 1, 4):
             rows = []

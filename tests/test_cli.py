@@ -154,13 +154,13 @@ class TestSearchCommand:
     # cells blanked: any change to the run directory's format shows here
     GOLDEN = {
         7: {
-            "config.json": "d3d33296ebe28947b97e85702b700ebdff837be82da329c911dc5b79c6a61c18",
+            "config.json": "f176b28aca0fea623143aa22e63f52e9e7ba73da9e38a37f540d4031f3ccc46d",
             "archive.json": "5a320061b760be7250923ac39291bef867e702d8f46bfc7284ed78a9e15eab99",
             "best.json": "367f1132346680bd176681b831837517cad65c1744241412a0fe6c1af57daff4",
             "runs.csv": "7456d371635c6ea4af854e6dc6f0eb580e55b3f670dfa1ceecc32101c0e652c2",
         },
         11: {
-            "config.json": "82c82d529e3f535063352d3f00658ed425ccc4326281565dcfe17c8f485c4285",
+            "config.json": "ed7bf11359695e58417ac4bf60d5c5720d886f83128f5ad562206af44b9b37ec",
             "archive.json": "12b5d1f3a725add21516a5dd80f89c290e96e64bf8586f055bbf5c43d37c7ff9",
             "best.json": "61f55fad4b1dc73d7fdaf299a04e559a3e746d75da24f9318fd76a1a19724207",
             "runs.csv": "171c977b5c6812f599243d6018608b09be5e089e69e8f8109be558cd8e648bd4",
@@ -217,20 +217,22 @@ class TestSearchCommand:
         assert seen == [first[r.experiment, r.generation] for r in rows]
 
     def test_seed_flag_overrides_config(self, workdir, monkeypatch):
-        monkeypatch.setattr("evonas.trainer.make_evaluator", surrogate_make_evaluator)
-        out = workdir / "seeded"
-        main(
-            [
-                "search",
-                str(workdir / "config.json"),
-                str(workdir / "data.json"),
-                "--out",
-                str(out),
-                "--seed",
-                "123",
-            ]
-        )
-        assert json.loads((out / "config.json").read_text())["seed"] == 123
+        seen = []
+
+        def recording_make_evaluator(dataset, cv_ratio, cfg):
+            seen.append(cfg)
+            return surrogate_make_evaluator(dataset, cv_ratio, cfg)
+
+        monkeypatch.setattr("evonas.trainer.make_evaluator", recording_make_evaluator)
+        flags = {"seed": 123, "learning_rate": 0.05, "batch_size": 16}
+        for given in ({}, flags):  # no flag leaves the config's keys; each flag overrides its key
+            out = workdir / f"run{len(given)}"
+            args = [f"--{key.replace('_', '-')}={value}" for key, value in given.items()]
+            assert main([*search_args(workdir, out), *args]) == 0
+            doc = json.loads((out / "config.json").read_text())
+            expected = {"seed": 7, "learning_rate": 0.001, "batch_size": 512, **given}
+            assert {key: doc[key] for key in flags} == expected
+            assert seen.pop() == trainer.TrainConfig(2, **expected)  # what each candidate trains with
 
     def test_missing_dataset_exits_3_without_artifacts(self, workdir, capsys):
         out = workdir / "nope"
@@ -247,47 +249,44 @@ class TestSearchCommand:
         assert not out.exists()
         assert "data error" in capsys.readouterr().err
 
-    def test_bad_config_exits_2_with_field_message(self, workdir, capsys):
-        bad = workdir / "bad.json"
+    @staticmethod
+    def search_with_config_key(workdir, key, value):
+        """``search`` on the workdir's config with ``key`` set to ``value``."""
         doc = json.loads((workdir / "config.json").read_text())
-        doc["tournament_size"] = 9
-        bad.write_text(json.dumps(doc))
-        code = main(
-            ["search", str(bad), str(workdir / "data.json"), "--out", str(workdir / "x")]
-        )
-        assert code == 2
-        assert "tournament_size" in capsys.readouterr().err
+        doc[key] = value
+        bad = workdir / "bad.json"
+        bad.write_text(json.dumps(doc))  # a non-finite float as the non-standard token
+        # the manifest does not exist: a data error (exit 3) would mean it was read first
+        return main(["search", str(bad), str(workdir / "missing.json"), "--out", str(workdir / "x")])
+
+    def test_bad_config_exits_2_with_field_message(self, workdir, capsys):
+        for key, value, message in (
+            ("tournament_size", 9, "tournament_size must be at least 2 and smaller"),
+            ("learning_rate", 0, "learning_rate must be positive and finite"),
+            ("batch_size", 0, "batch_size must be positive"),
+        ):
+            assert self.search_with_config_key(workdir, key, value) == 2
+            assert message in capsys.readouterr().err
+            assert not (workdir / "x").exists()
 
     def test_non_integer_config_field_exits_2_without_run_directory(self, workdir, capsys):
-        doc = json.loads((workdir / "config.json").read_text())
-        doc["population_size"] = 5.5
-        bad = workdir / "bad.json"
-        bad.write_text(json.dumps(doc))
-        out = workdir / "x"
-        assert main(["search", str(bad), str(workdir / "data.json"), "--out", str(out)]) == 2
-        assert "population_size must be an integer, got 5.5" in capsys.readouterr().err
-        assert not out.exists()
+        for key, value in (("population_size", 5.5), ("batch_size", 32.0)):
+            assert self.search_with_config_key(workdir, key, value) == 2
+            assert f"{key} must be an integer, got {value}" in capsys.readouterr().err
+            assert not (workdir / "x").exists()
 
     def test_boolean_float_config_field_exits_2_without_run_directory(self, workdir, capsys):
-        doc = json.loads((workdir / "config.json").read_text())
-        doc["alpha"] = True
-        bad = workdir / "bad.json"
-        bad.write_text(json.dumps(doc))
-        out = workdir / "x"
-        assert main(["search", str(bad), str(workdir / "data.json"), "--out", str(out)]) == 2
-        assert "alpha must be a number, got True" in capsys.readouterr().err
-        assert not out.exists()
+        for key in ("alpha", "learning_rate"):
+            assert self.search_with_config_key(workdir, key, True) == 2
+            assert f"{key} must be a number, got True" in capsys.readouterr().err
+            assert not (workdir / "x").exists()
 
     @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
     def test_non_finite_config_float_exits_2_without_run_directory(self, workdir, capsys, value):
-        doc = json.loads((workdir / "config.json").read_text())
-        doc["convergence_threshold"] = value
-        bad = workdir / "bad.json"
-        bad.write_text(json.dumps(doc))  # the non-standard Infinity, -Infinity or NaN token
-        out = workdir / "x"
-        assert main(["search", str(bad), str(workdir / "data.json"), "--out", str(out)]) == 2
-        assert "convergence_threshold must be finite" in capsys.readouterr().err
-        assert not out.exists()
+        for key in ("convergence_threshold", "learning_rate"):
+            assert self.search_with_config_key(workdir, key, value) == 2
+            assert f"{key} must be finite" in capsys.readouterr().err
+            assert not (workdir / "x").exists()
 
     def test_trace_flag_writes_fresh_jsonl(self, workdir, monkeypatch):
         monkeypatch.setattr("evonas.trainer.make_evaluator", surrogate_make_evaluator)
@@ -623,6 +622,17 @@ class TestRegressionPipeline:
         records = read_runs(out / "runs.csv")
         # regression errors are the metric values themselves, not 1 - perf
         assert [float(r[1]) for r in rows] == [rec.perf for rec in records]
+
+    def test_rerun_from_its_own_config_repeats_every_row(self, rul_workdir):
+        """``config.json`` records every training setting: a search trained with
+        flags, rerun from its run directory's config with none, writes the same rows."""
+        first, again = rul_workdir / "first", rul_workdir / "again"
+        manifest = str(rul_workdir / "data.json")
+        flags = ["--learning-rate", "0.01", "--batch-size", "32"]
+        assert main(["search", str(rul_workdir / "config.json"), manifest, "--out", str(first), *flags]) == 0
+        assert main(["search", str(first / "config.json"), manifest, "--out", str(again)]) == 0
+        assert runs_csv_without_millis(again / "runs.csv") == runs_csv_without_millis(first / "runs.csv")
+        assert (again / "config.json").read_bytes() == (first / "config.json").read_bytes()
 
     @staticmethod
     def forbidden(*_a, **_k):
@@ -972,11 +982,17 @@ class TestPlotDataCommand:
     REST = json.dumps(
         {k: v for k, v in SearchConfig("classification", "mlp", 4, 2).to_dict().items() if k not in ("alpha", "problem")}
     )[1:-1]
+    # a config.json written before learning_rate and batch_size were config keys
+    BEFORE_TRAINING_KEYS = json.dumps(
+        {k: v for k, v in SearchConfig("classification", "mlp", 4, 2).to_dict().items()
+         if k not in ("learning_rate", "batch_size")}
+    )
 
     @pytest.mark.parametrize(
         "config, message",
         [
             ("{bad", "not a search config"),
+            (BEFORE_TRAINING_KEYS, "not a search config: missing key(s): learning_rate, batch_size"),
             ('{"problem": "classification", %s}' % REST, "not a search config: missing key(s): alpha"),
             ('{"alpha": 0.5, %s}' % REST, "not a search config: missing key(s): problem"),
             ('{"alpha": 0.5, "problem": "ranking", %s}' % REST, "not a search config: 'ranking' is not a valid"),
@@ -986,7 +1002,7 @@ class TestPlotDataCommand:
             ('{"alpha": "0.5", "problem": "classification", %s}' % REST, "not a search config: alpha must be a number, got '0.5'"),
         ],
         ids=[
-            "not-json", "no-alpha", "no-problem", "unknown-problem",
+            "not-json", "written-before-training-keys", "no-alpha", "no-problem", "unknown-problem",
             "boolean-alpha", "alpha-out-of-range", "nan-alpha", "string-alpha",
         ],
     )

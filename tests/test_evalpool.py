@@ -26,7 +26,8 @@ from evonas.cli import main
 from evonas.evalpool import WORKERS_ENV, resolve_worker_count
 from evonas.trainer import TrainConfig, make_evaluator
 
-from conftest import mlp_classifier, mlp_regressor
+import test_trainer
+from conftest import mlp_classifier, mlp_regressor, on_this_kernel
 
 A = Activation
 
@@ -345,6 +346,7 @@ def test_policy_halves_the_page_faults_of_search_evaluations():
 
 
 def test_pinned_training_numbers_hold_under_the_policy():
+    on_this_kernel(test_trainer.TestFloat32.EVALUATOR_GOLDEN[ProblemKind.REGRESSION][1])  # or skip
     script = "import sys, pytest; from evonas import evalpool; evalpool.set_heap_policy(); sys.exit(pytest.main())"
     tests = Path(__file__).parent / "test_trainer.py"
     proc = run_python(

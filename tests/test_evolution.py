@@ -20,6 +20,7 @@ from evonas import (
     Individual,
     ProblemKind,
     SearchConfig,
+    TrainConfig,
     compatible_pairs,
     compute_costs,
     count_params,
@@ -450,6 +451,7 @@ class TestSearchConfig:
         assert (cfg.crossover_prob, cfg.crossover_trials, cfg.convergence_pairs) == (1.0, 3, 3)
         assert cfg.convergence_threshold == 0.0
         assert cfg.fitness_mode == "raw_error"
+        assert cfg.train_config() == TrainConfig(5, seed=cfg.seed)  # TrainConfig's rate and batch
 
     def test_json_roundtrip(self, mnist_search_config):
         doc = mnist_search_config.to_dict()
@@ -468,6 +470,9 @@ class TestSearchConfig:
             {"input_shape": "784"},
             {"input_shape": [28, 28]},
             {"seed": -1},
+            {"learning_rate": 0},
+            {"learning_rate": -0.001},
+            {"batch_size": 0},
         ],
     )
     def test_bounds_enforced(self, mnist_search_config, patch):
@@ -488,6 +493,8 @@ class TestSearchConfig:
             ("input_shape", True),
             ("input_shape", [28, 28.0, 1]),
             ("input_shape", [28, 28, False]),
+            ("batch_size", 32.0),
+            ("batch_size", True),
         ],
     )
     def test_integer_fields_reject_other_types(self, mnist_search_config, key, value):
@@ -505,6 +512,7 @@ class TestSearchConfig:
             ("cv_ratio", "0.2"),
             ("crossover_prob", None),
             ("more_layers_prob", [0.4]),
+            ("learning_rate", True),
         ],
     )
     def test_float_fields_reject_booleans_and_non_numbers(self, mnist_search_config, key, value):
@@ -514,7 +522,7 @@ class TestSearchConfig:
             SearchConfig.from_dict(doc)
 
     @pytest.mark.parametrize("token", ["Infinity", "-Infinity", "NaN"])
-    @pytest.mark.parametrize("key", ["convergence_threshold", "alpha"])
+    @pytest.mark.parametrize("key", ["convergence_threshold", "alpha", "learning_rate"])
     def test_float_fields_reject_non_finite_values(self, mnist_search_config, key, token):
         doc = mnist_search_config.to_dict()
         doc[key] = json.loads(token)  # Python's json reads these non-standard tokens

@@ -7,6 +7,7 @@ import re
 import tracemalloc
 import warnings
 from dataclasses import fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +51,7 @@ from conftest import (
     genotypes,
     mlp_classifier,
     mlp_regressor,
+    on_this_kernel,
     recorded_gradients,
 )
 
@@ -460,7 +462,13 @@ def golden_data(problem):
 #: ``GOLDEN``, they depend on the BLAS kernels.
 KFOLD_GOLDEN = {
     C: ([(16, A.RELU), 0.3, (8, A.SIGMOID)], (0.2777777777777778, 0.1227262335243029)),
-    R: ([(16, A.RELU), 0.5, (8, A.TANH)], (1.3739644755478657, 0.26949559549034535)),
+    R: (
+        [(16, A.RELU), 0.5, (8, A.TANH)],
+        {  # by OpenBLAS kernel: the float32 MSE differs in its last bits
+            "SkylakeX": (1.3739644755478657, 0.26949559549034535),
+            "Haswell": (1.3739644904150559, 0.26949559667315126),
+        },
+    ),
 }
 
 #: sha256 of ``model.bin`` from ``evonas train --kfold 3`` on
@@ -470,7 +478,8 @@ TRAIN_MODEL_DIGEST = "2e136115caf8638c2d4065c5d463b8bf98fc18a03fd7a6a4f944589d4d
 
 @pytest.mark.parametrize("problem", [C, R])
 def test_kfold_reproduces_recorded_numbers(problem):
-    hidden, expected = KFOLD_GOLDEN[problem]
+    hidden, recorded = KFOLD_GOLDEN[problem]
+    expected = on_this_kernel(recorded) if problem == R else recorded
     g = mlp_classifier(hidden, classes=3) if problem == C else mlp_regressor(hidden)
     cfg = TrainConfig(3, learning_rate=0.01, batch_size=32, seed=5)
     assert kfold_evaluate(g, golden_data(problem), 3, cfg) == expected
@@ -548,7 +557,17 @@ class TestFloat32:
         (v64, g64), (v32, g32) = results
         assert v32 == pytest.approx(v64, rel=1e-4)
         assert g32.dtype == np.float32
-        np.testing.assert_allclose(g32, g64, rtol=1e-4)
+        # float32 rounding moves a near-zero element by more than 1e-4 of itself
+        # (-3.0e-6 by 1.05e-4 under OpenBLAS's Haswell kernel), so each element
+        # may also miss by 1e-4 of the largest one
+        close = partial(np.testing.assert_allclose, desired=g64, rtol=1e-4, atol=1e-4 * np.abs(g64).max())
+        close(g32)
+        for layer in range(len(net.layers)):  # one layer's gradient 1% off fails
+            off = g32.copy()
+            for part in net.views(off)[layer]:
+                part *= 1.01
+            with pytest.raises(AssertionError):
+                close(off)
 
     def test_sigmoid_saturates_without_overflow_warnings(self):
         net = DenseNetwork([(1, 1, A.SIGMOID, 0.0)], input_dim=1, dtype=np.float32)
@@ -562,15 +581,21 @@ class TestFloat32:
 
     #: ``make_evaluator`` results on :func:`golden_data`, recorded when search
     #: evaluations moved to float32, as (perf, parameter count). Like ``GOLDEN``, they
-    #: depend on the BLAS kernels: numpy 2.4 and OpenBLAS 0.3.31 on x86-64.
+    #: depend on the BLAS kernels: numpy 2.4 and OpenBLAS 0.3.31 on x86-64. The
+    #: regression perf differs in its last bits between OpenBLAS's kernels, so it
+    #: is recorded per kernel, forcing each with ``OPENBLAS_CORETYPE``.
     EVALUATOR_GOLDEN = {
         C: ([(16, A.RELU), 0.3, (8, A.SIGMOID)], (0.2777777777777778, 275)),
-        R: ([(16, A.RELU), (8, A.TANH)], (0.7800775076396081, 257)),
+        R: (
+            [(16, A.RELU), (8, A.TANH)],
+            {"SkylakeX": (0.7800775076396081, 257), "Haswell": (0.7800775266143304, 257)},
+        ),
     }
 
     @pytest.mark.parametrize("problem", [C, R])
     def test_evaluator_reproduces_recorded_numbers(self, problem):
-        hidden, expected = self.EVALUATOR_GOLDEN[problem]
+        hidden, recorded = self.EVALUATOR_GOLDEN[problem]
+        expected = on_this_kernel(recorded) if problem == R else recorded
         g = mlp_classifier(hidden, classes=3) if problem == C else mlp_regressor(hidden)
         evaluate = make_evaluator(
             golden_data(problem), 0.2, TrainConfig(3, learning_rate=0.01, batch_size=32, seed=1)
