@@ -127,8 +127,8 @@ def cmd_search(args) -> int:
             runs.flush()  # each generation's rows reach runs.csv before the next one runs
 
         archive = evolution.run_search(cfg, evaluate, on_generation)
-    winner = evolution.finalize(archive, cfg)
-    rundir.finish(out_dir, archive, winner)
+    winner = archive.entries[archive.winner]
+    rundir.finish(out_dir, archive)
     print(
         f"search done: {len(archive.entries)} experiment(s), winner perf "
         f"{winner.perf:.4f}, {winner.size} parameters, cost {winner.cost:.4f}"

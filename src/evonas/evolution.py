@@ -46,8 +46,6 @@ log = logging.getLogger(__name__)
 #: interval: it keeps rates away from the degenerate endpoints.
 DROPOUT_RATE_GRID: tuple[float, ...] = tuple(round(0.05 * i, 2) for i in range(1, 20))
 
-FITNESS_MODES = ("raw_error", "population_l2")
-
 
 @dataclass
 class SearchConfig:
@@ -73,7 +71,6 @@ class SearchConfig:
     max_generations: int = 10
     experiments: int = 5
     max_layers: int = MAX_LAYERS
-    fitness_mode: str = "raw_error"
     seed: int = 0
 
     def __post_init__(self):
@@ -125,7 +122,6 @@ class SearchConfig:
         need(self.max_generations >= 1, "max_generations must be at least 1")
         need(self.experiments >= 1, "experiments must be at least 1")
         need(2 <= self.max_layers <= MAX_LAYERS, f"max_layers must be in 2..{MAX_LAYERS}")
-        need(self.fitness_mode in FITNESS_MODES, f"fitness_mode must be one of {FITNESS_MODES}")
         self.train_config()  # checks the learning rate, batch size and seed
 
     def train_config(self) -> TrainConfig:
@@ -170,23 +166,27 @@ _INT_FIELDS = tuple(name for name, kind in get_type_hints(SearchConfig).items() 
 _FLOAT_FIELDS = tuple(name for name, kind in get_type_hints(SearchConfig).items() if kind is float)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Individual:
-    """A genotype with its evaluated performance, size, and scalarized cost."""
+    """A genotype with its evaluated performance, size, cost and evaluation seed."""
 
     genotype: Genotype
     perf: float
     size: int
-    cost: float = math.nan
-    eval_seed: int = 0
+    cost: float
+    eval_seed: int
 
 
 @dataclass
 class Archive:
-    """Best individual per experiment; the winner index is set by finalize."""
+    """Best individual per experiment, in experiment order."""
 
     entries: list[Individual] = field(default_factory=list)
-    winner: int | None = None
+
+    @property
+    def winner(self) -> int:
+        """The index of the cheapest entry, the first of equal ones; ValueError when empty."""
+        return min(range(len(self.entries)), key=lambda i: self.entries[i].cost)
 
 
 def _pick(rng, seq: Sequence):
@@ -244,32 +244,20 @@ def metric_error(value: float, problem: ProblemKind) -> float:
     return 1.0 - value if ProblemKind(problem) == ProblemKind.CLASSIFICATION else float(value)
 
 
-def compute_costs(
-    pop: Sequence[tuple[float, int]],
-    alpha: float,
-    mode: str = "raw_error",
-    problem: ProblemKind = ProblemKind.CLASSIFICATION,
-) -> list[float]:
-    """Scalarized cost ``10 * (1 - alpha) * p + alpha * scaled_size(w)`` per member.
+def compute_costs(pop: Sequence[tuple[float, int]], alpha: float, problem: ProblemKind) -> list[float]:
+    """Scalarized cost ``10 * (1 - alpha) * e + alpha * scaled_size(w)`` per member.
 
     ``pop`` holds (raw metric value, parameter count) pairs, each value
-    turned into an error by :func:`metric_error`. In ``population_l2`` mode the
-    error vector is normalized by its L2 norm over the population before
-    weighting; ``raw_error`` uses the errors as they are.
+    turned into its error ``e`` by :func:`metric_error`. A member's cost
+    depends on that member alone.
     """
     if not pop:
         raise ValueError("cannot compute costs of an empty population")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    if mode not in FITNESS_MODES:
-        raise ValueError(f"unknown fitness mode {mode!r}")
-    errors = np.array([metric_error(perf, problem) for perf, _ in pop])
-    if mode == "population_l2":
-        norm = float(np.linalg.norm(errors))
-        errors = errors / norm if norm > 0.0 else np.zeros_like(errors)
     return [
-        10.0 * (1.0 - alpha) * float(e) + alpha * scaled_size(w)
-        for e, (_, w) in zip(errors, pop)
+        10.0 * (1.0 - alpha) * float(metric_error(perf, problem)) + alpha * scaled_size(w)
+        for perf, w in pop
     ]
 
 
@@ -439,24 +427,12 @@ def nominal_convergence(pop: Sequence[Genotype], m_c: int, d_t: float) -> bool:
 
 @dataclass(frozen=True)
 class GenerationRecord:
-    """One evaluated generation: its individuals, costed within the
-    generation before elitism and copied, and their results in job order."""
+    """One evaluated generation: its individuals and their results, in job order."""
 
     experiment: int
     generation: int
     individuals: tuple[Individual, ...]
     results: tuple[EvalResult, ...]
-
-
-def _assign_costs(individuals: list[Individual], cfg: SearchConfig) -> None:
-    costs = compute_costs(
-        [(ind.perf, ind.size) for ind in individuals],
-        cfg.alpha,
-        cfg.fitness_mode,
-        cfg.problem,
-    )
-    for ind, c in zip(individuals, costs):
-        ind.cost = c
 
 
 def run_search(
@@ -470,9 +446,10 @@ def run_search(
     for example the evaluation pool bound to an evaluator and a worker
     count. Each job's seed is derived from (config seed, experiment,
     generation, index). Every individual's size is its genotype's
-    :func:`count_params`. A failing evaluation is logged and assigned the
-    worst performance seen in its generation; a generation in which every
-    evaluation fails raises ``RuntimeError`` before ``on_generation`` sees it.
+    :func:`count_params`, and its cost is computed once, from its own perf and
+    size. A failing evaluation is logged and assigned the worst performance
+    seen in its generation; a generation in which every evaluation fails
+    raises ``RuntimeError`` before ``on_generation`` sees it.
 
     Each experiment evolves a fresh random population until the generation
     cap or nominal convergence, carrying the previous generation's best over
@@ -506,19 +483,20 @@ def run_search(
                     f"(first: {results[0].status})"
                 )
             fallback = max(ok_perfs, key=lambda perf: metric_error(perf, cfg.problem))
-            individuals = []
-            for job, r in zip(jobs, results):
-                perf = r.perf if r.ok else fallback
-                size = count_params(job.genotype, cfg.input_dim)
-                individuals.append(Individual(job.genotype, perf, size, eval_seed=job.seed))
-            _assign_costs(individuals, cfg)
-            if on_generation is not None:  # copied: elitism below re-costs them in place
-                copies = tuple(map(replace, individuals))
-                on_generation(GenerationRecord(exp, gen, copies, tuple(results)))
+            pop = [
+                (r.perf if r.ok else fallback, count_params(job.genotype, cfg.input_dim))
+                for job, r in zip(jobs, results)
+            ]
+            costs = compute_costs(pop, cfg.alpha, cfg.problem)
+            individuals = [
+                Individual(job.genotype, perf, size, cost, job.seed)
+                for job, (perf, size), cost in zip(jobs, pop, costs)
+            ]
+            if on_generation is not None:
+                on_generation(GenerationRecord(exp, gen, tuple(individuals), tuple(results)))
             if best is not None:
                 worst_idx = max(range(len(individuals)), key=lambda k: individuals[k].cost)
                 individuals[worst_idx] = best
-                _assign_costs(individuals, cfg)
             best = min(individuals, key=lambda ind: ind.cost)
 
             parents = tournament_select(
@@ -535,12 +513,3 @@ def run_search(
             population = offspring
         archive.entries.append(best)
     return archive
-
-
-def finalize(archive: Archive, cfg: SearchConfig) -> Individual:
-    """Re-cost the archive as one population and return its best entry."""
-    if not archive.entries:
-        raise ValueError("cannot finalize an empty archive")
-    _assign_costs(archive.entries, cfg)
-    archive.winner = min(range(len(archive.entries)), key=lambda i: archive.entries[i].cost)
-    return archive.entries[archive.winner]

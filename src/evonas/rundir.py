@@ -18,7 +18,7 @@ from typing import get_type_hints
 
 from . import genotype
 from .data import DataError
-from .evolution import Archive, ConfigError, GenerationRecord, Individual, SearchConfig
+from .evolution import Archive, ConfigError, GenerationRecord, SearchConfig
 
 CONFIG = "config.json"
 RUNS = "runs.csv"
@@ -115,8 +115,8 @@ def start(path: Path, cfg: SearchConfig):
     return runs
 
 
-def finish(path: Path, archive: Archive, winner: Individual) -> None:
-    """Write ``archive.json``, then ``best.json``, of a finalized archive."""
+def finish(path: Path, archive: Archive) -> None:
+    """Write ``archive.json``, then ``best.json``: the archive's entries and its winner."""
     entries = [
         {
             "experiment": i,
@@ -129,7 +129,7 @@ def finish(path: Path, archive: Archive, winner: Individual) -> None:
         for i, e in enumerate(archive.entries)
     ]
     _write_json(path / ARCHIVE, {"entries": entries, "winner": archive.winner})
-    _write_json(path / BEST, genotype.to_dict(winner.genotype))
+    _write_json(path / BEST, genotype.to_dict(archive.entries[archive.winner].genotype))
 
 
 def discover(root: Path) -> list[Path]:

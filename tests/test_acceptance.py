@@ -25,7 +25,6 @@ from evonas import (
     count_params,
     crossover,
     evaluate_all,
-    finalize,
     load_idx,
     make_evaluator,
     materialize,
@@ -100,7 +99,7 @@ def test_criterion_2_fitness_reconstruction():
         for table in (INITIAL_POPULATION_TABLE, BEST_ALPHA_03_TABLE, BEST_ALPHA_07_TABLE):
             pairs = [(acc, size) for _, acc, size, _, _ in table]
             alpha = table[0][4]
-            costs = compute_costs(pairs, alpha=alpha, mode="raw_error")
+            costs = compute_costs(pairs, alpha, ProblemKind.CLASSIFICATION)
             for (_, _, _, reported, _), cost in zip(table, costs):
                 assert cost == pytest.approx(reported, abs=0.01), (reported, cost)
         assert time.perf_counter() - started < 1.0
@@ -239,7 +238,7 @@ def test_criterion_9_desk_scale_search():
         evaluator = make_evaluator(ds, cfg.cv_ratio, TrainConfig(cfg.train_epochs, seed=cfg.seed))
         started = time.perf_counter()
         archive = run_search(cfg, partial(evaluate_all, evaluator=evaluator, worker_count=4))
-        winner = finalize(archive, cfg)
+        winner = archive.entries[archive.winner]
         elapsed = time.perf_counter() - started
         assert elapsed <= 20 * 60, elapsed
         assert winner.perf >= 0.90, winner.perf

@@ -132,6 +132,29 @@ class TestSearchCommand:
         for entry in archive["entries"]:  # archive genotypes re-parse cleanly
             assert from_dict(entry["genotype"]).layers[-1].units == 2
 
+    def test_archive_entries_are_runs_csv_rows(self, workdir):
+        """A trained search's archive repeats rows of runs.csv: each entry is its
+        candidate's own row, cost included, and best.json is the cheapest entry."""
+        out = workdir / "run"
+        assert main([*search_args(workdir, out), "--batch-size", "16"]) == 0
+        with (out / "runs.csv").open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        archive = json.loads((out / "archive.json").read_text())
+        for entry in archive["entries"]:
+            matches = [
+                row for row in rows
+                if int(row["experiment"]) == entry["experiment"]
+                and json.loads(row["genotype"]) == entry["genotype"]
+                and float(row["perf"]) == entry["perf"]
+                and int(row["params"]) == entry["params"]
+                and float(row["cost"]) == entry["cost"]
+            ]
+            assert matches, entry
+        costs = [entry["cost"] for entry in archive["entries"]]
+        assert archive["winner"] == costs.index(min(costs))
+        best = json.loads((out / "best.json").read_text())
+        assert best == archive["entries"][archive["winner"]]["genotype"]
+
     def test_byte_identical_reruns_with_surrogate(self, workdir, monkeypatch):
         monkeypatch.setattr("evonas.trainer.make_evaluator", surrogate_make_evaluator)
         blobs = []
@@ -154,13 +177,13 @@ class TestSearchCommand:
     # cells blanked: any change to the run directory's format shows here
     GOLDEN = {
         7: {
-            "config.json": "f176b28aca0fea623143aa22e63f52e9e7ba73da9e38a37f540d4031f3ccc46d",
+            "config.json": "1bfd6ad4555e11bc64966d67ad724e315ba542c0d4a976dc2b2525c0939131fa",
             "archive.json": "5a320061b760be7250923ac39291bef867e702d8f46bfc7284ed78a9e15eab99",
             "best.json": "367f1132346680bd176681b831837517cad65c1744241412a0fe6c1af57daff4",
             "runs.csv": "7456d371635c6ea4af854e6dc6f0eb580e55b3f670dfa1ceecc32101c0e652c2",
         },
         11: {
-            "config.json": "ed7bf11359695e58417ac4bf60d5c5720d886f83128f5ad562206af44b9b37ec",
+            "config.json": "6b53815b7d5dfb754d7b9ad53a5e81feab0defc227561516b731456f44e59983",
             "archive.json": "12b5d1f3a725add21516a5dd80f89c290e96e64bf8586f055bbf5c43d37c7ff9",
             "best.json": "61f55fad4b1dc73d7fdaf299a04e559a3e746d75da24f9318fd76a1a19724207",
             "runs.csv": "171c977b5c6812f599243d6018608b09be5e089e69e8f8109be558cd8e648bd4",
@@ -987,12 +1010,17 @@ class TestPlotDataCommand:
         {k: v for k, v in SearchConfig("classification", "mlp", 4, 2).to_dict().items()
          if k not in ("learning_rate", "batch_size")}
     )
+    # a config.json written while fitness_mode was a config key
+    WITH_FITNESS_MODE = json.dumps(
+        {**SearchConfig("classification", "mlp", 4, 2).to_dict(), "fitness_mode": "raw_error"}
+    )
 
     @pytest.mark.parametrize(
         "config, message",
         [
             ("{bad", "not a search config"),
             (BEFORE_TRAINING_KEYS, "not a search config: missing key(s): learning_rate, batch_size"),
+            (WITH_FITNESS_MODE, "not a search config: unknown configuration key(s): fitness_mode"),
             ('{"problem": "classification", %s}' % REST, "not a search config: missing key(s): alpha"),
             ('{"alpha": 0.5, %s}' % REST, "not a search config: missing key(s): problem"),
             ('{"alpha": 0.5, "problem": "ranking", %s}' % REST, "not a search config: 'ranking' is not a valid"),
@@ -1002,7 +1030,7 @@ class TestPlotDataCommand:
             ('{"alpha": "0.5", "problem": "classification", %s}' % REST, "not a search config: alpha must be a number, got '0.5'"),
         ],
         ids=[
-            "not-json", "written-before-training-keys", "no-alpha", "no-problem", "unknown-problem",
+            "not-json", "written-before-training-keys", "written-with-fitness-mode", "no-alpha", "no-problem", "unknown-problem",
             "boolean-alpha", "alpha-out-of-range", "nan-alpha", "string-alpha",
         ],
     )

@@ -26,7 +26,6 @@ from evonas import (
     count_params,
     crossover,
     evaluate_all,
-    finalize,
     mutate,
     nominal_convergence,
     random_genotype,
@@ -108,35 +107,21 @@ class TestScaledSize:
 
 class TestComputeCosts:
     def test_reconstructs_published_fitness(self):
-        (c,) = compute_costs([(0.917, 50890)], alpha=0.5)
+        (c,) = compute_costs([(0.917, 50890)], 0.5, ProblemKind.CLASSIFICATION)
         assert c == pytest.approx(5 * 0.083 + 0.5 * math.log10(50000))
         assert c == pytest.approx(2.7688, abs=0.01)
 
     def test_low_alpha_row(self):
-        (c,) = compute_costs([(0.972, 63370)], alpha=0.3)
+        (c,) = compute_costs([(0.972, 63370)], 0.3, ProblemKind.CLASSIFICATION)
         assert c == pytest.approx(1.6358, abs=0.01)
 
     def test_perfect_score_costs_nothing_at_alpha_zero(self):
-        (c,) = compute_costs([(1.0, 1000)], alpha=0.0)
+        (c,) = compute_costs([(1.0, 1000)], 0.0, ProblemKind.CLASSIFICATION)
         assert c == 0.0
 
     def test_error_metrics_used_directly(self):
         (c,) = compute_costs([(0.25, 1000)], alpha=0.0, problem=ProblemKind.REGRESSION)
         assert c == pytest.approx(2.5)
-
-    def test_population_l2_normalization(self):
-        costs = compute_costs(
-            [(0.3, 1000), (0.4, 1000)], alpha=0.0, mode="population_l2", problem=ProblemKind.REGRESSION
-        )
-        norm = math.hypot(0.3, 0.4)
-        assert costs == pytest.approx([10 * 0.3 / norm, 10 * 0.4 / norm])
-
-    def test_l2_ranking_invariant_under_error_scaling(self):
-        base = [(0.2, 5000), (0.9, 1500), (0.5, 80000)]
-        scaled = [(p * 7.0, w) for p, w in base]
-        a = compute_costs(base, alpha=0.4, mode="population_l2", problem=ProblemKind.REGRESSION)
-        b = compute_costs(scaled, alpha=0.4, mode="population_l2", problem=ProblemKind.REGRESSION)
-        assert np.allclose(a, b)
 
     @given(
         st.floats(0.0, 0.49),
@@ -153,16 +138,30 @@ class TestComputeCosts:
         c_lo, c_hi = compute_costs([(0.1, lo), (0.1, hi)], alpha=0.5, problem=ProblemKind.REGRESSION)
         assert c_lo <= c_hi
 
+    @given(
+        st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(0, 10**7)), min_size=1, max_size=10),
+        st.floats(0.0, 1.0),
+        st.sampled_from(ProblemKind),
+        st.randoms(use_true_random=False),
+    )
+    def test_each_cost_is_the_members_own(self, pop, alpha, problem, random):
+        """A population's costs are its members' costs taken one at a time, in any order."""
+        alone = [compute_costs([member], alpha, problem)[0] for member in pop]
+        assert compute_costs(pop, alpha, problem) == alone
+        order = list(range(len(pop)))
+        random.shuffle(order)
+        assert compute_costs([pop[i] for i in order], alpha, problem) == [alone[i] for i in order]
+
     def test_rejects_empty_population_and_bad_alpha(self):
         with pytest.raises(ValueError):
-            compute_costs([], alpha=0.5)
+            compute_costs([], 0.5, ProblemKind.CLASSIFICATION)
         with pytest.raises(ValueError):
-            compute_costs([(0.5, 100)], alpha=1.5)
+            compute_costs([(0.5, 100)], 1.5, ProblemKind.CLASSIFICATION)
 
 
 def _individuals(costs):
     g = mlp_classifier([(8, A.RELU)])
-    return [Individual(g, 0.5, 1000, cost=c) for c in costs]
+    return [Individual(g, 0.5, 1000, c, 0) for c in costs]
 
 
 class TestTournamentSelect:
@@ -450,7 +449,6 @@ class TestSearchConfig:
         assert (cfg.train_epochs, cfg.max_generations, cfg.experiments) == (5, 10, 5)
         assert (cfg.crossover_prob, cfg.crossover_trials, cfg.convergence_pairs) == (1.0, 3, 3)
         assert cfg.convergence_threshold == 0.0
-        assert cfg.fitness_mode == "raw_error"
         assert cfg.train_config() == TrainConfig(5, seed=cfg.seed)  # TrainConfig's rate and batch
 
     def test_json_roundtrip(self, mnist_search_config):
@@ -466,7 +464,7 @@ class TestSearchConfig:
             {"population_size": 11},
             {"alpha": 1.2},
             {"cv_ratio": 0.0},
-            {"fitness_mode": "other"},
+            {"max_layers": 1},
             {"input_shape": "784"},
             {"input_shape": [28, 28]},
             {"seed": -1},
@@ -557,6 +555,9 @@ class TestSearchConfig:
         doc["extra"] = 1
         with pytest.raises(ConfigError, match="unknown"):
             SearchConfig.from_dict(doc)
+        doc = {**mnist_search_config.to_dict(), "fitness_mode": "raw_error"}  # a key that was removed
+        with pytest.raises(ConfigError, match=r"^unknown configuration key\(s\): fitness_mode$"):
+            SearchConfig.from_dict(doc)
         with pytest.raises(ConfigError, match="missing"):
             SearchConfig.from_dict({"problem": "classification"})
 
@@ -630,20 +631,6 @@ class TestRunSearch:
         with pytest.raises(RuntimeError, match="generation 0: results not in job order"):
             run_search(cfg, lambda jobs: evaluate_pool(jobs)[::-1])
 
-    def test_records_keep_the_costs_they_were_emitted_with(self):
-        # population_l2 costs depend on the whole population, so elitism's
-        # re-costing would show in any record that aliased the live individuals
-        cfg = small_search_config(fitness_mode="population_l2", max_generations=5)
-        kept = []
-        run_search(
-            cfg,
-            pool(surrogate_by_size()),
-            lambda rec: kept.append((rec, [ind.cost for ind in rec.individuals])),
-        )
-        assert any(rec.generation > 0 for rec, _ in kept)  # elitism ran
-        for rec, costs in kept:
-            assert [ind.cost for ind in rec.individuals] == costs
-
     def test_experiment_best_matches_replayed_minimum(self):
         cfg = small_search_config()
         records = []
@@ -677,7 +664,7 @@ class TestRunSearch:
         records = []
         archive = run_search(cfg, pool(surrogate_by_size()), records.append)
         sizes = [ind.size for _, _, _, ind in flat(records)]
-        winner = finalize(archive, cfg)
+        winner = archive.entries[archive.winner]
         assert scaled_size(winner.size) == pytest.approx(min(scaled_size(s) for s in sizes))
 
     def test_huge_threshold_converges_after_one_generation(self):
@@ -761,12 +748,6 @@ class TestRunSearch:
         assert any(not r.ok for rec in records for r in rec.results)
         assert all(ind.size == count_params(ind.genotype, cfg.input_dim) for ind in rows)
 
-    def test_population_l2_mode_runs(self):
-        cfg = small_search_config(fitness_mode="population_l2", experiments=1)
-        archive = run_search(cfg, pool(surrogate_by_size()))
-        assert len(archive.entries) == 1
-        assert math.isfinite(archive.entries[0].cost)
-
     def test_zero_crossover_probability_clones_base_parents(self, monkeypatch):
         def forbidden(*_a, **_k):
             raise AssertionError("crossover must not run at probability zero")
@@ -778,34 +759,26 @@ class TestRunSearch:
 
 
 class TestFinalize:
+    """The final pick: ``Archive.winner``, the cheapest entry by its stored cost."""
+
     def test_single_entry(self):
         g = mlp_classifier([(8, A.RELU)])
-        archive = Archive(entries=[Individual(g, 0.9, 1000)])
-        cfg = small_search_config()
-        assert finalize(archive, cfg) is archive.entries[0]
+        archive = Archive(entries=[Individual(g, 0.9, 1000, 3.5, 0)])
         assert archive.winner == 0
 
     def test_raw_mode_winner_matches_stored_costs(self):
         cfg = small_search_config()
         archive = run_search(cfg, pool(surrogate_by_size()))
         stored = [e.cost for e in archive.entries]
-        winner = finalize(archive, cfg)
-        assert winner.cost == pytest.approx(min(stored))
-        assert [e.cost for e in archive.entries] == pytest.approx(stored)
+        assert archive.entries[archive.winner].cost == min(stored)
+        assert [e.cost for e in archive.entries] == stored
 
-    def test_l2_mode_argmin_invariant_under_scaling(self):
+    def test_first_of_equal_costs_wins(self):
         g = mlp_classifier([(8, A.RELU)])
-        cfg = small_search_config(
-            fitness_mode="population_l2", problem=ProblemKind.REGRESSION, output_size=1
-        )
-        base = [Individual(g, p, w) for p, w in [(0.2, 5000), (0.9, 1500), (0.5, 80000)]]
-        scaled = [Individual(g, e.perf * 3.0, e.size) for e in base]
-        a1 = Archive(entries=base)
-        a2 = Archive(entries=scaled)
-        finalize(a1, cfg)
-        finalize(a2, cfg)
-        assert a1.winner == a2.winner
+        costs = [2.0, 1.5, 3.0, 1.5]
+        archive = Archive(entries=[Individual(g, 0.9, 1000, c, k) for k, c in enumerate(costs)])
+        assert archive.winner == 1
 
     def test_empty_archive_rejected(self):
         with pytest.raises(ValueError):
-            finalize(Archive(), small_search_config())
+            Archive().winner

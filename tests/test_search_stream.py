@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from evonas import SearchConfig, evaluate_all, finalize, run_search, serialize
+from evonas import SearchConfig, evaluate_all, run_search, serialize
 from evonas.genotype import ProblemKind
 
 GOLDEN = Path(__file__).with_name("search_stream_golden.json")
@@ -66,7 +66,6 @@ def search_stream(doc: dict) -> dict:
 
     evaluate = partial(evaluate_all, evaluator=hashed_evaluator(cfg))
     archive = run_search(cfg, evaluate, on_generation)
-    finalize(archive, cfg)
     return {
         "config_json": json.dumps(cfg.to_dict(), indent=2),
         "rows": len(rows),
