@@ -24,6 +24,7 @@ from .evalpool import evaluate_all  # noqa: F401
 from .genotype import (
     ARCH,
     HIDDEN_ACTIVATIONS,
+    KIND_FIELDS,
     MAX_LAYERS,
     OUTPUT_ACTIVATION,
     UNIT_CHOICES,
@@ -352,11 +353,11 @@ def crossover(s1: Genotype, s2: Genotype, cfg: SearchConfig, rng) -> Genotype:
 
 # --- mutation -----------------------------------------------------------------
 
-#: Each layer kind with the parameter mutation resamples and that
-#: parameter's grid of legal values.
-_LAYER_GRID: dict[LayerKind, tuple[str, tuple]] = {
-    LayerKind.FULLY_CONNECTED: ("units", UNIT_CHOICES),
-    LayerKind.DROPOUT: ("dropout_rate", DROPOUT_RATE_GRID),
+#: Each layer kind's grid of legal values, which mutation resamples the
+#: kind's parameter (its ``KIND_FIELDS`` field) from.
+_LAYER_GRID: dict[LayerKind, tuple] = {
+    LayerKind.FULLY_CONNECTED: UNIT_CHOICES,
+    LayerKind.DROPOUT: DROPOUT_RATE_GRID,
 }
 
 
@@ -376,8 +377,8 @@ def _applicable_edits(g: Genotype, i: int, cfg: SearchConfig) -> list[str]:
 
 def _edit_param(g: Genotype, i: int, rng) -> Genotype:
     gene = g.layers[i]
-    name, grid = _LAYER_GRID[gene.kind]
-    choices = [c for c in grid if c != getattr(gene, name)]
+    name = KIND_FIELDS[gene.kind][0]
+    choices = [c for c in _LAYER_GRID[gene.kind] if c != getattr(gene, name)]
     new_gene = replace(gene, **{name: _pick(rng, choices)})
     return Genotype(g.layers[:i] + (new_gene,) + g.layers[i + 1 :])
 

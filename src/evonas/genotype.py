@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from enum import Enum, IntEnum
 
 
@@ -77,20 +77,26 @@ MAX_LAYERS = 64
 #: The document format's ``arch`` value: the one family encoded here.
 ARCH = "mlp"
 
-# Parameter slot -> (key in the named document form, type, legal-value test,
-# violation text), in slot order.
-_SLOTS = {
-    "units": ("units", int, UNIT_CHOICES.__contains__, "not a multiple of 8 in [8, 1024]"),
-    "dropout_rate": ("rate", float, lambda r: 0.0 <= r <= 1.0, "outside [0, 1]"),
+#: The paper's 8-slot row: the slot each ``LayerGene`` field sits in, and the
+#: type the slot holds (``int``: a whole number). Slots 3-6 (filters, kernel
+#: size, kernel stride and pool size) hold no field here and are always 0.
+ROW_SLOTS: dict[str, tuple[int, type]] = {
+    "kind": (0, int),
+    "units": (1, int),
+    "activation": (2, int),
+    "dropout_rate": (7, float),
 }
 
-# The array slots of a gene's fields, in field order; slots 3-6 always hold 0.
-_FIELD_SLOTS = (0, 1, 2, 7)
-_ZERO_SLOTS = range(3, 7)
+# Parameter field -> (key in the named document form, legal-value test,
+# violation text), in slot order.
+_PARAMS = {
+    "units": ("units", UNIT_CHOICES.__contains__, "not a multiple of 8 in [8, 1024]"),
+    "dropout_rate": ("rate", lambda r: 0.0 <= r <= 1.0, "outside [0, 1]"),
+}
 
-# Layer kind -> (the one parameter slot it uses, whether it takes an
-# activation). Every other slot of the kind must stay zero.
-_KIND_SLOTS: dict[LayerKind, tuple[str, bool]] = {
+#: Layer kind -> (the one parameter field it uses, whether it takes an
+#: activation). Every other slot of the kind must stay zero.
+KIND_FIELDS: dict[LayerKind, tuple[str, bool]] = {
     LayerKind.FULLY_CONNECTED: ("units", True),
     LayerKind.DROPOUT: ("dropout_rate", False),
 }
@@ -142,9 +148,19 @@ class LayerGene:
         return cls(LayerKind.DROPOUT, dropout_rate=rate)
 
     def to_vec(self) -> tuple[float, ...]:
-        """The 8-slot array view of this gene; slots 3-6 are always zero."""
-        activation = float(self.activation) if self.activation is not None else 0.0
-        return (float(self.kind), float(self.units), activation, 0.0, 0.0, 0.0, 0.0, float(self.dropout_rate))
+        """The 8-slot array view of this gene, laid out by :data:`ROW_SLOTS`."""
+        vec = [0.0] * 8
+        for name, (slot, _) in ROW_SLOTS.items():
+            vec[slot] = float(getattr(self, name) or 0)
+        return tuple(vec)
+
+    def to_row(self) -> list:
+        """The 8-slot row a document writes: whole numbers, and the dropout
+        rate as 0 or as its float."""
+        vec, row = self.to_vec(), [0] * 8
+        for slot, cast in ROW_SLOTS.values():
+            row[slot] = cast(vec[slot]) or 0
+        return row
 
     @classmethod
     def from_vec(cls, vec) -> "LayerGene":
@@ -152,33 +168,27 @@ class LayerGene:
 
         The kind slot decides which remaining slots are read; an activation
         slot of 0 on a kind that takes an activation means sigmoid. Slots
-        3-6 must hold 0.
+        that hold no field must hold 0.
         """
         if len(vec) != 8:
             raise ParseError(f"layer array must have 8 slots, got {len(vec)}")
-        kind_code, units, activation_code, rate = (
-            _slot_value(f.name, vec[slot], float if f.name == "dropout_rate" else int)
-            for f, slot in zip(fields(cls), _FIELD_SLOTS)
-        )
+        values = {name: _slot_value(name, vec[slot], cast) for name, (slot, cast) in ROW_SLOTS.items()}
         try:
-            kind = LayerKind(kind_code)
+            kind = values["kind"] = LayerKind(values["kind"])
         except ValueError:
             raise ParseError(f"unknown layer kind code {vec[0]!r}") from None
-        for slot in _ZERO_SLOTS:
-            if isinstance(vec[slot], bool) or vec[slot] != 0:
-                raise ParseError(f"slot {slot} must be 0, got {vec[slot]!r}")
-        if _KIND_SLOTS[kind][1]:
-            try:
-                activation = Activation(activation_code)
-            except ValueError:
-                raise ParseError(f"unknown activation code {vec[2]!r}") from None
-        else:
-            if activation_code:
-                raise ParseError(
-                    f"activation slot must be zero for a {kind.label()} layer"
-                )
-            activation = None
-        return cls(kind, units, activation, rate)
+        used = {slot for slot, _ in ROW_SLOTS.values()}
+        for slot, value in enumerate(vec):
+            if slot not in used and (isinstance(value, bool) or value != 0):
+                raise ParseError(f"slot {slot} must be 0, got {value!r}")
+        takes_activation = KIND_FIELDS[kind][1]
+        if values["activation"] and not takes_activation:
+            raise ParseError(f"activation slot must be zero for a {kind.label()} layer")
+        try:
+            values["activation"] = Activation(values["activation"]) if takes_activation else None
+        except ValueError:
+            raise ParseError(f"unknown activation code {vec[2]!r}") from None
+        return cls(**values)
 
 
 @dataclass(frozen=True)
@@ -209,18 +219,18 @@ class ValidityReport:
 
 
 def _check_fields(i: int, gene: LayerGene, is_output: bool, out: list[str]):
-    own, takes_activation = _KIND_SLOTS[gene.kind]
+    own, takes_activation = KIND_FIELDS[gene.kind]
     label = gene.kind.label()
-    for slot, (_, _, legal, text) in _SLOTS.items():
-        value = getattr(gene, slot)
-        if slot != own:
+    for param, (_, legal, text) in _PARAMS.items():
+        value = getattr(gene, param)
+        if param != own:
             if value:
-                out.append(f"layer {i}: {slot} must be zero for a {label} layer")
-        elif is_output and slot == "units":
+                out.append(f"layer {i}: {param} must be zero for a {label} layer")
+        elif is_output and param == "units":
             if value < 1:
                 out.append(f"layer {i}: output layer needs at least one unit")
         elif not legal(value):
-            out.append(f"layer {i}: {slot} {value} {text}")
+            out.append(f"layer {i}: {param} {value} {text}")
     if not takes_activation:
         if gene.activation is not None:
             out.append(f"layer {i}: activation not applicable to a {label} layer")
@@ -342,8 +352,8 @@ def rectify_activations(target: Genotype, reference: Genotype) -> Genotype:
 # --- canonical text encoding ------------------------------------------------
 
 def _named_form(gene: LayerGene) -> dict:
-    slot, takes_activation = _KIND_SLOTS[gene.kind]
-    doc = {"kind": int(gene.kind), _SLOTS[slot][0]: getattr(gene, slot)}
+    param, takes_activation = KIND_FIELDS[gene.kind]
+    doc = {"kind": int(gene.kind), _PARAMS[param][0]: getattr(gene, param)}
     if takes_activation:
         doc["activation"] = int(gene.activation)
     return doc
@@ -351,17 +361,11 @@ def _named_form(gene: LayerGene) -> dict:
 
 def to_dict(g: Genotype) -> dict:
     """JSON-ready document with both the named and the raw array form."""
-    raw = []
-    for gene in g.layers:
-        vec = gene.to_vec()
-        row = [int(v) for v in vec[:7]]
-        row.append(vec[7] if vec[7] else 0)
-        raw.append(row)
     return {
         "arch": ARCH,
         "problem": g.problem.value,
         "layers": [_named_form(gene) for gene in g.layers],
-        "raw": raw,
+        "raw": [gene.to_row() for gene in g.layers],
     }
 
 
@@ -378,10 +382,14 @@ def from_dict(doc: dict) -> Genotype:
 
     A document holds the named form (``layers``), the raw array form
     (``raw``), or both; when both are present they must describe the same
-    layers. Its ``problem`` must be the one the output layer names.
+    layers. Its ``problem`` must be the one the output layer names, and it
+    holds no other key.
     """
     if not isinstance(doc, dict):
         raise ParseError("genotype document must be a JSON object")
+    unknown = sorted(set(doc) - {"arch", "problem", "raw", "layers"})
+    if unknown:
+        raise ParseError(f"unknown genotype document key(s): {', '.join(unknown)}")
     for key in ("arch", "problem"):
         if key not in doc:
             raise ParseError(f"missing required field {key!r}")
@@ -433,10 +441,13 @@ def _gene_from_named(i: int, entry: dict) -> LayerGene:
         raise ParseError(f"layer {i}: {exc}") from None
     except ValueError:
         raise ParseError(f"layer {i}: unknown layer kind {entry['kind']!r}") from None
-    slot, takes_activation = _KIND_SLOTS[kind]
-    key, cast, _, _ = _SLOTS[slot]
+    param, takes_activation = KIND_FIELDS[kind]
+    key = _PARAMS[param][0]
+    unknown = sorted(set(entry) - ({"kind", key, "activation"} if takes_activation else {"kind", key}))
+    if unknown:
+        raise ParseError(f"layer {i}: key(s) {', '.join(unknown)} do not apply to a {kind.label()} layer")
     try:
-        params = {slot: _slot_value(key, entry[key], cast)}
+        params = {param: _slot_value(key, entry[key], ROW_SLOTS[param][1])}
         if takes_activation:
             params["activation"] = Activation(_slot_value("activation", entry["activation"], int))
         return LayerGene(kind, **params)

@@ -798,6 +798,24 @@ class TestTrainCommand:
         assert main([command, str(gpath), *args]) == 2
         assert "layer 0: the 'layers' and 'raw' forms disagree" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "inspect"])
+    @pytest.mark.parametrize(
+        "key, message",
+        [("notes", "unknown genotype document key(s): notes"), ("rate", "layer 0: key(s) rate do not apply")],
+        ids=["document-key", "layer-key"],
+    )
+    def test_unread_key_exits_2_before_data_loads(self, workdir, capsys, command, key, message):
+        doc = {"arch": "mlp", "problem": "classification", "layers": [
+            {"kind": 1, "units": 16, "activation": 2}, {"kind": 1, "units": 2, "activation": 3}
+        ]}
+        (doc if key == "notes" else doc["layers"][0])[key] = 0.5
+        gpath = workdir / "g.json"
+        gpath.write_text(json.dumps(doc))
+        # the manifest does not exist: a data error (exit 3) would mean it was read first
+        args = [str(workdir / "missing.json")] if command == "train" else []
+        assert main([command, str(gpath), *args]) == 2
+        assert message in capsys.readouterr().err
+
     def test_unknown_manifest_problem_exits_3_naming_the_manifest(self, workdir, capsys):
         manifest = workdir / "data.json"
         doc = json.loads(manifest.read_text())

@@ -490,6 +490,35 @@ class TestSerializeParse:
         ):
             parse(json.dumps(doc))
 
+    def test_unknown_document_key_rejected(self, stacked_example):
+        doc = {"arch": "mlp", "problem": "classification", "raw": to_dict(stacked_example)["raw"], "layer": [], "notes": 3}
+        with pytest.raises(ParseError, match=r"^unknown genotype document key\(s\): layer, notes$"):
+            parse(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "index, entry, message",
+        [
+            (0, {"kind": 1, "units": 64, "activation": 2, "rate": 0.5}, "rate do not apply to a Fully connected layer"),
+            (1, {"kind": 5, "rate": 0.5, "activation": 2}, "activation do not apply to a Dropout layer"),
+        ],
+        ids=["dense-with-rate", "dropout-with-activation"],
+    )
+    def test_named_key_the_kind_does_not_take_rejected(self, index, entry, message):
+        layers = [{"kind": 1, "units": 64, "activation": 2}, {"kind": 5, "rate": 0.5}, {"kind": 1, "units": 10, "activation": 3}]
+        layers[index] = entry
+        doc = {"arch": "mlp", "problem": "classification", "layers": layers}
+        with pytest.raises(ParseError, match=rf"^layer {index}: key\(s\) {message}$"):
+            parse(json.dumps(doc))
+
+    def test_benchmark_genotype_file_parses_in_place(self):
+        # a file written by hand and kept as it is, holding both forms
+        path = Path(__file__).parents[1] / "perfbench" / "kfold_genotype.json"
+        g = parse(path.read_text())
+        assert g.layers == (
+            LayerGene.dense(256, A.RELU), LayerGene.dropout(0.2), LayerGene.dense(128, A.RELU), LayerGene.dense(10, A.SOFTMAX)
+        )
+        assert to_dict(g) == json.loads(path.read_text())
+
     def test_named_form_accepted_without_raw(self):
         doc = {
             "arch": "mlp",

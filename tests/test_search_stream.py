@@ -4,7 +4,9 @@
 configurations, and every genotype, perf and cost it produces is compared
 with ``==`` against values recorded from an earlier version of the code.
 Any change to the order or number of random draws in the generator,
-crossover, mutation or selection shows up here. Record new values with
+crossover, mutation or selection shows up here. Genotypes are keyed and
+recorded by :func:`layer_text`, not by the genotype document format, so a
+change to that format leaves these values as they are. Record new values with
 ``PYTHONPATH=src python tests/test_search_stream.py > tests/search_stream_golden.json``
 only when a change is meant to move the search numbers.
 """
@@ -18,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from evonas import SearchConfig, evaluate_all, run_search, serialize
+from evonas import SearchConfig, evaluate_all, run_search
 from evonas.genotype import ProblemKind
 
 GOLDEN = Path(__file__).with_name("search_stream_golden.json")
@@ -39,11 +41,19 @@ CONFIGS = {
 }
 
 
+def layer_text(g) -> str:
+    """The genotype's layer fields, one ``kind,units,activation,rate`` group a layer."""
+    return ";".join(
+        f"{int(gene.kind)},{gene.units},{'-' if gene.activation is None else int(gene.activation)},{gene.dropout_rate!r}"
+        for gene in g.layers
+    )
+
+
 def hashed_evaluator(cfg: SearchConfig):
-    """Perf from a hash of (genotype text, seed); about 8% of evaluations fail."""
+    """Perf from a hash of (layer text, seed); about 8% of evaluations fail."""
 
     def evaluate(g, seed):
-        digest = hashlib.sha256(f"{serialize(g)}|{seed}".encode()).digest()
+        digest = hashlib.sha256(f"{layer_text(g)}|{seed}".encode()).digest()
         u = int.from_bytes(digest[:8], "big") / 2.0**64
         if u < 0.08:
             raise RuntimeError("scripted failure")
@@ -59,7 +69,7 @@ def search_stream(doc: dict) -> dict:
 
     def on_generation(rec):
         rows.extend(
-            f"{rec.experiment}|{rec.generation}|{idx}|{serialize(ind.genotype)}"
+            f"{rec.experiment}|{rec.generation}|{idx}|{layer_text(ind.genotype)}"
             f"|{ind.perf!r}|{ind.size}|{ind.cost!r}"
             for idx, ind in enumerate(rec.individuals)
         )
@@ -70,7 +80,7 @@ def search_stream(doc: dict) -> dict:
         "config_json": json.dumps(cfg.to_dict(), indent=2),
         "rows": len(rows),
         "rows_sha256": hashlib.sha256("\n".join(rows).encode()).hexdigest(),
-        "archive": [[serialize(e.genotype), e.cost] for e in archive.entries],
+        "archive": [[layer_text(e.genotype), e.cost] for e in archive.entries],
         "winner": archive.winner,
     }
 
