@@ -36,7 +36,6 @@ from .genotype import (
     count_params,
     distance,
     input_fan_in,
-    rectify_activations,
     with_hidden_activation,
 )
 from .trainer import ConfigError, TrainConfig
@@ -321,9 +320,10 @@ def compatible_pairs(
 def splice(
     base: Genotype, donor: Genotype, r1: int, r2: int, r3: int, r4: int
 ) -> Genotype:
-    """Replace ``base[r1..r2]`` with ``donor[r3..r4]`` and rectify activations."""
+    """Replace ``base[r1..r2]`` with ``donor[r3..r4]``, and give every hidden
+    dense layer the activation of ``base``'s first layer."""
     layers = base.layers[:r1] + donor.layers[r3 : r4 + 1] + base.layers[r2 + 1 :]
-    return rectify_activations(Genotype(layers), base)
+    return with_hidden_activation(Genotype(layers), base.layers[0].activation)
 
 
 def crossover(s1: Genotype, s2: Genotype, cfg: SearchConfig, rng) -> Genotype:

@@ -16,6 +16,10 @@ network ends in a fully connected output layer that names the problem it
 solves (see ``OUTPUT_ACTIVATION``): softmax for classification, one linear
 unit for regression. Every hidden dense layer of a searched genotype shares
 one activation (see :func:`with_hidden_activation`).
+
+A :class:`Genotype` checks these rules (see :func:`validate`) once, when it
+is built, and refuses to exist if one is broken; everything that takes a
+genotype trusts it.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from enum import Enum, IntEnum
 
 
 class GenotypeError(ValueError):
-    """An operation received or produced an invalid genotype."""
+    """A genotype that breaks a rule of the encoding was built or read."""
 
 
 class ParseError(GenotypeError):
@@ -166,9 +170,10 @@ class LayerGene:
     def from_vec(cls, vec) -> "LayerGene":
         """Rebuild a gene from its 8-slot array view.
 
-        The kind slot decides which remaining slots are read; an activation
-        slot of 0 on a kind that takes an activation means sigmoid. Slots
-        that hold no field must hold 0.
+        An activation code of 0 means sigmoid on a kind that takes an
+        activation and no activation on any other kind. Slots that hold no
+        field must hold 0. Only the row is decoded: whether the gene fits
+        its kind is checked when a :class:`Genotype` is built from it.
         """
         if len(vec) != 8:
             raise ParseError(f"layer array must have 8 slots, got {len(vec)}")
@@ -181,11 +186,9 @@ class LayerGene:
         for slot, value in enumerate(vec):
             if slot not in used and (isinstance(value, bool) or value != 0):
                 raise ParseError(f"slot {slot} must be 0, got {value!r}")
-        takes_activation = KIND_FIELDS[kind][1]
-        if values["activation"] and not takes_activation:
-            raise ParseError(f"activation slot must be zero for a {kind.label()} layer")
+        code = values["activation"]
         try:
-            values["activation"] = Activation(values["activation"]) if takes_activation else None
+            values["activation"] = Activation(code) if code or KIND_FIELDS[kind][1] else None
         except ValueError:
             raise ParseError(f"unknown activation code {vec[2]!r}") from None
         return cls(**values)
@@ -193,20 +196,24 @@ class LayerGene:
 
 @dataclass(frozen=True)
 class Genotype:
-    """An ordered stack of layer genes; the last, the output layer, names the problem."""
+    """An ordered stack of layer genes; the last, the output layer, names the problem.
+
+    A genotype is valid by construction: building one that breaks a rule of
+    :func:`validate` raises :class:`GenotypeError` naming each violation.
+    """
 
     layers: tuple[LayerGene, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
+        report = validate(self)
+        if not report.ok:
+            raise GenotypeError(f"invalid genotype: {report.summary()}")
 
     @property
     def problem(self) -> ProblemKind:
         """The problem whose :data:`OUTPUT_ACTIVATION` the output layer uses."""
-        try:
-            return _PROBLEM_OF[self.layers[-1].activation]
-        except KeyError:
-            raise GenotypeError("the output layer must use softmax or the linear activation") from None
+        return _PROBLEM_OF[self.layers[-1].activation]
 
 
 @dataclass(frozen=True)
@@ -292,17 +299,14 @@ def dense_layers(g: Genotype, input_dim) -> list[tuple[int, int, Activation, flo
     Each is ``(fan_in, units, activation, dropout)``, where ``dropout`` is the
     rate of the dropout gene after the layer, 0.0 when there is none.
     ``input_dim`` is a flat feature count or an ``(H, W, C)`` shape (see
-    :func:`input_fan_in`). An invalid genotype raises :class:`GenotypeError`.
+    :func:`input_fan_in`).
     """
-    report = validate(g)
-    if not report.ok:
-        raise GenotypeError(f"cannot lay out an invalid genotype: {report.summary()}")
     layers, fan = [], input_fan_in(input_dim)
     for gene in g.layers:
         if gene.kind == LayerKind.FULLY_CONNECTED:
             layers.append((fan, gene.units, gene.activation, 0.0))
             fan = gene.units
-        else:  # a valid genotype puts a dropout gene only after a dense one
+        else:  # a genotype puts a dropout gene only after a dense one
             layers[-1] = (*layers[-1][:3], gene.dropout_rate)
     return layers
 
@@ -341,14 +345,6 @@ def with_hidden_activation(g: Genotype, activation: Activation) -> Genotype:
     return Genotype((*hidden, output))
 
 
-def rectify_activations(target: Genotype, reference: Genotype) -> Genotype:
-    """``target`` with the activation of ``reference``'s first hidden dense
-    layer on every hidden dense layer; ``target`` itself when the reference
-    has no hidden dense layer."""
-    shared = next((gene.activation for gene in reference.layers[:-1] if gene.activation is not None), None)
-    return target if shared is None else with_hidden_activation(target, shared)
-
-
 # --- canonical text encoding ------------------------------------------------
 
 def _named_form(gene: LayerGene) -> dict:
@@ -370,10 +366,7 @@ def to_dict(g: Genotype) -> dict:
 
 
 def serialize(g: Genotype) -> str:
-    """Canonical single-line text encoding of a valid genotype."""
-    report = validate(g)
-    if not report.ok:
-        raise GenotypeError(f"refusing to serialize an invalid genotype: {report.summary()}")
+    """Canonical single-line text encoding of a genotype."""
     return json.dumps(to_dict(g), separators=(",", ":"))
 
 
@@ -408,10 +401,10 @@ def from_dict(doc: dict) -> Genotype:
             forms.append([decode(i, entry) for i, entry in enumerate(doc[key])])
     if not forms:
         raise ParseError("genotype document needs a 'raw' or 'layers' field")
-    g = Genotype(forms[0])
-    report = validate(g)
-    if not report.ok:
-        raise ParseError(f"invalid genotype: {report.summary()}")
+    try:
+        g = Genotype(forms[0])
+    except GenotypeError as exc:
+        raise ParseError(str(exc)) from None
     if forms[-1] != forms[0]:
         i = next((i for i, (a, b) in enumerate(zip(*forms)) if a != b), min(map(len, forms)))
         raise ParseError(f"layer {i}: the 'layers' and 'raw' forms disagree")

@@ -233,7 +233,7 @@ def materialize(g: Genotype, input_dim: int, seed: int, dtype=np.float64) -> Den
     (high - low) * u``, rounding once per operation).
     """
     input_dim = int(input_dim)
-    net = DenseNetwork(dense_layers(g, input_dim), input_dim, dtype)  # GenotypeError if invalid
+    net = DenseNetwork(dense_layers(g, input_dim), input_dim, dtype)
     rng = np.random.default_rng(seed)
     draw = np.empty(min(net.param_count, _DRAW_CHUNK))
     for layer in net.layers:  # biases stay zero

@@ -22,10 +22,11 @@ from evonas import (
     count_params,
     distance,
     parse,
-    rectify_activations,
     serialize,
+    splice,
     validate,
 )
+from evonas import genotype as genotype_mod
 from evonas.genotype import (
     FOLLOWERS,
     HIDDEN_ACTIVATIONS,
@@ -35,6 +36,7 @@ from evonas.genotype import (
     to_dict,
     with_hidden_activation,
 )
+from evonas.trainer import materialize
 
 from conftest import (
     BEST_ALPHA_03_TABLE,
@@ -73,34 +75,31 @@ class TestCanFollow:
 
 
 class TestValidate:
+    """A genotype is checked once, when it is built: one that breaks a rule
+    does not exist, so each rule is seen as the error building it raises."""
+
     def test_stacked_example_is_valid(self, stacked_example):
         assert validate(stacked_example).ok
 
     def test_single_layer_rejected(self):
-        g = classifier(LayerGene.dense(10, A.SOFTMAX))
-        report = validate(g)
-        assert not report.ok
-        assert any("hidden layer" in str(v) for v in report.violations)
+        with pytest.raises(GenotypeError, match="genotype: a genotype needs at least one hidden layer"):
+            classifier(LayerGene.dense(10, A.SOFTMAX))
 
     def test_dropout_after_dropout_located(self, stacked_example):
         layers = list(stacked_example.layers)
         layers[1], layers[2] = layers[2], layers[1]  # puts the two dropouts adjacent
-        report = validate(Genotype(tuple(layers)))
-        assert not report.ok
-        bad = [v for v in report.violations if "Dropout" in v and "follow" in v]
-        assert bad and bad[0].startswith("layer 3: ")
+        with pytest.raises(GenotypeError, match="layer 3: Dropout layer cannot follow Dropout"):
+            Genotype(tuple(layers))
 
     def test_first_layer_must_match_architecture(self):
-        g = classifier(LayerGene.dropout(0.5), LayerGene.dense(64, A.RELU), LayerGene.dense(10, A.SOFTMAX))
-        report = validate(g)
-        assert not report.ok
-        assert str(report.violations[0]) == "layer 0: first layer must be fully connected"
+        with pytest.raises(GenotypeError, match="^invalid genotype: layer 0: first layer must be fully connected"):
+            classifier(LayerGene.dropout(0.5), LayerGene.dense(64, A.RELU), LayerGene.dense(10, A.SOFTMAX))
 
     def test_output_layer_rules(self):
-        wrong_act = classifier(LayerGene.dense(64, A.RELU), LayerGene.dense(10, A.LINEAR))
-        assert not validate(wrong_act).ok
-        two_unit_regression = Genotype((LayerGene.dense(64, A.RELU), LayerGene.dense(2, A.LINEAR)))
-        assert not validate(two_unit_regression).ok
+        with pytest.raises(GenotypeError, match="layer 1: regression output layer must have exactly one unit"):
+            classifier(LayerGene.dense(64, A.RELU), LayerGene.dense(10, A.LINEAR))
+        with pytest.raises(GenotypeError, match="layer 1: regression output layer must have exactly one unit"):
+            Genotype((LayerGene.dense(64, A.RELU), LayerGene.dense(2, A.LINEAR)))
 
     def test_output_layer_names_the_problem(self):
         assert mlp_classifier([(64, A.RELU)]).problem == ProblemKind.CLASSIFICATION
@@ -109,36 +108,71 @@ class TestValidate:
             ProblemKind.CLASSIFICATION: A.SOFTMAX,
             ProblemKind.REGRESSION: A.LINEAR,
         }
-        sigmoid_output = classifier(LayerGene.dense(64, A.RELU), LayerGene.dense(1, A.SIGMOID))
-        assert validate(sigmoid_output).violations == (
-            "layer 1: output layer must use softmax or the linear activation",
-        )
-        with pytest.raises(GenotypeError, match="output layer must use softmax or the linear activation"):
-            sigmoid_output.problem
+        with pytest.raises(
+            GenotypeError, match="^invalid genotype: layer 1: output layer must use softmax or the linear activation$"
+        ):
+            classifier(LayerGene.dense(64, A.RELU), LayerGene.dense(1, A.SIGMOID))
 
     def test_hidden_units_must_sit_on_grid(self):
-        g = classifier(LayerGene.dense(65, A.RELU), LayerGene.dense(10, A.SOFTMAX))
-        report = validate(g)
-        assert not report.ok
-        assert any("multiple of 8" in v for v in report.violations)
+        with pytest.raises(GenotypeError, match="layer 0: units 65 not a multiple of 8"):
+            classifier(LayerGene.dense(65, A.RELU), LayerGene.dense(10, A.SOFTMAX))
 
     def test_softmax_forbidden_on_hidden_layers(self):
-        g = classifier(
-            LayerGene.dense(64, A.SOFTMAX),
-            LayerGene.dense(64, A.RELU),
-            LayerGene.dense(10, A.SOFTMAX),
-        )
-        assert not validate(g).ok
+        with pytest.raises(GenotypeError, match="layer 0: activation 3 is reserved for output layers"):
+            classifier(
+                LayerGene.dense(64, A.SOFTMAX),
+                LayerGene.dense(64, A.RELU),
+                LayerGene.dense(10, A.SOFTMAX),
+            )
 
     def test_length_cap(self):
         genes = [LayerGene.dense(8, A.RELU)] * 64 + [LayerGene.dense(10, A.SOFTMAX)]
-        report = validate(classifier(*genes))
-        assert not report.ok
-        assert any("exceeds" in v for v in report.violations)
+        with pytest.raises(GenotypeError, match="genotype: 65 layers exceeds the maximum of 64"):
+            classifier(*genes)
 
     @given(genotypes())
     def test_strategy_generates_valid_genotypes(self, g):
         assert validate(g).ok, validate(g).summary()
+
+    @pytest.mark.parametrize(
+        "layers, violation",
+        [
+            ([LayerGene.dense(10, A.SOFTMAX)], "genotype: a genotype needs at least one hidden layer"),
+            ([LayerGene.dropout(0.5), LayerGene.dense(10, A.SOFTMAX)], "layer 0: first layer must be fully connected"),
+            (
+                [LayerGene.dense(64, A.RELU), LayerGene.dropout(0.5), LayerGene.dropout(0.2), LayerGene.dense(10, A.SOFTMAX)],
+                "layer 2: Dropout layer cannot follow Dropout",
+            ),
+            ([LayerGene.dense(60, A.RELU), LayerGene.dense(10, A.SOFTMAX)], "layer 0: units 60 not a multiple of 8"),
+            (
+                [LayerGene.dense(64, A.RELU), LayerGene.dense(64, A.SOFTMAX), LayerGene.dense(10, A.SOFTMAX)],
+                "layer 1: activation 3 is reserved for output layers",
+            ),
+            ([LayerGene.dense(64, A.RELU), LayerGene.dense(10, A.TANH)], "layer 1: output layer must use softmax"),
+            ([LayerGene.dense(8, A.RELU)] * 64 + [LayerGene.dense(1, A.LINEAR)], "genotype: 65 layers exceeds"),
+        ],
+        ids=["no-hidden-layer", "dropout-first", "dropout-after-dropout", "off-grid-units", "hidden-softmax",
+             "wrong-output", "too-long"],
+    )
+    def test_every_rule_refuses_the_build(self, stacked_example, layers, violation):
+        with pytest.raises(GenotypeError, match=f"^invalid genotype: (.*; )?{re.escape(violation)}"):
+            Genotype(tuple(layers))
+        with pytest.raises(GenotypeError, match=f"^invalid genotype: (.*; )?{re.escape(violation)}"):
+            replace(stacked_example, layers=tuple(layers))
+
+    def test_validated_once_when_built(self, stacked_example, monkeypatch):
+        calls, check = [], genotype_mod.validate
+        monkeypatch.setattr(genotype_mod, "validate", lambda g: calls.append(g) or check(g))
+        g = Genotype(stacked_example.layers)
+        assert calls == [g]
+        calls.clear()
+        count_params(g, 784)
+        materialize(g, 784, seed=0)
+        serialize(g)
+        to_dict(g)
+        distance(g, stacked_example)
+        assert calls == []
+        assert parse(serialize(g)) == g and len(calls) == 1  # reading a document builds one
 
 
 class TestCountParams:
@@ -160,9 +194,9 @@ class TestCountParams:
             assert count_params(mlp_regressor(spec), 336) == expected
 
     def test_invalid_genotype_rejected(self):
-        g = classifier(LayerGene.dense(10, A.SOFTMAX))
-        with pytest.raises(GenotypeError):
-            count_params(g, 784)
+        # a one-layer network has no hidden layer, so there is no genotype to count
+        with pytest.raises(GenotypeError, match="at least one hidden layer"):
+            classifier(LayerGene.dense(10, A.SOFTMAX))
 
     def test_image_shape_flattens_into_the_first_layer(self):
         # 28x28x1 -> 784 features: (784+1)*64 + (64+1)*10, dropout adds nothing
@@ -227,29 +261,26 @@ class TestDistance:
 
 
 class TestRectifyActivations:
+    """Crossover's splice gives every hidden dense layer its base parent's activation."""
+
     def test_matches_reference_kinds(self):
-        target = mlp_classifier([(64, A.SIGMOID), (32, A.SIGMOID)])
-        reference = mlp_classifier([(8, A.RELU)])
-        out = rectify_activations(target, reference)
+        base = mlp_classifier([(8, A.RELU)])
+        donor = mlp_classifier([(64, A.SIGMOID), (32, A.SIGMOID)])
+        out = splice(base, donor, 0, 0, 0, 1)
+        assert [g.units for g in out.layers[:-1]] == [64, 32]
         assert [g.activation for g in out.layers[:-1]] == [A.RELU, A.RELU]
         assert out.layers[-1].activation == A.SOFTMAX
 
     def test_fixed_point(self, stacked_example):
-        assert rectify_activations(stacked_example, stacked_example) == stacked_example
-
-    def test_vacuous_when_reference_lacks_kind(self):
-        # the reference's only non-output layer is a dropout, so no dense
-        # activation can be copied (rectify reads kinds, not validity)
-        target = mlp_classifier([(64, A.SIGMOID)])
-        reference = classifier(LayerGene.dropout(0.5), LayerGene.dense(10, A.SOFTMAX))
-        assert rectify_activations(target, reference) == target
+        last = len(stacked_example.layers) - 2
+        assert splice(stacked_example, stacked_example, 0, last, 0, last) == stacked_example
 
     def test_reference_output_layer_never_leaks(self):
-        # the reference's softmax output must not turn hidden dense layers softmax
-        target = mlp_classifier([(64, A.SIGMOID)])
-        reference = mlp_classifier([(8, A.TANH)])
-        out = rectify_activations(target, reference)
-        assert out.layers[0].activation == A.TANH
+        # the base's softmax output must not turn hidden dense layers softmax
+        base = mlp_classifier([(8, A.TANH)])
+        donor = mlp_classifier([(64, A.SIGMOID)])
+        out = splice(base, donor, 0, 0, 0, 0)
+        assert out.layers[0] == LayerGene.dense(64, A.TANH)
 
 
 class TestWithHiddenActivation:
@@ -423,7 +454,7 @@ class TestSerializeParse:
     def test_inapplicable_activation_slot_rejected(self, stacked_example):
         doc = to_dict(stacked_example)
         doc["raw"][1][2] = 3  # dropout rows carry no activation
-        with pytest.raises(ParseError, match=r"layer 1.*activation slot"):
+        with pytest.raises(ParseError, match=r"^invalid genotype: layer 1: activation not applicable to a Dropout layer$"):
             parse(json.dumps(doc))
 
     @pytest.mark.parametrize(
