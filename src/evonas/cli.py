@@ -24,7 +24,6 @@ from .genotype import (
     ParseError,
     ProblemKind,
     count_params,
-    input_fan_in,
     parse,
 )
 from .rundir import write_run_record
@@ -38,14 +37,14 @@ EXIT_RUNTIME = 4
 
 
 def _parse_input_dim(text: str) -> int:
-    """``--input-dim`` (a feature count, or ``H,W,C``) as the first layer's fan-in."""
+    """``--input-dim``, the first layer's fan-in: a positive feature count."""
     try:
-        dims = [int(p) for p in text.replace("x", ",").split(",")]
-        return input_fan_in(dims[0] if len(dims) == 1 else dims)
+        dim = int(text)
     except ValueError:
-        raise evolution.ConfigError(
-            f"--input-dim must be a positive integer or H,W,C positive integers, got {text!r}"
-        ) from None
+        dim = 0
+    if dim < 1:
+        raise evolution.ConfigError(f"--input-dim must be a positive integer, got {text!r}")
+    return dim
 
 
 def _load_genotype_file(path) -> Genotype:
@@ -108,9 +107,9 @@ def cmd_search(args) -> int:
 
     dataset = data_mod.load_manifest(args.data)
     _check_problem(dataset, "config", cfg.problem, "output_size", cfg.output_size)
-    if dataset.feature_count != cfg.input_dim:
+    if dataset.feature_count != cfg.input_shape:
         raise evolution.ConfigError(
-            f"config input_shape implies {cfg.input_dim} features, dataset has {dataset.feature_count}"
+            f"config input_shape is {cfg.input_shape} features, dataset has {dataset.feature_count}"
         )
     evaluator = trainer.make_evaluator(dataset, cfg.cv_ratio, cfg.train_config())
 
@@ -195,7 +194,7 @@ def cmd_inspect(args) -> int:
         print(fmt.format(*row))
     if dim is not None:
         total = count_params(g, dim)
-        print(f"Total trainable parameters (input {args.input_dim}): {total}")
+        print(f"Total trainable parameters (input {dim}): {total}")
     return EXIT_OK
 
 
@@ -265,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("inspect", help="print a genotype's layer table")
     p.add_argument("genotype", help="genotype JSON file")
-    p.add_argument("--input-dim", default=None, help="input size (e.g. 784 or 28,28,1)")
+    p.add_argument("--input-dim", default=None, help="input feature count (e.g. 784)")
     p.add_argument("--seed", type=int, default=None, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_inspect)
 

@@ -19,7 +19,7 @@ from typing import Callable, Sequence, get_type_hints
 import numpy as np
 
 from .evalpool import EvalJob, EvalResult, derive_seed
-# unused here: the CLI calls it by this name, which the benchmark rebinds (ROADMAP item 1)
+# unused here: the CLI calls it by this name, which the benchmark rebinds (ROADMAP item 1a)
 from .evalpool import evaluate_all  # noqa: F401
 from .genotype import (
     ARCH,
@@ -35,7 +35,6 @@ from .genotype import (
     can_follow,
     count_params,
     distance,
-    input_fan_in,
     with_hidden_activation,
 )
 from .trainer import ConfigError, TrainConfig
@@ -53,7 +52,7 @@ class SearchConfig:
 
     problem: ProblemKind
     arch: str
-    input_shape: int | tuple[int, int, int]
+    input_shape: int
     output_size: int
     cv_ratio: float = 0.2
     mutation_prob: float = 0.4
@@ -77,8 +76,6 @@ class SearchConfig:
         self.problem = ProblemKind(self.problem)
         if self.arch != ARCH:
             raise ConfigError(f"arch {self.arch!r} has no training backend; only 'mlp' can be searched")
-        if isinstance(self.input_shape, list):
-            self.input_shape = tuple(self.input_shape)
 
         def need(cond: bool, message: str):
             if not cond:
@@ -94,11 +91,8 @@ class SearchConfig:
                 )
                 # NaN fails both comparisons; config.json must stay standard JSON
                 need(kinds is int or -math.inf < value < math.inf, f"{name} must be finite, got {value!r}")
-        try:
-            input_fan_in(self.input_shape)
-        except ValueError:
-            raise ConfigError("input_shape must be a positive integer or an [H, W, C] triple") from None
 
+        need(self.input_shape >= 1, "input_shape must be at least 1")
         need(self.output_size >= 1, "output_size must be at least 1")
         need(
             self.problem != ProblemKind.REGRESSION or self.output_size == 1,
@@ -150,14 +144,7 @@ class SearchConfig:
         """JSON-ready form with the same keys, in field order, that from_dict accepts."""
         doc = asdict(self)
         doc["problem"] = self.problem.value
-        if isinstance(self.input_shape, tuple):
-            doc["input_shape"] = list(self.input_shape)
         return doc
-
-    @property
-    def input_dim(self) -> int:
-        """The first layer's fan-in: ``input_shape`` flattened."""
-        return input_fan_in(self.input_shape)
 
 
 #: The fields annotated ``int``: each must hold an int, never a bool or a float.
@@ -323,7 +310,7 @@ def splice(
     """Replace ``base[r1..r2]`` with ``donor[r3..r4]``, and give every hidden
     dense layer the activation of ``base``'s first layer."""
     layers = base.layers[:r1] + donor.layers[r3 : r4 + 1] + base.layers[r2 + 1 :]
-    return with_hidden_activation(Genotype(layers), base.layers[0].activation)
+    return with_hidden_activation(layers, base.layers[0].activation)
 
 
 def crossover(s1: Genotype, s2: Genotype, cfg: SearchConfig, rng) -> Genotype:
@@ -386,7 +373,7 @@ def _edit_param(g: Genotype, i: int, rng) -> Genotype:
 def _edit_activation(g: Genotype, i: int, rng) -> Genotype:
     # the hidden dense layers share one activation, so changing one changes all
     options = [a for a in HIDDEN_ACTIVATIONS if a != g.layers[i].activation]
-    return with_hidden_activation(g, _pick(rng, options))
+    return with_hidden_activation(g.layers, _pick(rng, options))
 
 
 def _edit_insert_dropout(g: Genotype, i: int, rng) -> Genotype:
@@ -485,7 +472,7 @@ def run_search(
                 )
             fallback = max(ok_perfs, key=lambda perf: metric_error(perf, cfg.problem))
             pop = [
-                (r.perf if r.ok else fallback, count_params(job.genotype, cfg.input_dim))
+                (r.perf if r.ok else fallback, count_params(job.genotype, cfg.input_shape))
                 for job, r in zip(jobs, results)
             ]
             costs = compute_costs(pop, cfg.alpha, cfg.problem)

@@ -151,19 +151,12 @@ class LayerGene:
     def dropout(cls, rate: float) -> "LayerGene":
         return cls(LayerKind.DROPOUT, dropout_rate=rate)
 
-    def to_vec(self) -> tuple[float, ...]:
-        """The 8-slot array view of this gene, laid out by :data:`ROW_SLOTS`."""
-        vec = [0.0] * 8
-        for name, (slot, _) in ROW_SLOTS.items():
-            vec[slot] = float(getattr(self, name) or 0)
-        return tuple(vec)
-
     def to_row(self) -> list:
-        """The 8-slot row a document writes: whole numbers, and the dropout
-        rate as 0 or as its float."""
-        vec, row = self.to_vec(), [0] * 8
-        for slot, cast in ROW_SLOTS.values():
-            row[slot] = cast(vec[slot]) or 0
+        """The 8-slot row of this gene, laid out by :data:`ROW_SLOTS`: whole
+        numbers, and the dropout rate as 0 or as its float."""
+        row = [0] * 8
+        for name, (slot, cast) in ROW_SLOTS.items():
+            row[slot] = cast(getattr(self, name) or 0) or 0
         return row
 
     @classmethod
@@ -280,28 +273,16 @@ def validate(g: Genotype) -> ValidityReport:
     return ValidityReport(ok=not out, violations=tuple(out))
 
 
-def input_fan_in(shape) -> int:
-    """The first dense layer's fan-in for an input ``shape``.
-
-    ``shape`` is a positive feature count, or an ``(H, W, C)`` triple of
-    positive integers that the first layer sees flattened to ``H * W * C``.
-    Anything else (booleans included) raises ``ValueError``.
-    """
-    dims = tuple(shape) if isinstance(shape, (list, tuple)) and len(shape) == 3 else (shape,)
-    if not all(isinstance(d, numbers.Integral) and not isinstance(d, bool) and d > 0 for d in dims):
-        raise ValueError(f"input shape must be a positive integer or an [H, W, C] triple, got {shape!r}")
-    return math.prod(int(d) for d in dims)
-
-
-def dense_layers(g: Genotype, input_dim) -> list[tuple[int, int, Activation, float]]:
+def dense_layers(g: Genotype, input_dim: int) -> list[tuple[int, int, Activation, float]]:
     """The layout of the network a genotype describes: its dense layers in order.
 
     Each is ``(fan_in, units, activation, dropout)``, where ``dropout`` is the
     rate of the dropout gene after the layer, 0.0 when there is none.
-    ``input_dim`` is a flat feature count or an ``(H, W, C)`` shape (see
-    :func:`input_fan_in`).
+    ``input_dim``, the first layer's fan-in, is a positive feature count.
     """
-    layers, fan = [], input_fan_in(input_dim)
+    if isinstance(input_dim, bool) or not isinstance(input_dim, numbers.Integral) or input_dim < 1:
+        raise ValueError(f"input_dim must be a positive integer, got {input_dim!r}")
+    layers, fan = [], int(input_dim)
     for gene in g.layers:
         if gene.kind == LayerKind.FULLY_CONNECTED:
             layers.append((fan, gene.units, gene.activation, 0.0))
@@ -311,7 +292,7 @@ def dense_layers(g: Genotype, input_dim) -> list[tuple[int, int, Activation, flo
     return layers
 
 
-def count_params(g: Genotype, input_dim) -> int:
+def count_params(g: Genotype, input_dim: int) -> int:
     """Trainable parameter count of the network a genotype describes: each
     dense layer of :func:`dense_layers` contributes ``(fan_in + 1) * units``."""
     return sum((fan + 1) * units for fan, units, _, _ in dense_layers(g, input_dim))
@@ -321,7 +302,7 @@ def distance(s1: Genotype, s2: Genotype) -> float:
     """Layer-wise distance between two genotypes.
 
     The shorter genotype is aligned against the longer one index by index
-    and the L2 norms of the slot-array differences are summed; layers the
+    and the L2 norms of their 8-slot rows' differences are summed; layers the
     longer genotype has beyond the shorter one contribute their own norms.
     The final (output) layers of both genotypes are excluded, so distance
     zero means the architectures agree everywhere except possibly in the
@@ -330,17 +311,16 @@ def distance(s1: Genotype, s2: Genotype) -> float:
     a, b = (s1, s2) if len(s1.layers) <= len(s2.layers) else (s2, s1)
     d = 0.0
     for i in range(len(a.layers) - 1):
-        va, vb = a.layers[i].to_vec(), b.layers[i].to_vec()
-        d += math.dist(va, vb)
+        d += math.dist(a.layers[i].to_row(), b.layers[i].to_row())
     for i in range(len(a.layers) - 1, len(b.layers) - 1):
-        d += math.hypot(*b.layers[i].to_vec())
+        d += math.hypot(*b.layers[i].to_row())
     return d
 
 
-def with_hidden_activation(g: Genotype, activation: Activation) -> Genotype:
-    """``g`` with ``activation`` on every hidden dense layer; dropout genes and
-    the output layer are unchanged."""
-    *hidden, output = g.layers
+def with_hidden_activation(layers: tuple[LayerGene, ...], activation: Activation) -> Genotype:
+    """The genotype of ``layers`` with ``activation`` on every hidden dense
+    layer; dropout genes and the output layer are unchanged."""
+    *hidden, output = layers
     hidden = (gene if gene.activation is None else replace(gene, activation=activation) for gene in hidden)
     return Genotype((*hidden, output))
 

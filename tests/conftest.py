@@ -26,19 +26,16 @@ from evonas.trainer import loss_and_gradients
 A = Activation
 
 
-def classifier(*genes: LayerGene) -> Genotype:
-    return Genotype(tuple(genes))
+def stack(*genes: LayerGene) -> Genotype:
+    return Genotype(genes)
 
 
-def regressor(*genes: LayerGene) -> Genotype:
-    return Genotype(tuple(genes))
-
-
-def mlp_classifier(spec, classes: int = 10) -> Genotype:
-    """Build an MLP classifier from a compact spec.
+def mlp(spec, output: LayerGene = LayerGene.dense(10, A.SOFTMAX)) -> Genotype:
+    """Build an MLP from a compact spec, capped by the ``output`` gene (by
+    default a 10-class softmax layer), which names its problem.
 
     Each entry is ``(units, activation)`` for a dense layer or a bare float
-    for a dropout layer; the softmax output layer is appended.
+    for a dropout layer.
     """
     genes = []
     for entry in spec:
@@ -47,20 +44,7 @@ def mlp_classifier(spec, classes: int = 10) -> Genotype:
         else:
             units, act = entry
             genes.append(LayerGene.dense(units, act))
-    genes.append(LayerGene.dense(classes, A.SOFTMAX))
-    return classifier(*genes)
-
-
-def mlp_regressor(spec) -> Genotype:
-    genes = []
-    for entry in spec:
-        if isinstance(entry, float):
-            genes.append(LayerGene.dropout(entry))
-        else:
-            units, act = entry
-            genes.append(LayerGene.dense(units, act))
-    genes.append(LayerGene.dense(1, A.LINEAR))
-    return regressor(*genes)
+    return stack(*genes, output)
 
 
 class RecordingOptimizer:
@@ -135,13 +119,13 @@ def on_this_kernel(recorded: dict, default=_NO_DEFAULT):
 @pytest.fixture
 def stacked_example() -> Genotype:
     """The six-layer worked example model (264/464/872 ReLU with two dropouts)."""
-    return mlp_classifier([(264, A.RELU), 0.65, (464, A.RELU), 0.35, (872, A.RELU)])
+    return mlp([(264, A.RELU), 0.65, (464, A.RELU), 0.35, (872, A.RELU)])
 
 
 @pytest.fixture
 def crossover_parents() -> tuple[Genotype, Genotype]:
-    base = mlp_classifier([(264, A.RELU), 0.65, (464, A.RELU), 0.35, (872, A.RELU)])
-    donor = mlp_classifier(
+    base = mlp([(264, A.RELU), 0.65, (464, A.RELU), 0.35, (872, A.RELU)])
+    donor = mlp(
         [(56, A.SIGMOID), 0.25, (360, A.SIGMOID), (480, A.SIGMOID), (88, A.SIGMOID), 0.2]
     )
     return base, donor
@@ -149,7 +133,7 @@ def crossover_parents() -> tuple[Genotype, Genotype]:
 
 @pytest.fixture
 def crossover_child() -> Genotype:
-    return mlp_classifier(
+    return mlp(
         [(264, A.RELU), (360, A.RELU), (480, A.RELU), (88, A.RELU), (872, A.RELU)]
     )
 

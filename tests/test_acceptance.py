@@ -46,8 +46,7 @@ from conftest import (
     INITIAL_POPULATION_TABLE,
     LISTED_PAIRS,
     RUL_WINNER_TABLE,
-    mlp_classifier,
-    mlp_regressor,
+    mlp,
     oracle_pairs,
     recorded_gradients,
     require_mnist,
@@ -87,9 +86,9 @@ def test_criterion_1_parameter_count_oracle():
             BEST_ALPHA_07_TABLE,
         ):
             for spec, _, expected, _, _ in table:
-                assert count_params(mlp_classifier(spec), 784) == expected
+                assert count_params(mlp(spec), 784) == expected
         for spec, expected in RUL_WINNER_TABLE:
-            assert count_params(mlp_regressor(spec), 336) == expected
+            assert count_params(mlp(spec, LayerGene.dense(1, A.LINEAR)), 336) == expected
         assert time.perf_counter() - started < 1.0
 
 
@@ -182,7 +181,8 @@ def test_criterion_7_gradient_check():
                 analytic = [g for pair in net.views(grad) for g in pair]
                 good = total = 0
                 h = 1e-5
-                for p, a_grad in zip(net.parameters(), analytic):
+                params = [p for pair in net.views(net.flat) for p in pair]
+                for p, a_grad in zip(params, analytic):
                     flat, aflat = p.ravel(), a_grad.ravel()
                     for k in range(flat.size):
                         orig = flat[k]
@@ -207,7 +207,7 @@ def test_criterion_8_desk_scale_training():
     with criterion(8, "56-unit network reaches 0.92 validation accuracy in 5 epochs"):
         ds = _load_mnist_train()
         train_rows, val_rows = split(ds, 0.2, seed=0)
-        g = mlp_classifier([(56, A.RELU)])
+        g = mlp([(56, A.RELU)])
         net = materialize(g, 784, seed=0)
         started = time.perf_counter()
         report = train(net, ds, train_rows, val_rows, TrainConfig(5, learning_rate=0.001, seed=0))

@@ -14,8 +14,8 @@ from evonas import SearchConfig, count_params, evalpool, parse, serialize, train
 from evonas.cli import main
 from evonas.rundir import RUNS_CSV_FIELDS, read_runs
 
-from conftest import mlp_classifier
-from evonas import Activation
+from conftest import mlp
+from evonas import Activation, LayerGene
 
 A = Activation
 
@@ -293,7 +293,8 @@ class TestSearchCommand:
             assert not (workdir / "x").exists()
 
     def test_non_integer_config_field_exits_2_without_run_directory(self, workdir, capsys):
-        for key, value in (("population_size", 5.5), ("batch_size", 32.0)):
+        # an image shape too: the input is one feature count, [28, 28, 1] is written 784
+        for key, value in (("population_size", 5.5), ("batch_size", 32.0), ("input_shape", [28, 28, 1])):
             assert self.search_with_config_key(workdir, key, value) == 2
             assert f"{key} must be an integer, got {value}" in capsys.readouterr().err
             assert not (workdir / "x").exists()
@@ -679,7 +680,7 @@ class TestRegressionPipeline:
         monkeypatch.setattr("evonas.trainer.train", self.forbidden)
         monkeypatch.setattr("evonas.trainer.kfold_evaluate", self.forbidden)
         gpath = rul_workdir / "g.json"
-        gpath.write_text(serialize(mlp_classifier([(16, A.RELU)], classes=2)))
+        gpath.write_text(serialize(mlp([(16, A.RELU)], LayerGene.dense(2, A.SOFTMAX))))
         code = main(["train", str(gpath), str(rul_workdir / "data.json"), "--kfold", "3"])
         assert code == 2
         assert (
@@ -738,7 +739,7 @@ class TestTrainCommand:
     )
     def test_bad_flag_exits_2_before_data_loads(self, workdir, capsys, flag, value, message):
         gpath = workdir / "g.json"
-        gpath.write_text(serialize(mlp_classifier([(16, A.RELU)], classes=2)))
+        gpath.write_text(serialize(mlp([(16, A.RELU)], LayerGene.dense(2, A.SOFTMAX))))
         # the manifest does not exist: a data error (exit 3) would mean it was read first
         code = main(["train", str(gpath), str(workdir / "missing.json"), flag, value])
         assert code == 2
@@ -754,13 +755,13 @@ class TestTrainCommand:
 
         monkeypatch.setattr(trainer, "train", spy)
         gpath = workdir / "g.json"
-        gpath.write_text(serialize(mlp_classifier([(16, A.RELU)], classes=2)))
+        gpath.write_text(serialize(mlp([(16, A.RELU)], LayerGene.dense(2, A.SOFTMAX))))
         code = main(["train", str(gpath), str(workdir / "data.json"), "--epochs", "1", "--kfold", "3"])
         assert code == 0
         assert seen == [np.float32] * 3 + [np.float64]
 
     def test_zero_epochs_still_reports(self, workdir, capsys):
-        g = mlp_classifier([(16, A.RELU)], classes=2)
+        g = mlp([(16, A.RELU)], LayerGene.dense(2, A.SOFTMAX))
         gpath = workdir / "g.json"
         gpath.write_text(serialize(g))
         code = main(
@@ -789,7 +790,7 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("command", ["train", "inspect"])
     def test_edited_named_form_exits_2_before_data_loads(self, workdir, capsys, command):
-        doc = json.loads(serialize(mlp_classifier([(16, A.RELU)], classes=2)))
+        doc = json.loads(serialize(mlp([(16, A.RELU)], LayerGene.dense(2, A.SOFTMAX))))
         doc["layers"][0]["units"] = 512  # the raw form still says 16
         gpath = workdir / "g.json"
         gpath.write_text(json.dumps(doc))
@@ -821,7 +822,7 @@ class TestTrainCommand:
         doc = json.loads(manifest.read_text())
         manifest.write_text(json.dumps({**doc, "problem": "nonsense"}))
         gpath = workdir / "g.json"
-        gpath.write_text(serialize(mlp_classifier([(16, A.RELU)], classes=2)))
+        gpath.write_text(serialize(mlp([(16, A.RELU)], LayerGene.dense(2, A.SOFTMAX))))
         assert main(["train", str(gpath), str(manifest)]) == 3
         err = capsys.readouterr().err
         assert f"{manifest}: 'problem' must be one of 'classification', 'regression', got 'nonsense'" in err
@@ -831,7 +832,7 @@ class TestTrainCommand:
         doc = json.loads(manifest.read_text())
         manifest.write_text(json.dumps({**doc, "normalisation": "zscore"}))
         gpath = workdir / "g.json"
-        gpath.write_text(serialize(mlp_classifier([(16, A.RELU)], classes=2)))
+        gpath.write_text(serialize(mlp([(16, A.RELU)], LayerGene.dense(2, A.SOFTMAX))))
         assert main(["train", str(gpath), str(manifest)]) == 3
         assert f"{manifest}: the 'csv' format has no field 'normalisation'" in capsys.readouterr().err
 
@@ -845,7 +846,7 @@ class TestTrainCommand:
         lines[1] = lines[1].rsplit(",", 1)[0] + ",2"  # labels 0..2
         (workdir / "blobs.csv").write_text("\n".join(lines) + "\n")
         gpath = workdir / "g.json"
-        gpath.write_text(serialize(mlp_classifier([(16, A.RELU)], classes=2)))
+        gpath.write_text(serialize(mlp([(16, A.RELU)], LayerGene.dense(2, A.SOFTMAX))))
         code = main(["train", str(gpath), str(workdir / "data.json"), "--kfold", "3"])
         assert code == 2
         assert "genotype output width 2 is too small for dataset label 2" in capsys.readouterr().err
@@ -858,7 +859,7 @@ class TestTrainCommand:
         blobs = workdir / "blobs.csv"
         blobs.write_text(blobs.read_text().replace(",0\n", ",-1\n"))
         gpath = workdir / "g.json"
-        gpath.write_text(serialize(mlp_classifier([(16, A.RELU)], classes=2)))
+        gpath.write_text(serialize(mlp([(16, A.RELU)], LayerGene.dense(2, A.SOFTMAX))))
         model = workdir / "model"
         code = main(["train", str(gpath), str(workdir / "data.json"), "--out-model", str(model)])
         assert code == 3
@@ -877,7 +878,7 @@ def test_negative_seed_exits_2_without_artifacts(workdir, capsys, case):
         argv = [*search_args(workdir, out), "--seed", "-3"]
     else:
         gpath = workdir / "g.json"
-        gpath.write_text(serialize(mlp_classifier([(16, A.RELU)], classes=2)))
+        gpath.write_text(serialize(mlp([(16, A.RELU)], LayerGene.dense(2, A.SOFTMAX))))
         argv = ["train", str(gpath), str(workdir / "data.json"), "--seed", "-2", "--out-model", str(out)]
     assert main(argv) == 2
     assert "seed must be non-negative" in capsys.readouterr().err
@@ -908,21 +909,15 @@ class TestInspectCommand:
         assert len(data_rows) == 6
         assert "744410" in out
 
-    @pytest.mark.parametrize("value", ["abc", "28x28", "0", "-5"])
+    # an image shape is refused: the flag takes its feature count (784, not 28,28,1)
+    @pytest.mark.parametrize("value", ["abc", "28x28", "0", "-5", "28,28,1", "28x28x1"])
     def test_bad_input_dim_is_a_config_error(self, workdir, capsys, stacked_example, value):
         gpath = workdir / "g.json"
         gpath.write_text(serialize(stacked_example))
         assert main(["inspect", str(gpath), "--input-dim", value]) == 2
         captured = capsys.readouterr()
-        assert f"--input-dim must be a positive integer or H,W,C positive integers, got {value!r}" in captured.err
+        assert f"--input-dim must be a positive integer, got {value!r}" in captured.err
         assert captured.out == ""
-
-    def test_image_input_dim_counts_flattened_features(self, workdir, capsys, stacked_example):
-        gpath = workdir / "g.json"
-        gpath.write_text(serialize(stacked_example))
-        assert main(["inspect", str(gpath), "--input-dim", "28,28,1"]) == 0
-        assert main(["inspect", str(gpath), "--input-dim", "28x28x1"]) == 0
-        assert capsys.readouterr().out.count(f"{count_params(stacked_example, 784)}\n") == 2
 
     def test_invalid_file_exits_nonzero(self, workdir, capsys):
         bad = workdir / "bad.json"
@@ -1032,6 +1027,10 @@ class TestPlotDataCommand:
     WITH_FITNESS_MODE = json.dumps(
         {**SearchConfig("classification", "mlp", 4, 2).to_dict(), "fitness_mode": "raw_error"}
     )
+    # a config.json written while input_shape could be an [H, W, C] image shape
+    WITH_IMAGE_SHAPE = json.dumps(
+        {**SearchConfig("classification", "mlp", 4, 2).to_dict(), "input_shape": [28, 28, 1]}
+    )
 
     @pytest.mark.parametrize(
         "config, message",
@@ -1039,6 +1038,7 @@ class TestPlotDataCommand:
             ("{bad", "not a search config"),
             (BEFORE_TRAINING_KEYS, "not a search config: missing key(s): learning_rate, batch_size"),
             (WITH_FITNESS_MODE, "not a search config: unknown configuration key(s): fitness_mode"),
+            (WITH_IMAGE_SHAPE, "not a search config: input_shape must be an integer, got [28, 28, 1]"),
             ('{"problem": "classification", %s}' % REST, "not a search config: missing key(s): alpha"),
             ('{"alpha": 0.5, %s}' % REST, "not a search config: missing key(s): problem"),
             ('{"alpha": 0.5, "problem": "ranking", %s}' % REST, "not a search config: 'ranking' is not a valid"),
@@ -1048,7 +1048,8 @@ class TestPlotDataCommand:
             ('{"alpha": "0.5", "problem": "classification", %s}' % REST, "not a search config: alpha must be a number, got '0.5'"),
         ],
         ids=[
-            "not-json", "written-before-training-keys", "written-with-fitness-mode", "no-alpha", "no-problem", "unknown-problem",
+            "not-json", "written-before-training-keys", "written-with-fitness-mode", "written-with-image-shape",
+            "no-alpha", "no-problem", "unknown-problem",
             "boolean-alpha", "alpha-out-of-range", "nan-alpha", "string-alpha",
         ],
     )

@@ -16,6 +16,7 @@ from evonas import (
     Activation,
     Dataset,
     EvalJob,
+    LayerGene,
     ProblemKind,
     derive_seed,
     evalpool,
@@ -27,7 +28,7 @@ from evonas.evalpool import WORKERS_ENV, resolve_worker_count
 from evonas.trainer import TrainConfig, make_evaluator
 
 import test_trainer
-from conftest import mlp_classifier, mlp_regressor, on_this_kernel
+from conftest import mlp, on_this_kernel
 
 A = Activation
 
@@ -35,7 +36,7 @@ A = Activation
 def make_jobs(n=12, gen=0):
     jobs = []
     for i in range(n):
-        g = mlp_classifier([(8 * (i + 1), A.RELU)])
+        g = mlp([(8 * (i + 1), A.RELU)])
         jobs.append(EvalJob((0, gen, i), g, derive_seed(99, 0, gen, i)))
     return jobs
 
@@ -227,8 +228,8 @@ class TestThreadBudget:
         dataset = Dataset(X, y, ProblemKind.CLASSIFICATION)
         evaluate = make_evaluator(dataset, 0.2, TrainConfig(2, batch_size=256))
         genotypes = [
-            mlp_classifier([(128, A.RELU), (64, A.TANH)], classes=2),
-            mlp_classifier([(32, A.SIGMOID)], classes=2),
+            mlp([(128, A.RELU), (64, A.TANH)], LayerGene.dense(2, A.SOFTMAX)),
+            mlp([(32, A.SIGMOID)], LayerGene.dense(2, A.SOFTMAX)),
         ]
         default = [evaluate(g, 17) for g in genotypes]
         blas.set_threads(1)
@@ -243,7 +244,7 @@ class TestThreadBudget:
         X = rng.normal(size=(160, 24))
         dataset = Dataset(X, X[:, :4].sum(axis=1) ** 2, ProblemKind.REGRESSION)
         evaluate = make_evaluator(dataset, 0.2, TrainConfig(1, batch_size=32))
-        g = mlp_regressor([(600, A.TANH), (312, A.RELU)])
+        g = mlp([(600, A.TANH), (312, A.RELU)], LayerGene.dense(1, A.LINEAR))
         jobs = [EvalJob((0, 0, i), g, derive_seed(5, 0, 0, i)) for i in range(4)]
         blas.set_threads(1)
         single = evaluate_all(jobs, evaluate, worker_count=1)
@@ -273,7 +274,7 @@ def fake_glibc(calls: list) -> SimpleNamespace:
 
 def inspect_runs(tmp_path, capsys) -> None:
     gpath = tmp_path / "g.json"
-    gpath.write_text(serialize(mlp_classifier([(16, A.RELU)])))
+    gpath.write_text(serialize(mlp([(16, A.RELU)])))
     assert main(["inspect", str(gpath)]) == 0
     assert "Fully connected" in capsys.readouterr().out
 

@@ -18,6 +18,7 @@ from evonas import (
     Archive,
     ConfigError,
     Individual,
+    LayerGene,
     ProblemKind,
     SearchConfig,
     TrainConfig,
@@ -38,7 +39,7 @@ from evonas import (
 )
 from evonas.genotype import LayerKind
 
-from conftest import LISTED_PAIRS, genotypes, mlp_classifier, mlp_regressor, oracle_pairs
+from conftest import LISTED_PAIRS, genotypes, mlp, oracle_pairs
 
 A = Activation
 
@@ -160,7 +161,7 @@ class TestComputeCosts:
 
 
 def _individuals(costs):
-    g = mlp_classifier([(8, A.RELU)])
+    g = mlp([(8, A.RELU)])
     return [Individual(g, 0.5, 1000, c, 0) for c in costs]
 
 
@@ -274,8 +275,8 @@ class TestCompatiblePairs:
         # every dense or dropout segment may stand between two dense layers,
         # but cutting one layer of three leaves two, and max_layers=2 has no
         # room for any segment
-        base = mlp_classifier([(64, A.RELU), (32, A.RELU)])
-        donor = mlp_classifier([(16, A.TANH), 0.5, (8, A.TANH)])
+        base = mlp([(64, A.RELU), (32, A.RELU)])
+        donor = mlp([(16, A.TANH), 0.5, (8, A.TANH)])
         assert compatible_pairs(base, 1, 1, donor, 64)
         assert compatible_pairs(base, 1, 1, donor, 2) == []
 
@@ -319,8 +320,8 @@ class TestCrossover:
         assert child == expected
 
     def test_exhaustion_returns_base_parent(self, mnist_search_config):
-        base = mlp_classifier([(16, A.TANH), (32, A.TANH), (64, A.TANH)])
-        donor = mlp_classifier([(16, A.TANH), 0.5, (24, A.TANH)])
+        base = mlp([(16, A.TANH), (32, A.TANH), (64, A.TANH)])
+        donor = mlp([(16, A.TANH), 0.5, (24, A.TANH)])
         # cutting the last hidden layer leaves three layers, and a length
         # budget of three admits no donor segment: all three trials come up empty
         cfg = replace(mnist_search_config, max_layers=3)
@@ -330,8 +331,8 @@ class TestCrossover:
         assert crossover(base, donor, cfg, rng) == base
 
     def test_mixed_parents_rejected(self, mnist_search_config):
-        g1 = mlp_classifier([(64, A.RELU)])
-        g2 = mlp_regressor([(64, A.RELU)])
+        g1 = mlp([(64, A.RELU)])
+        g2 = mlp([(64, A.RELU)], LayerGene.dense(1, A.LINEAR))
         with pytest.raises(ValueError):
             crossover(g1, g2, mnist_search_config, np.random.default_rng(0))
 
@@ -355,7 +356,7 @@ class TestMutate:
             assert mutate(stacked_example, cfg, rng) == stacked_example
 
     def test_forced_dropout_insertion(self, mnist_search_config):
-        g = mlp_classifier([(64, A.RELU), (32, A.RELU)])
+        g = mlp([(64, A.RELU), (32, A.RELU)])
         # random() -> 0.0 triggers mutation; pick layer 0; edit list for a
         # dense layer is (param, activation, insert_dropout) so index 2
         # inserts; final draw picks the rate from the grid
@@ -366,7 +367,7 @@ class TestMutate:
         assert len(out.layers) == len(g.layers) + 1
 
     def test_forced_activation_change_rectifies_model(self, mnist_search_config):
-        g = mlp_classifier([(64, A.SIGMOID), (32, A.SIGMOID), (16, A.SIGMOID)])
+        g = mlp([(64, A.SIGMOID), (32, A.SIGMOID), (16, A.SIGMOID)])
         # pick layer 1, edit index 1 = activation, first alternative (tanh)
         rng = ScriptedRng(integers=[1, 1, 0], randoms=[0.0])
         out = mutate(g, mnist_search_config, rng)
@@ -375,7 +376,7 @@ class TestMutate:
         assert out.layers[-1].activation == A.SOFTMAX
 
     def test_forced_parameter_resample_changes_value(self, mnist_search_config):
-        g = mlp_classifier([(64, A.RELU)])
+        g = mlp([(64, A.RELU)])
         rng = ScriptedRng(integers=[0, 0, 0, 0], randoms=[0.0])
         out = mutate(g, mnist_search_config, rng)
         assert out.layers[0].units != 64
@@ -429,13 +430,13 @@ class TestNominalConvergence:
         assert nominal_convergence(pop, m_c=6, d_t=0.0)
 
     def test_distinct_population(self):
-        pop = [mlp_classifier([(8 * (i + 1), A.RELU)]) for i in range(5)]
+        pop = [mlp([(8 * (i + 1), A.RELU)]) for i in range(5)]
         assert not nominal_convergence(pop, m_c=1, d_t=0.0)
 
     def test_exact_pair_counting(self):
-        a = mlp_classifier([(64, A.RELU)])
-        b = mlp_classifier([(128, A.RELU)])
-        c = mlp_classifier([(256, A.RELU)])
+        a = mlp([(64, A.RELU)])
+        b = mlp([(128, A.RELU)])
+        c = mlp([(256, A.RELU)])
         pop = [a, a, b, b, c, c]  # exactly three zero-distance pairs
         assert nominal_convergence(pop, m_c=3, d_t=0.0)
         assert not nominal_convergence(pop, m_c=4, d_t=0.0)
@@ -471,6 +472,7 @@ class TestSearchConfig:
             {"learning_rate": 0},
             {"learning_rate": -0.001},
             {"batch_size": 0},
+            {"input_shape": 0},
         ],
     )
     def test_bounds_enforced(self, mnist_search_config, patch):
@@ -493,6 +495,7 @@ class TestSearchConfig:
             ("input_shape", [28, 28, False]),
             ("batch_size", 32.0),
             ("batch_size", True),
+            ("input_shape", [28, 28, 1]),  # an image shape: its feature count is written 784
         ],
     )
     def test_integer_fields_reject_other_types(self, mnist_search_config, key, value):
@@ -746,7 +749,7 @@ class TestRunSearch:
         archive = run_search(cfg, pool(score), records.append)
         rows = [ind for _, _, _, ind in flat(records)] + archive.entries
         assert any(not r.ok for rec in records for r in rec.results)
-        assert all(ind.size == count_params(ind.genotype, cfg.input_dim) for ind in rows)
+        assert all(ind.size == count_params(ind.genotype, cfg.input_shape) for ind in rows)
 
     def test_zero_crossover_probability_clones_base_parents(self, monkeypatch):
         def forbidden(*_a, **_k):
@@ -762,7 +765,7 @@ class TestFinalize:
     """The final pick: ``Archive.winner``, the cheapest entry by its stored cost."""
 
     def test_single_entry(self):
-        g = mlp_classifier([(8, A.RELU)])
+        g = mlp([(8, A.RELU)])
         archive = Archive(entries=[Individual(g, 0.9, 1000, 3.5, 0)])
         assert archive.winner == 0
 
@@ -774,7 +777,7 @@ class TestFinalize:
         assert [e.cost for e in archive.entries] == stored
 
     def test_first_of_equal_costs_wins(self):
-        g = mlp_classifier([(8, A.RELU)])
+        g = mlp([(8, A.RELU)])
         costs = [2.0, 1.5, 3.0, 1.5]
         archive = Archive(entries=[Individual(g, 0.9, 1000, c, k) for k, c in enumerate(costs)])
         assert archive.winner == 1

@@ -32,7 +32,6 @@ from evonas.genotype import (
     HIDDEN_ACTIVATIONS,
     OUTPUT_ACTIVATION,
     LayerKind,
-    input_fan_in,
     to_dict,
     with_hidden_activation,
 )
@@ -44,10 +43,9 @@ from conftest import (
     BEST_ALPHA_07_TABLE,
     INITIAL_POPULATION_TABLE,
     RUL_WINNER_TABLE,
-    classifier,
     genotypes,
-    mlp_classifier,
-    mlp_regressor,
+    mlp,
+    stack,
 )
 
 A = Activation
@@ -83,7 +81,7 @@ class TestValidate:
 
     def test_single_layer_rejected(self):
         with pytest.raises(GenotypeError, match="genotype: a genotype needs at least one hidden layer"):
-            classifier(LayerGene.dense(10, A.SOFTMAX))
+            stack(LayerGene.dense(10, A.SOFTMAX))
 
     def test_dropout_after_dropout_located(self, stacked_example):
         layers = list(stacked_example.layers)
@@ -93,17 +91,17 @@ class TestValidate:
 
     def test_first_layer_must_match_architecture(self):
         with pytest.raises(GenotypeError, match="^invalid genotype: layer 0: first layer must be fully connected"):
-            classifier(LayerGene.dropout(0.5), LayerGene.dense(64, A.RELU), LayerGene.dense(10, A.SOFTMAX))
+            stack(LayerGene.dropout(0.5), LayerGene.dense(64, A.RELU), LayerGene.dense(10, A.SOFTMAX))
 
     def test_output_layer_rules(self):
         with pytest.raises(GenotypeError, match="layer 1: regression output layer must have exactly one unit"):
-            classifier(LayerGene.dense(64, A.RELU), LayerGene.dense(10, A.LINEAR))
+            stack(LayerGene.dense(64, A.RELU), LayerGene.dense(10, A.LINEAR))
         with pytest.raises(GenotypeError, match="layer 1: regression output layer must have exactly one unit"):
             Genotype((LayerGene.dense(64, A.RELU), LayerGene.dense(2, A.LINEAR)))
 
     def test_output_layer_names_the_problem(self):
-        assert mlp_classifier([(64, A.RELU)]).problem == ProblemKind.CLASSIFICATION
-        assert mlp_regressor([(64, A.RELU)]).problem == ProblemKind.REGRESSION
+        assert mlp([(64, A.RELU)]).problem == ProblemKind.CLASSIFICATION
+        assert mlp([(64, A.RELU)], LayerGene.dense(1, A.LINEAR)).problem == ProblemKind.REGRESSION
         assert OUTPUT_ACTIVATION == {
             ProblemKind.CLASSIFICATION: A.SOFTMAX,
             ProblemKind.REGRESSION: A.LINEAR,
@@ -111,15 +109,15 @@ class TestValidate:
         with pytest.raises(
             GenotypeError, match="^invalid genotype: layer 1: output layer must use softmax or the linear activation$"
         ):
-            classifier(LayerGene.dense(64, A.RELU), LayerGene.dense(1, A.SIGMOID))
+            stack(LayerGene.dense(64, A.RELU), LayerGene.dense(1, A.SIGMOID))
 
     def test_hidden_units_must_sit_on_grid(self):
         with pytest.raises(GenotypeError, match="layer 0: units 65 not a multiple of 8"):
-            classifier(LayerGene.dense(65, A.RELU), LayerGene.dense(10, A.SOFTMAX))
+            stack(LayerGene.dense(65, A.RELU), LayerGene.dense(10, A.SOFTMAX))
 
     def test_softmax_forbidden_on_hidden_layers(self):
         with pytest.raises(GenotypeError, match="layer 0: activation 3 is reserved for output layers"):
-            classifier(
+            stack(
                 LayerGene.dense(64, A.SOFTMAX),
                 LayerGene.dense(64, A.RELU),
                 LayerGene.dense(10, A.SOFTMAX),
@@ -128,7 +126,7 @@ class TestValidate:
     def test_length_cap(self):
         genes = [LayerGene.dense(8, A.RELU)] * 64 + [LayerGene.dense(10, A.SOFTMAX)]
         with pytest.raises(GenotypeError, match="genotype: 65 layers exceeds the maximum of 64"):
-            classifier(*genes)
+            stack(*genes)
 
     @given(genotypes())
     def test_strategy_generates_valid_genotypes(self, g):
@@ -173,6 +171,8 @@ class TestValidate:
         distance(g, stacked_example)
         assert calls == []
         assert parse(serialize(g)) == g and len(calls) == 1  # reading a document builds one
+        calls.clear()
+        assert calls == [splice(g, stacked_example, 0, 0, 0, 0)]  # crossover builds its child once
 
 
 class TestCountParams:
@@ -187,29 +187,24 @@ class TestCountParams:
     )
     def test_published_classifier_sizes(self, table, input_dim):
         for spec, _, expected, _, _ in table:
-            assert count_params(mlp_classifier(spec), input_dim) == expected
+            assert count_params(mlp(spec), input_dim) == expected
 
     def test_published_regressor_sizes(self):
         for spec, expected in RUL_WINNER_TABLE:
-            assert count_params(mlp_regressor(spec), 336) == expected
+            assert count_params(mlp(spec, LayerGene.dense(1, A.LINEAR)), 336) == expected
 
     def test_invalid_genotype_rejected(self):
         # a one-layer network has no hidden layer, so there is no genotype to count
         with pytest.raises(GenotypeError, match="at least one hidden layer"):
-            classifier(LayerGene.dense(10, A.SOFTMAX))
-
-    def test_image_shape_flattens_into_the_first_layer(self):
-        # 28x28x1 -> 784 features: (784+1)*64 + (64+1)*10, dropout adds nothing
-        g = mlp_classifier([(64, A.RELU), 0.5])
-        assert count_params(g, (28, 28, 1)) == count_params(g, [28, 28, 1]) == 785 * 64 + 65 * 10
-        assert input_fan_in((28, 28, 3)) == input_fan_in(2352) == 2352
+            stack(LayerGene.dense(10, A.SOFTMAX))
 
     @pytest.mark.parametrize(
-        "shape", [0, -5, True, 7.0, "784", [784], (28, 28), (28, 0, 1), (28, 28, True)]
+        "shape", [0, -5, True, 7.0, "784", [784], (28, 28), (28, 0, 1), (28, 28, True), (28, 28, 1)]
     )
     def test_malformed_input_shape_rejected(self, shape):
-        with pytest.raises(ValueError, match="positive integer or an \\[H, W, C\\] triple"):
-            count_params(mlp_classifier([(64, A.RELU)]), shape)
+        # the input is one feature count: an image shape is refused, not flattened
+        with pytest.raises(ValueError, match="^input_dim must be a positive integer, got "):
+            count_params(mlp([(64, A.RELU)]), shape)
 
 
 class TestDistance:
@@ -217,18 +212,18 @@ class TestDistance:
         assert distance(stacked_example, stacked_example) == 0.0
 
     def test_single_slot_difference(self):
-        a = mlp_classifier([(64, A.RELU)])
-        b = mlp_classifier([(72, A.RELU)])
+        a = mlp([(64, A.RELU)])
+        b = mlp([(72, A.RELU)])
         assert distance(a, b) == pytest.approx(8.0)
 
     def test_extra_layer_contributes_its_norm(self):
-        a = mlp_classifier([(64, A.RELU)])
-        b = mlp_classifier([(64, A.RELU), (64, A.RELU)])
+        a = mlp([(64, A.RELU)])
+        b = mlp([(64, A.RELU), (64, A.RELU)])
         assert distance(a, b) == pytest.approx(math.sqrt(1 + 64**2 + 2**2))
 
     def test_output_layer_is_ignored(self):
-        a = mlp_classifier([(64, A.RELU)], classes=10)
-        b = mlp_classifier([(64, A.RELU)], classes=3)
+        a = mlp([(64, A.RELU)], LayerGene.dense(10, A.SOFTMAX))
+        b = mlp([(64, A.RELU)], LayerGene.dense(3, A.SOFTMAX))
         assert distance(a, b) == 0.0
 
     @given(genotypes(), genotypes())
@@ -264,8 +259,8 @@ class TestRectifyActivations:
     """Crossover's splice gives every hidden dense layer its base parent's activation."""
 
     def test_matches_reference_kinds(self):
-        base = mlp_classifier([(8, A.RELU)])
-        donor = mlp_classifier([(64, A.SIGMOID), (32, A.SIGMOID)])
+        base = mlp([(8, A.RELU)])
+        donor = mlp([(64, A.SIGMOID), (32, A.SIGMOID)])
         out = splice(base, donor, 0, 0, 0, 1)
         assert [g.units for g in out.layers[:-1]] == [64, 32]
         assert [g.activation for g in out.layers[:-1]] == [A.RELU, A.RELU]
@@ -277,8 +272,8 @@ class TestRectifyActivations:
 
     def test_reference_output_layer_never_leaks(self):
         # the base's softmax output must not turn hidden dense layers softmax
-        base = mlp_classifier([(8, A.TANH)])
-        donor = mlp_classifier([(64, A.SIGMOID)])
+        base = mlp([(8, A.TANH)])
+        donor = mlp([(64, A.SIGMOID)])
         out = splice(base, donor, 0, 0, 0, 0)
         assert out.layers[0] == LayerGene.dense(64, A.TANH)
 
@@ -286,7 +281,7 @@ class TestRectifyActivations:
 class TestWithHiddenActivation:
     @given(genotypes(), st.sampled_from(HIDDEN_ACTIVATIONS))
     def test_only_hidden_dense_layers_change(self, g, activation):
-        out = with_hidden_activation(g, activation)
+        out = with_hidden_activation(g.layers, activation)
         assert len(out.layers) == len(g.layers)
         for before, after in zip(g.layers[:-1], out.layers[:-1]):
             if before.kind == K.DROPOUT:
@@ -302,15 +297,14 @@ class TestVecView:
     def test_only_applicable_slots_nonzero(self, g):
         applicable = {K.FULLY_CONNECTED: {0, 1, 2}, K.DROPOUT: {0, 7}}
         for gene in g.layers:
-            vec = gene.to_vec()
-            for slot, value in enumerate(vec):
+            for slot, value in enumerate(gene.to_row()):
                 if slot not in applicable[gene.kind]:
-                    assert value == 0.0, (gene.kind, slot, value)
+                    assert value == 0, (gene.kind, slot, value)
 
     @given(genotypes())
     def test_gene_roundtrip_through_vec(self, g):
         for gene in g.layers:
-            assert LayerGene.from_vec(gene.to_vec()) == gene
+            assert LayerGene.from_vec(gene.to_row()) == gene
 
 
 class TestSerializeParse:
@@ -513,7 +507,7 @@ class TestSerializeParse:
             match=r"^problem 'regression' disagrees with the Softmax output layer, which solves classification$",
         ):
             parse(json.dumps(doc))
-        doc = to_dict(mlp_regressor([(64, A.RELU)]))
+        doc = to_dict(mlp([(64, A.RELU)], LayerGene.dense(1, A.LINEAR)))
         doc["problem"] = "classification"
         with pytest.raises(
             ParseError,

@@ -33,7 +33,7 @@ _BASE = dict(
 CONFIGS = {
     "cls-shallow": dict(_BASE, more_layers_prob=0.1),
     "cls-deep": dict(_BASE, more_layers_prob=0.9),
-    "cls-deep-capped": dict(_BASE, input_shape=[28, 28, 1], more_layers_prob=0.9, max_layers=4),
+    "cls-deep-capped": dict(_BASE, more_layers_prob=0.9, max_layers=4),
     "reg": dict(
         _BASE, problem="regression", input_shape=48, output_size=1,
         more_layers_prob=0.5, alpha=0.3,

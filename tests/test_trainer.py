@@ -49,8 +49,7 @@ from evonas.trainer import (
 from conftest import (
     RecordingOptimizer,
     genotypes,
-    mlp_classifier,
-    mlp_regressor,
+    mlp,
     on_this_kernel,
     recorded_gradients,
 )
@@ -71,7 +70,7 @@ def linear_unit(weight: float, bias: float) -> DenseNetwork:
 
 class TestMaterialize:
     def test_shapes_match_genotype(self):
-        g = mlp_classifier([(64, A.SIGMOID), 0.4])
+        g = mlp([(64, A.SIGMOID), 0.4])
         net = materialize(g, 784, seed=0)
         dense = [l for l in net.layers if isinstance(l, _DenseLayer)]
         assert [l.W.shape for l in dense] == [(784, 64), (64, 10)]
@@ -84,7 +83,7 @@ class TestMaterialize:
         assert net.param_count == count_params(g, 33)
 
     def test_same_seed_same_weights(self):
-        g = mlp_classifier([(32, A.RELU)])
+        g = mlp([(32, A.RELU)])
         a, b = materialize(g, 20, seed=9), materialize(g, 20, seed=9)
         for la, lb in zip(a.layers, b.layers):
             np.testing.assert_array_equal(la.W, lb.W)
@@ -92,7 +91,7 @@ class TestMaterialize:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_weights_equal_one_uniform_draw_per_layer(self, dtype):
         # materialize draws in chunks; 200 x 104 weights span two of them
-        net = materialize(mlp_classifier([(104, A.RELU)], classes=3), 200, 9, dtype)
+        net = materialize(mlp([(104, A.RELU)], LayerGene.dense(3, A.SOFTMAX)), 200, 9, dtype)
         assert net.layers[0].W.size > trainer._DRAW_CHUNK
         rng = np.random.default_rng(9)
         for layer in net.layers:
@@ -104,12 +103,12 @@ class TestMaterialize:
     def test_invalid_genotype_rejected(self):
         # 12 units: not a multiple of 8, so there is no genotype to materialize
         with pytest.raises(GenotypeError, match="invalid genotype.*layer 0.*units"):
-            mlp_classifier([(12, A.RELU)])
+            mlp([(12, A.RELU)])
 
 
 class TestForward:
     def test_zero_weights_give_uniform_softmax(self):
-        g = mlp_classifier([(16, A.RELU)])
+        g = mlp([(16, A.RELU)])
         net = materialize(g, 8, seed=0)
         for layer in net.layers:
             layer.W[:] = 0.0
@@ -118,13 +117,13 @@ class TestForward:
         np.testing.assert_allclose(out, 0.1)
 
     def test_softmax_rows_sum_to_one(self):
-        g = mlp_classifier([(16, A.TANH)])
+        g = mlp([(16, A.TANH)])
         net = materialize(g, 8, seed=3)
         out = net.forward(np.random.default_rng(0).normal(size=(32, 8)))
         np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-6)
 
     def test_cross_entropy_never_negative(self):
-        g = mlp_classifier([(16, A.TANH)], classes=4)
+        g = mlp([(16, A.TANH)], LayerGene.dense(4, A.SOFTMAX))
         rng = np.random.default_rng(4)
         for seed in range(10):
             net = materialize(g, 8, seed=seed)
@@ -134,7 +133,7 @@ class TestForward:
             assert value >= 0.0
 
     def test_dropout_inactive_at_inference(self):
-        g = mlp_classifier([(16, A.RELU), 0.9])
+        g = mlp([(16, A.RELU), 0.9])
         net = materialize(g, 8, seed=0)
         X = np.random.default_rng(1).normal(size=(10, 8))
         a = net.forward(X)
@@ -149,7 +148,7 @@ class TestForward:
     def test_input_batch_left_unchanged(self, act, dtype):
         # the activations overwrite each layer's affine output in place,
         # never the batch itself, which is not copied when it has the net's dtype
-        net = materialize(mlp_classifier([(16, act), 0.5, (8, act)]), 8, seed=0, dtype=dtype)
+        net = materialize(mlp([(16, act), 0.5, (8, act)]), 8, seed=0, dtype=dtype)
         X = np.random.default_rng(1).normal(scale=3.0, size=(10, 8)).astype(dtype)
         before = X.copy()
         net.forward(X)
@@ -157,7 +156,7 @@ class TestForward:
         np.testing.assert_array_equal(X, before)
 
     def test_shape_mismatch_rejected(self):
-        g = mlp_classifier([(16, A.RELU)])
+        g = mlp([(16, A.RELU)])
         net = materialize(g, 8, seed=0)
         with pytest.raises(ValueError, match="feature width"):
             net.forward(np.ones((4, 9)))
@@ -222,14 +221,14 @@ class TestGradients:
         assert gradient_agreement(net, X, Y) >= 0.99
 
     def test_cross_entropy_through_training_dropout(self, act):
-        net = materialize(mlp_classifier([(16, act), 0.5, (8, act), 0.25], classes=4), 10, seed=2)
+        net = materialize(mlp([(16, act), 0.5, (8, act), 0.25], LayerGene.dense(4, A.SOFTMAX)), 10, seed=2)
         rng = np.random.default_rng(0)
         X = rng.normal(size=(16, 10))
         Y = np.eye(4)[rng.integers(4, size=16)]
         assert gradient_agreement(net, X, Y, dropout_seed=3) >= 0.99
 
     def test_mean_squared_error_through_training_dropout(self, act):
-        net = materialize(mlp_regressor([(16, act), 0.5, (8, act), 0.25]), 10, seed=2)
+        net = materialize(mlp([(16, act), 0.5, (8, act), 0.25], LayerGene.dense(1, A.LINEAR)), 10, seed=2)
         rng = np.random.default_rng(1)
         X = rng.normal(size=(16, 10))
         Y = rng.normal(size=(16, 1))
@@ -238,7 +237,7 @@ class TestGradients:
 
 class TestGradientVector:
     def setup_method(self):
-        g = mlp_classifier([(16, A.RELU), 0.5, (8, A.TANH)], classes=3)
+        g = mlp([(16, A.RELU), 0.5, (8, A.TANH)], LayerGene.dense(3, A.SOFTMAX))
         self.net = materialize(g, 6, seed=1)
         rng = np.random.default_rng(5)
         self.X = rng.normal(size=(20, 6))
@@ -246,7 +245,7 @@ class TestGradientVector:
 
     @pytest.mark.parametrize("dropout_seed", [None, 3])
     def test_handoff_updates_like_one_whole_vector_step(self, dropout_seed):
-        nets = [materialize(mlp_classifier([(16, A.RELU), 0.5, (8, A.TANH)], classes=3), 6, 1) for _ in "ab"]
+        nets = [materialize(mlp([(16, A.RELU), 0.5, (8, A.TANH)], LayerGene.dense(3, A.SOFTMAX)), 6, 1) for _ in "ab"]
         opts = [_Adam(net.flat, 0.01) for net in nets]
         if dropout_seed is None:  # no dropout: the pass draws nothing and needs no rng
             for net in nets:
@@ -264,7 +263,7 @@ class TestGradientVector:
     @pytest.mark.parametrize("room, steps", [(136, [27, 136, 112]), (163, [163, 112]), (275, [275])])
     def test_adjacent_layers_share_a_step_while_they_fit(self, room, steps):
         # layers of 112, 136 and 27 parameters; the output layer's comes first
-        nets = [materialize(mlp_classifier([(16, A.RELU), 0.5, (8, A.TANH)], classes=3), 6, 1) for _ in "ab"]
+        nets = [materialize(mlp([(16, A.RELU), 0.5, (8, A.TANH)], LayerGene.dense(3, A.SOFTMAX)), 6, 1) for _ in "ab"]
         opts = [_Adam(net.flat, 0.01) for net in nets]
         for X in (self.X, -self.X):
             rngs = [np.random.default_rng(3) for _ in "abc"]  # the same dropout masks
@@ -338,7 +337,7 @@ class TestOptimizers:
 class TestTrain:
     def test_separable_data_reaches_full_accuracy(self, blob_dataset):
         tr, va = holdout(blob_dataset, 0.2, seed=1)
-        g = mlp_classifier([(16, A.RELU)], classes=2)
+        g = mlp([(16, A.RELU)], LayerGene.dense(2, A.SOFTMAX))
         net = materialize(g, 4, seed=0)
         report = train(net, blob_dataset, tr, va, TrainConfig(50, seed=0, batch_size=64))
         assert report.value == 1.0
@@ -357,12 +356,12 @@ class TestTrain:
     def test_one_unit_softmax_classifier_scores_every_row_right(self):
         rng = np.random.default_rng(0)
         ds = Dataset(rng.normal(size=(50, 8)), np.zeros(50, dtype=int), ProblemKind.CLASSIFICATION)
-        net = materialize(mlp_classifier([(8, A.RELU)], classes=1), 8, seed=0)
+        net = materialize(mlp([(8, A.RELU)], LayerGene.dense(1, A.SOFTMAX)), 8, seed=0)
         assert train(net, ds, *holdout(ds, 0.2, 1), TrainConfig(2, batch_size=16)).value == 1.0
 
     def test_zero_epochs_reports_untrained_metric(self, blob_dataset):
         tr, va = holdout(blob_dataset, 0.2, seed=1)
-        net = materialize(mlp_classifier([(16, A.RELU)], classes=2), 4, seed=0)
+        net = materialize(mlp([(16, A.RELU)], LayerGene.dense(2, A.SOFTMAX)), 4, seed=0)
         report = train(net, blob_dataset, tr, va, TrainConfig(0, seed=0))
         assert math.isfinite(report.value)
         assert report.loss_curve == []
@@ -380,7 +379,7 @@ class TestTrain:
 
     def test_training_is_deterministic(self, blob_dataset):
         tr, va = holdout(blob_dataset, 0.2, seed=1)
-        g = mlp_classifier([(16, A.RELU), 0.3], classes=2)
+        g = mlp([(16, A.RELU), 0.3], LayerGene.dense(2, A.SOFTMAX))
         reports = []
         for _ in range(2):
             net = materialize(g, 4, seed=7)
@@ -411,7 +410,7 @@ class TestTrain:
         # gives the parametrized one.
         ds = golden_data(C)
         ds = replace(ds, features=ds.features.astype(dtype))
-        net = materialize(mlp_classifier([(16, A.RELU), 1.0, (8, A.TANH), 0.5], classes=3), 6, 4, dtype)
+        net = materialize(mlp([(16, A.RELU), 1.0, (8, A.TANH), 0.5], LayerGene.dense(3, A.SOFTMAX)), 6, 4, dtype)
         train(net, ds, *holdout(ds, 0.2, seed=1), TrainConfig(3, learning_rate=0.01, batch_size=32, seed=5))
         expected = on_this_kernel(self.RATE_ONE_DIGESTS[dtype], default=digest)
         assert hashlib.sha256(net.flat.tobytes()).hexdigest() == expected
@@ -453,9 +452,9 @@ def test_train_reproduces_recorded_numbers(name):
     rng = np.random.default_rng(21)
     X = rng.normal(size=(90, 6))
     if problem == C:
-        y, g = rng.integers(3, size=90), mlp_classifier(hidden, classes=3)
+        y, g = rng.integers(3, size=90), mlp(hidden, LayerGene.dense(3, A.SOFTMAX))
     else:
-        y, g = X @ rng.normal(size=6), mlp_regressor(hidden)
+        y, g = X @ rng.normal(size=6), mlp(hidden, LayerGene.dense(1, A.LINEAR))
     ds = Dataset(X, y, problem)
     cfg = TrainConfig(3, learning_rate=0.01, batch_size=32, seed=5)
     report = train(materialize(g, 6, seed=4), ds, *holdout(ds, 0.2, seed=1), cfg)
@@ -496,7 +495,7 @@ TRAIN_MODEL_DIGEST = "2e136115caf8638c2d4065c5d463b8bf98fc18a03fd7a6a4f944589d4d
 def test_kfold_reproduces_recorded_numbers(problem):
     hidden, recorded = KFOLD_GOLDEN[problem]
     expected = on_this_kernel(recorded) if problem == R else recorded
-    g = mlp_classifier(hidden, classes=3) if problem == C else mlp_regressor(hidden)
+    g = mlp(hidden, LayerGene.dense(3, A.SOFTMAX)) if problem == C else mlp(hidden, LayerGene.dense(1, A.LINEAR))
     cfg = TrainConfig(3, learning_rate=0.01, batch_size=32, seed=5)
     assert kfold_evaluate(g, golden_data(problem), 3, cfg) == expected
 
@@ -510,7 +509,7 @@ def test_train_command_reproduces_recorded_model(tmp_path, capsys):
     manifest = {"format": "csv", "path": "golden.csv", "feature_columns": columns,
                 "target_column": "y", "problem": "classification"}
     (tmp_path / "data.json").write_text(json.dumps(manifest))
-    (tmp_path / "g.json").write_text(serialize(mlp_classifier(KFOLD_GOLDEN[C][0], classes=3)))
+    (tmp_path / "g.json").write_text(serialize(mlp(KFOLD_GOLDEN[C][0], LayerGene.dense(3, A.SOFTMAX))))
     code = main([
         "train", str(tmp_path / "g.json"), str(tmp_path / "data.json"), "--kfold", "3",
         "--epochs", "3", "--seed", "5", "--batch-size", "32", "--learning-rate", "0.01",
@@ -531,7 +530,7 @@ class TestFloat32:
     GENOTYPE = [(16, A.RELU), 0.3, (8, A.SIGMOID)]
 
     def test_weights_are_the_float64_draw_rounded(self):
-        g = mlp_classifier(self.GENOTYPE, classes=3)
+        g = mlp(self.GENOTYPE, LayerGene.dense(3, A.SOFTMAX))
         single, double = materialize(g, 6, 4, np.float32), materialize(g, 6, 4)
         assert single.flat.dtype == np.float32 and double.flat.dtype == np.float64
         np.testing.assert_array_equal(single.flat, double.flat.astype(np.float32))
@@ -550,7 +549,7 @@ class TestFloat32:
         ds = golden_data(C)
         ds = replace(ds, features=ds.features.astype(np.float32))
         tr, va = holdout(ds, 0.2, 1)
-        net = materialize(mlp_classifier(self.GENOTYPE, classes=3), 6, 4, np.float32)
+        net = materialize(mlp(self.GENOTYPE, LayerGene.dense(3, A.SOFTMAX)), 6, 4, np.float32)
         train(net, ds, tr, va, TrainConfig(1, batch_size=128, seed=5))  # 72 rows: one step
         opt = seen["opt"]
         assert opt.t == 1
@@ -561,7 +560,7 @@ class TestFloat32:
 
     @pytest.mark.parametrize("act", [A.SIGMOID, A.RELU])
     def test_gradients_match_float64(self, act):
-        g = mlp_classifier([(16, act), 0.5, (8, act)], classes=4)
+        g = mlp([(16, act), 0.5, (8, act)], LayerGene.dense(4, A.SOFTMAX))
         rng = np.random.default_rng(0)
         X = rng.normal(size=(16, 10))
         Y = np.eye(4)[rng.integers(4, size=16)]
@@ -616,7 +615,7 @@ class TestFloat32:
     def test_evaluator_reproduces_recorded_numbers(self, problem):
         hidden, recorded = self.EVALUATOR_GOLDEN[problem]
         expected = on_this_kernel(recorded) if problem == R else recorded
-        g = mlp_classifier(hidden, classes=3) if problem == C else mlp_regressor(hidden)
+        g = mlp(hidden, LayerGene.dense(3, A.SOFTMAX)) if problem == C else mlp(hidden, LayerGene.dense(1, A.LINEAR))
         evaluate = make_evaluator(
             golden_data(problem), 0.2, TrainConfig(3, learning_rate=0.01, batch_size=32, seed=1)
         )
@@ -659,10 +658,10 @@ class TestFloat32:
         X = rng.normal(size=(240, 12))
         if problem == C:
             y = (X[:, :3] @ rng.normal(size=(3, 4))).argmax(axis=1)
-            g = mlp_classifier(self.GENOTYPE, classes=4)
+            g = mlp(self.GENOTYPE, LayerGene.dense(4, A.SOFTMAX))
         else:
             y = np.tanh(X @ rng.normal(size=12) / 3.0)
-            g = mlp_regressor([(16, A.RELU), 0.3, (8, A.TANH)])
+            g = mlp([(16, A.RELU), 0.3, (8, A.TANH)], LayerGene.dense(1, A.LINEAR))
         ds = Dataset(X, y, problem)
         cfg = TrainConfig(3, learning_rate=0.01, batch_size=32, seed=3)
         single = kfold_evaluate(g, ds, 4, cfg)
@@ -679,17 +678,17 @@ class TestObjective:
 
     def test_regression_trains_with_a_plain_config(self):
         ds = golden_data(R)
-        report = train(materialize(mlp_regressor([(16, A.RELU)]), 6, 4), ds, *holdout(ds, 0.2, 1), TrainConfig(3))
+        report = train(materialize(mlp([(16, A.RELU)], LayerGene.dense(1, A.LINEAR)), 6, 4), ds, *holdout(ds, 0.2, 1), TrainConfig(3))
         assert math.isfinite(report.value) and report.value >= 0.0  # an MSE, not an accuracy
         assert len(report.loss_curve) == 3
 
     def test_regression_kfold_with_a_plain_config(self):
-        mean, std = kfold_evaluate(mlp_regressor([(8, A.TANH)]), golden_data(R), 3, TrainConfig(3))
+        mean, std = kfold_evaluate(mlp([(8, A.TANH)], LayerGene.dense(1, A.LINEAR)), golden_data(R), 3, TrainConfig(3))
         assert math.isfinite(mean) and mean >= 0.0 and std >= 0.0
 
     @pytest.mark.parametrize("problem, make", [
-        (R, lambda: mlp_classifier([(8, A.RELU)], classes=3)),  # softmax output
-        (C, lambda: mlp_regressor([(8, A.RELU)])),  # linear output
+        (R, lambda: mlp([(8, A.RELU)], LayerGene.dense(3, A.SOFTMAX))),  # softmax output
+        (C, lambda: mlp([(8, A.RELU)], LayerGene.dense(1, A.LINEAR))),  # linear output
     ])
     def test_output_layer_must_fit_the_data(self, problem, make):
         net, ds = materialize(make(), 6, 4), golden_data(problem)
@@ -731,13 +730,13 @@ class TestKfoldEvaluate:
         X = np.tile(np.array([[1.0, 2.0, 3.0, 4.0]]), (12, 1))
         y = np.zeros(12, dtype=int)
         ds = Dataset(X, y, ProblemKind.CLASSIFICATION)
-        g = mlp_classifier([(8, A.RELU)], classes=2)
+        g = mlp([(8, A.RELU)], LayerGene.dense(2, A.SOFTMAX))
         mean, std = kfold_evaluate(g, ds, 3, TrainConfig(3, seed=0, batch_size=4))
         assert std == 0.0
         assert mean in (0.0, 1.0)  # folds agree exactly, whichever class wins
 
     def test_too_many_folds_rejected(self, blob_dataset):
-        g = mlp_classifier([(8, A.RELU)], classes=2)
+        g = mlp([(8, A.RELU)], LayerGene.dense(2, A.SOFTMAX))
         with pytest.raises(ValueError):
             kfold_evaluate(g, blob_dataset, blob_dataset.sample_count + 1, TrainConfig(1))
 
@@ -757,7 +756,7 @@ class TestKfoldEvaluate:
 
         images, labels, _, _ = require_mnist()
         ds = load_idx(images, labels)
-        g = mlp_classifier([(64, A.TANH)] * 4)
+        g = mlp([(64, A.TANH)] * 4)
         mean, _ = kfold_evaluate(g, ds, 5, TrainConfig(50, seed=0))
         assert mean >= 0.96
 
@@ -765,7 +764,7 @@ class TestKfoldEvaluate:
 class TestEvaluator:
     def test_same_seed_same_result(self, blob_dataset):
         evaluate = make_evaluator(blob_dataset, 0.2, TrainConfig(3, batch_size=32))
-        g = mlp_classifier([(16, A.RELU), 0.2], classes=2)
+        g = mlp([(16, A.RELU), 0.2], LayerGene.dense(2, A.SOFTMAX))
         perf = evaluate(g, 123)
         assert type(perf) is float and perf == evaluate(g, 123)
         assert 0.0 <= perf <= 1.0
@@ -774,7 +773,7 @@ class TestEvaluator:
 class TestModelExport:
     def test_roundtrip_preserves_predictions(self, tmp_path, blob_dataset):
         tr, va = holdout(blob_dataset, 0.2, seed=1)
-        g = mlp_classifier([(16, A.RELU), 0.25], classes=2)
+        g = mlp([(16, A.RELU), 0.25], LayerGene.dense(2, A.SOFTMAX))
         net = materialize(g, 4, seed=0)
         report = train(net, blob_dataset, tr, va, TrainConfig(5, seed=0, batch_size=32))
         base = tmp_path / "model"
@@ -787,14 +786,15 @@ class TestModelExport:
 
     def test_loaded_model_trains_and_round_trips_exactly(self, tmp_path, blob_dataset):
         tr, va = holdout(blob_dataset, 0.2, seed=1)
-        g = mlp_classifier([(16, A.RELU), 0.25], classes=2)
+        g = mlp([(16, A.RELU), 0.25], LayerGene.dense(2, A.SOFTMAX))
         net = materialize(g, 4, seed=0)
         train(net, blob_dataset, tr, va, TrainConfig(2, seed=0, batch_size=32))
         save_model(net, g, [], tmp_path / "a")
         _, loaded, _ = load_model(tmp_path / "a")
-        weights = [p.copy() for p in loaded.parameters()]
+        weights = [p.copy() for pair in loaded.views(loaded.flat) for p in pair]
         train(loaded, blob_dataset, tr, va, TrainConfig(2, seed=1, batch_size=32))
-        assert all(not np.array_equal(p, w) for p, w in zip(loaded.parameters(), weights))
+        trained = [p for pair in loaded.views(loaded.flat) for p in pair]
+        assert all(not np.array_equal(p, w) for p, w in zip(trained, weights))
         save_model(loaded, g, [], tmp_path / "b")
         _, again, _ = load_model(tmp_path / "b")
         np.testing.assert_array_equal(again.flat, loaded.flat.astype(np.float32))
@@ -802,7 +802,7 @@ class TestModelExport:
         assert (tmp_path / "c.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
 
     def test_dotted_bases_write_distinct_files(self, tmp_path):
-        g = mlp_classifier([(8, A.RELU)], classes=2)
+        g = mlp([(8, A.RELU)], LayerGene.dense(2, A.SOFTMAX))
         nets = {base: materialize(g, 4, seed=s) for s, base in enumerate(("model.v1", "model.v2"))}
         for base, net in nets.items():
             paths = save_model(net, g, [], tmp_path / base)
@@ -816,7 +816,7 @@ class TestModelExport:
         assert not np.array_equal(nets["model.v1"].flat, nets["model.v2"].flat)
 
     def test_load_draws_no_random_numbers(self, tmp_path, monkeypatch):
-        g = mlp_classifier([(8, A.RELU), 0.5], classes=2)
+        g = mlp([(8, A.RELU), 0.5], LayerGene.dense(2, A.SOFTMAX))
         net = materialize(g, 4, seed=3)
         save_model(net, g, [], tmp_path / "model")
 
@@ -829,7 +829,7 @@ class TestModelExport:
         np.testing.assert_array_equal(loaded.flat, net.flat.astype(np.float32))
 
     def test_blob_length_checked(self, tmp_path):
-        g = mlp_classifier([(8, A.RELU)], classes=2)
+        g = mlp([(8, A.RELU)], LayerGene.dense(2, A.SOFTMAX))
         net = materialize(g, 4, seed=0)
         base = tmp_path / "model"
         save_model(net, g, [], base)
@@ -853,7 +853,7 @@ class TestMemory:
 
         X = rng.normal(size=(1100, 784)).astype(np.float32)
         ds = Dataset(X, rng.integers(0, 10, 1100), ProblemKind.CLASSIFICATION)
-        net = materialize(mlp_classifier(spec), 784, 0, np.float32)
+        net = materialize(mlp(spec), 784, 0, np.float32)
         assert not tracemalloc.is_tracing()
         tracemalloc.start()
         try:
@@ -898,7 +898,7 @@ class TestMemory:
         assert not tracemalloc.is_tracing()
         tracemalloc.start()
         try:
-            kfold_evaluate(mlp_classifier([(16, A.RELU)]), ds, k, TrainConfig(1, batch_size=batch))
+            kfold_evaluate(mlp([(16, A.RELU)]), ds, k, TrainConfig(1, batch_size=batch))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
