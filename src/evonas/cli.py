@@ -90,10 +90,8 @@ def _check_problem(
 # --- search -------------------------------------------------------------------
 
 def cmd_search(args) -> int:
-    try:
-        workers = evalpool.resolve_worker_count(args.workers)
-    except ValueError as exc:
-        raise evolution.ConfigError(str(exc)) from None
+    if args.workers < 1:
+        raise evolution.ConfigError(f"--workers must be at least 1, got {args.workers}")
     config_path = Path(args.config)
     if not config_path.is_file():
         raise evolution.ConfigError(f"no such config file: {config_path}")
@@ -115,7 +113,7 @@ def cmd_search(args) -> int:
 
     trace_path = out_dir / rundir.TRACE if args.trace else None
     evaluate = functools.partial(  # evolution's name, not evalpool's: the benchmark rebinds it
-        evolution.evaluate_all, evaluator=evaluator, worker_count=workers, trace_path=trace_path
+        evolution.evaluate_all, evaluator=evaluator, worker_count=args.workers, trace_path=trace_path
     )
     with rundir.start(out_dir, cfg) as runs:
         writer = csv.writer(runs)
@@ -132,9 +130,9 @@ def cmd_search(args) -> int:
         f"search done: {len(archive.entries)} experiment(s), winner perf "
         f"{winner.perf:.4f}, {winner.size} parameters, cost {winner.cost:.4f}"
     )
-    blas = evalpool.blas_threads(workers)
+    blas = evalpool.blas_threads(args.workers)
     print(
-        f"evaluation: {workers} worker(s) x {'unmanaged' if blas is None else blas} "
+        f"evaluation: {args.workers} worker(s) x {'unmanaged' if blas is None else blas} "
         f"BLAS thread(s) on {evalpool.usable_cores()} core(s), "
         f"{trainer.SCORE_DTYPE.__name__} evaluations"
     )
@@ -250,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config", help="search configuration JSON")
     p.add_argument("data", help="dataset manifest JSON")
     p.add_argument("--out", required=True, help="output directory for run artifacts")
-    p.add_argument("--workers", type=int, default=None, help="parallel evaluation workers")
+    p.add_argument("--workers", type=int, default=1, help="parallel evaluation workers")
     p.add_argument("--trace", action="store_true", help="write a JSONL evaluation trace")
     p.set_defaults(func=cmd_search)
 

@@ -1,16 +1,16 @@
 """Deterministic parallel evaluation of candidate genotypes.
 
 A generation of candidates is packaged into immutable jobs, evaluated by a
-pool of in-process workers, and returned as immutable results keyed by job
-id. All randomness an evaluation needs comes from the job's derived seed,
-so at a fixed BLAS thread count results are identical for any worker count
-and any completion order. The BLAS thread count itself can change a result:
-OpenBLAS may round a matrix product split over two threads differently from
-the same product on one, and the thread budget below gives pool workers
-fewer BLAS threads than a single worker. A single-machine pool is the
-only transport here, but jobs and results are the whole wire contract, so
-a remote transport plugs in as :func:`evolution.run_search`'s ``evaluate``:
-any callable that maps a generation's jobs to their results in job order.
+pool of in-process workers, and returned as immutable results, one per job
+in job order. All randomness an evaluation needs comes from the job's
+derived seed, so at a fixed BLAS thread count results are identical for any
+worker count and any completion order. The BLAS thread count itself can
+change a result: OpenBLAS may round a matrix product split over two threads
+differently from the same product on one, and the thread budget below gives
+pool workers fewer BLAS threads than a single worker. A single-machine pool
+is the only transport here, but jobs and results are the whole wire
+contract, so a remote transport plugs in as :func:`evolution.run_search`'s
+``evaluate``: any callable that returns one result per job, in job order.
 
 This module owns the process's thread budget: pool workers times BLAS
 threads stays within the usable cores. While a pool of ``W > 1`` workers
@@ -43,35 +43,12 @@ from .genotype import Genotype
 
 log = logging.getLogger(__name__)
 
-WORKERS_ENV = "EVONAS_WORKERS"
-
 
 def derive_seed(root_seed: int, *parts: int) -> int:
     """Stable 63-bit seed for (root, experiment, generation, index) and the like."""
     key = ":".join(str(int(p)) for p in (root_seed, *parts)).encode()
     digest = hashlib.blake2b(key, digest_size=8).digest()
     return int.from_bytes(digest, "big") >> 1
-
-
-def resolve_worker_count(cli_value: int | None) -> int:
-    """Worker count from the CLI flag, else the environment, else 1.
-
-    A count below 1 from either source is rejected, not clamped.
-    """
-    if cli_value is not None:
-        if cli_value < 1:
-            raise ValueError(f"--workers must be at least 1, got {cli_value}")
-        return cli_value
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        try:
-            count = int(env)
-        except ValueError:
-            raise ValueError(f"{WORKERS_ENV}={env!r} is not an integer") from None
-        if count < 1:
-            raise ValueError(f"{WORKERS_ENV} must be at least 1, got {count}")
-        return count
-    return 1
 
 
 def usable_cores() -> int:
@@ -225,23 +202,20 @@ def evaluate_all(
     worker_count: int = 1,
     trace_path=None,
 ) -> list[EvalResult]:
-    """Evaluate every job; exactly one result per job, ordered by job id.
+    """Evaluate every job; exactly one result per job, in the order of ``jobs``.
 
-    A worker exception marks only its own job as failed. With ``trace_path``
+    A worker exception marks only its own job as failed. One worker runs the
+    jobs in the calling thread, so Ctrl-C stops it during the running
+    evaluation rather than after the whole generation. With ``trace_path``
     set, one JSON line per result is appended for postmortem inspection.
     """
     if worker_count < 1:
         raise ValueError(f"worker_count must be at least 1, got {worker_count}")
-    ids = [job.job_id for job in jobs]
-    if len(set(ids)) != len(ids):
-        raise ValueError("job ids must be unique within a batch")
-
     if worker_count == 1 or len(jobs) <= 1:
         results = [_run_job(job, evaluator) for job in jobs]
     else:
         with _thread_budget(worker_count), ThreadPoolExecutor(max_workers=worker_count) as pool:
             results = list(pool.map(lambda j: _run_job(j, evaluator), jobs))
-    results.sort(key=lambda r: r.job_id)
 
     if trace_path is not None:
         with Path(trace_path).open("a") as fh:

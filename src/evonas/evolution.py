@@ -430,19 +430,22 @@ def run_search(
 ) -> Archive:
     """Run the full multi-experiment search and return the archive of bests.
 
-    ``evaluate`` maps one generation's jobs to their results in job order,
+    ``evaluate`` returns one result per job of a generation, in job order,
     for example the evaluation pool bound to an evaluator and a worker
     count. Each job's seed is derived from (config seed, experiment,
     generation, index). Every individual's size is its genotype's
     :func:`count_params`, and its cost is computed once, from its own perf and
     size. A failing evaluation is logged and assigned the worst performance
-    seen in its generation; a generation in which every evaluation fails
-    raises ``RuntimeError`` before ``on_generation`` sees it.
+    seen in its generation, which tournaments select by; a generation in
+    which every evaluation fails raises ``RuntimeError`` before
+    ``on_generation`` sees it.
 
     Each experiment evolves a fresh random population until the generation
     cap or nominal convergence, carrying the previous generation's best over
-    the current worst. ``on_generation`` receives a :class:`GenerationRecord`
-    for every evaluated generation.
+    the current worst. The best carried over, and so the experiment's
+    archive entry, is the cheapest individual whose evaluation succeeded.
+    ``on_generation`` receives a :class:`GenerationRecord` for every
+    evaluated generation.
     """
     archive = Archive()
     for exp in range(cfg.experiments):
@@ -482,10 +485,14 @@ def run_search(
             ]
             if on_generation is not None:
                 on_generation(GenerationRecord(exp, gen, tuple(individuals), tuple(results)))
+            succeeded = [r.ok for r in results]
             if best is not None:
                 worst_idx = max(range(len(individuals)), key=lambda k: individuals[k].cost)
-                individuals[worst_idx] = best
-            best = min(individuals, key=lambda ind: ind.cost)
+                individuals[worst_idx], succeeded[worst_idx] = best, True
+            # a failed evaluation's perf is imputed: it may be selected, never kept
+            best = min(
+                (ind for ind, ok in zip(individuals, succeeded) if ok), key=lambda ind: ind.cost
+            )
 
             parents = tournament_select(
                 individuals, cfg.tournament_size, 2 * cfg.population_size, rng

@@ -232,8 +232,8 @@ def materialize(g: Genotype, input_dim: int, seed: int, dtype=np.float64) -> Den
     chunk at a time, computed like ``rng.uniform`` computes them (``low +
     (high - low) * u``, rounding once per operation).
     """
-    input_dim = int(input_dim)
-    net = DenseNetwork(dense_layers(g, input_dim), input_dim, dtype)
+    layers = dense_layers(g, input_dim)  # checked first: int() would take 784.9 or "784"
+    net = DenseNetwork(layers, int(input_dim), dtype)  # a plain int for save_model's JSON
     rng = np.random.default_rng(seed)
     draw = np.empty(min(net.param_count, _DRAW_CHUNK))
     for layer in net.layers:  # biases stay zero

@@ -337,10 +337,10 @@ class TestSearchCommand:
         assert not out.exists()
         assert "--workers must be at least 1" in capsys.readouterr().err
 
-    def test_negative_workers_env_exits_2(self, workdir, monkeypatch, capsys):
-        monkeypatch.setenv("EVONAS_WORKERS", "-1")
-        assert main(search_args(workdir, workdir / "x")) == 2
-        assert "EVONAS_WORKERS must be at least 1" in capsys.readouterr().err
+    def test_workers_default_to_one(self, workdir, monkeypatch, capsys):
+        monkeypatch.setattr("evonas.trainer.make_evaluator", surrogate_make_evaluator)
+        assert main(search_args(workdir, workdir / "default")) == 0
+        assert "evaluation: 1 worker(s) x " in capsys.readouterr().out
 
     def test_prints_thread_split(self, workdir, monkeypatch, capsys):
         monkeypatch.setattr("evonas.trainer.make_evaluator", surrogate_make_evaluator)

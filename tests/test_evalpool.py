@@ -24,7 +24,6 @@ from evonas import (
     serialize,
 )
 from evonas.cli import main
-from evonas.evalpool import WORKERS_ENV, resolve_worker_count
 from evonas.trainer import TrainConfig, make_evaluator
 
 import test_trainer
@@ -89,11 +88,13 @@ class TestEvaluateAll:
         assert failed.perf is None
         assert "bad candidate" in failed.status
 
-    def test_duplicate_ids_rejected(self):
-        jobs = make_jobs(3)
-        dupe = [jobs[0], jobs[0], jobs[2]]
-        with pytest.raises(ValueError, match="unique"):
-            evaluate_all(dupe, seeded_evaluator)
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_results_follow_the_order_of_the_jobs(self, workers):
+        jobs = make_jobs(9)
+        shuffled = [jobs[i] for i in (4, 0, 8, 2, 7, 1, 6, 3, 5)]
+        results = evaluate_all(shuffled, jittery_evaluator, worker_count=workers)
+        assert [r.job_id for r in results] == [j.job_id for j in shuffled]
+        assert [r.perf for r in results] == [seeded_evaluator(j.genotype, j.seed) for j in shuffled]
 
     def test_worker_count_validated(self):
         with pytest.raises(ValueError):
@@ -121,36 +122,6 @@ class TestSeedDerivation:
         s = derive_seed(2**31, 5, 6, 7)
         np.random.default_rng(s)  # must not raise
         assert 0 <= s < 2**63
-
-
-class TestWorkerCountResolution:
-    def test_cli_value_wins(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "5")
-        assert resolve_worker_count(3) == 3
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "5")
-        assert resolve_worker_count(None) == 5
-
-    def test_default_when_unset(self, monkeypatch):
-        monkeypatch.delenv(WORKERS_ENV, raising=False)
-        assert resolve_worker_count(None) == 1
-
-    def test_bad_env_rejected(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "many")
-        with pytest.raises(ValueError):
-            resolve_worker_count(None)
-
-    @pytest.mark.parametrize("value", [0, -2])
-    def test_cli_value_below_one_rejected(self, value):
-        with pytest.raises(ValueError, match="--workers"):
-            resolve_worker_count(value)
-
-    @pytest.mark.parametrize("value", ["0", "-2"])
-    def test_env_value_below_one_rejected(self, monkeypatch, value):
-        monkeypatch.setenv(WORKERS_ENV, value)
-        with pytest.raises(ValueError, match=WORKERS_ENV):
-            resolve_worker_count(None)
 
 
 needs_openblas = pytest.mark.skipif(evalpool._openblas() is None, reason="no OpenBLAS in this process")

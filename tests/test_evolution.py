@@ -698,6 +698,27 @@ class TestRunSearch:
         if failed and ok_perfs:
             assert all(ind.perf == pytest.approx(min(ok_perfs)) for ind in failed)
 
+    def test_failed_evaluation_is_never_kept(self):
+        # every success scores alike, so a small network that failed is the
+        # cheapest individual of its generation by its imputed perf
+        failed = set()
+
+        def small_ones_fail_now_and_then(g, seed):
+            if count_params(g, 784) < 100000 and seed % 3 == 0:
+                failed.add(seed)
+                raise RuntimeError("lost")
+            return 0.5
+
+        for seed in range(6):
+            cfg = small_search_config(max_generations=3, alpha=0.5, seed=seed)
+            records = []
+            archive = run_search(cfg, pool(small_ones_fail_now_and_then), records.append)
+            assert [e.eval_seed for e in archive.entries if e.eval_seed in failed] == []
+            for exp, entry in enumerate(archive.entries):
+                ok = [i for e, _, _, i in flat(records) if e == exp and i.eval_seed not in failed]
+                assert entry.cost == min(i.cost for i in ok)
+        assert failed
+
     def test_generation_without_success_raises_before_recording(self):
         cfg = small_search_config(experiments=1, max_generations=3, convergence_pairs=15)
         calls = []

@@ -100,6 +100,19 @@ class TestMaterialize:
             assert layer.W.tobytes() == ref.tobytes()
             assert not layer.b.any()
 
+    @pytest.mark.parametrize("input_dim", [784.9, "784"])
+    def test_non_integer_input_dim_rejected(self, input_dim):
+        # int() takes both, so a cast before the check built a 784-input network
+        with pytest.raises(ValueError, match="^input_dim must be a positive integer, got "):
+            materialize(mlp([(64, A.RELU)]), input_dim, seed=0)
+
+    def test_numpy_integer_input_dim_is_held_as_an_int(self, tmp_path):
+        g = mlp([(64, A.RELU)])
+        net = materialize(g, np.int64(784), seed=0)
+        assert type(net.input_dim) is int
+        json_path, _ = save_model(net, g, [], tmp_path / "model")
+        assert json.loads(Path(json_path).read_text())["input_dim"] == 784
+
     def test_invalid_genotype_rejected(self):
         # 12 units: not a multiple of 8, so there is no genotype to materialize
         with pytest.raises(GenotypeError, match="invalid genotype.*layer 0.*units"):
