@@ -124,6 +124,18 @@ class TestSeedDerivation:
         assert 0 <= s < 2**63
 
 
+class TestWorkerCountResolution:
+    """The --workers flag is the one source of the worker count; below 1 is refused."""
+
+    @pytest.mark.parametrize("value", [0, -2])
+    def test_cli_value_below_one_rejected(self, tmp_path, capsys, value):
+        out = tmp_path / "run"
+        args = ["search", str(tmp_path / "config.json"), str(tmp_path / "data.json")]
+        assert main([*args, "--out", str(out), "--workers", str(value)]) == 2
+        assert not out.exists()
+        assert f"--workers must be at least 1, got {value}" in capsys.readouterr().err
+
+
 needs_openblas = pytest.mark.skipif(evalpool._openblas() is None, reason="no OpenBLAS in this process")
 
 
