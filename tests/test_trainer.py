@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evonas import (
     Activation,
@@ -53,6 +54,7 @@ from conftest import (
     on_this_kernel,
     recorded_gradients,
 )
+from reference_trainer import reference_train
 
 A = Activation
 
@@ -533,6 +535,51 @@ def test_train_command_reproduces_recorded_model(tmp_path, capsys):
         "3-fold accuracy: 0.2778 +/- 0.1227", "validation accuracy: 0.2222 (3 epochs)"
     ]
     assert hashlib.sha256((tmp_path / "model.bin").read_bytes()).hexdigest() == TRAIN_MODEL_DIGEST
+
+
+@st.composite
+def training_cases(draw):
+    """A genotype, data that fits it (float features or pixel bytes), a
+    split, and settings whose batch size does not divide the training rows."""
+    g = draw(genotypes(max_hidden=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    n, width = draw(st.integers(20, 60)), draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        X = rng.integers(0, 256, (n, width), dtype=np.uint8)
+    else:
+        X = rng.normal(size=(n, width))
+    if g.problem == C:
+        y = rng.integers(g.layers[-1].units, size=n)
+    else:
+        y = rng.normal(size=n)
+    ds = Dataset(X, y, g.problem)
+    train_rows, val_rows = split(ds, 0.25, draw(st.integers(0, 99)))
+    fit = len(train_rows)
+    batch = draw(st.integers(fit // 4 + 1, fit - 1).filter(lambda b: fit % b))  # 2 to 4 steps
+    cfg = TrainConfig(
+        draw(st.integers(1, 2)),
+        learning_rate=draw(st.sampled_from([0.001, 0.01])),
+        batch_size=batch,
+        seed=draw(st.integers(0, 99)),
+    )
+    return g, ds, train_rows, val_rows, cfg
+
+
+class TestReferenceTrainer:
+    """``train`` computes what the textbook trainer in ``reference_trainer``
+    computes, bit for bit: the loss curve, the final parameters and the
+    validation metric."""
+
+    @given(training_cases(), st.sampled_from([np.float32, np.float64]))
+    @settings(max_examples=30, deadline=None)
+    def test_train_equals_the_reference(self, case, dtype):
+        g, ds, train_rows, val_rows, cfg = case
+        value, curve, flat = reference_train(g, ds, train_rows, val_rows, cfg, dtype)
+        net = materialize(g, ds.feature_count, cfg.seed, dtype)
+        report = train(net, ds, train_rows, val_rows, cfg)
+        assert report.loss_curve == curve
+        assert net.flat.tobytes() == flat.tobytes()
+        assert report.value == value
 
 
 class TestFloat32:
