@@ -157,8 +157,7 @@ def cmd_train(args) -> int:
         print(f"{args.kfold}-fold {metric_name}: {mean:.4f} +/- {std:.4f}")
 
     train_rows, val_rows = data_mod.split(dataset, evolution.SearchConfig.cv_ratio, cfg.seed)
-    net = trainer.materialize(g, dataset.feature_count, cfg.seed)
-    report = trainer.train(net, dataset, train_rows, val_rows, cfg)
+    net, report = trainer._fit(g, dataset, train_rows, val_rows, cfg)
     print(f"validation {metric_name}: {report.value:.4f} ({cfg.epochs} epochs)")
 
     if args.out_model:

@@ -80,16 +80,20 @@ def read_runs(path) -> list[RunRecord]:
     return out
 
 
-def _write_json(path: Path, doc) -> None:
-    """Write ``doc`` to ``path`` whole or not at all: into a temporary file
+def write_whole(path: Path, content: bytes) -> None:
+    """Write ``content`` to ``path`` whole or not at all: into a temporary file
     beside it, then renamed over it."""
     tmp = path.with_name(f".{path.name}.tmp")
     try:
-        tmp.write_text(json.dumps(doc, indent=2))
+        tmp.write_bytes(content)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _write_json(path: Path, doc) -> None:
+    write_whole(path, json.dumps(doc, indent=2).encode())
 
 
 def checked_path(flag: str, path: str) -> Path:

@@ -22,11 +22,10 @@ from .genotype import Activation, Genotype, ProblemKind, dense_layers, from_dict
 
 log = logging.getLogger(__name__)
 
-#: The precision of every training whose network is thrown away once it is
-#: scored: the search's partial-training fitness and each k-fold fold. A
-#: score only has to rank candidates or summarize folds, so it runs in
-#: single precision; ``train``'s default, the final model of ``evonas
-#: train``, model export and the gradient check keep float64.
+#: The precision of every training the CLI runs: the search's partial-training
+#: fitness, each k-fold fold, and the final model of ``evonas train``, which is
+#: exported in it. ``materialize``'s float64 default stays for the gradient
+#: check and for library callers.
 SCORE_DTYPE = np.float32
 
 
@@ -455,23 +454,23 @@ def metric(problem: ProblemKind, predictions, targets) -> float:
     return float(np.mean(preds.argmax(axis=1) == targets.astype(np.int64)))
 
 
-def _score(g: Genotype, dataset, train_rows, val_rows, cfg: TrainConfig) -> float:
-    """Materialize ``g`` from ``cfg.seed`` in :data:`SCORE_DTYPE`, :func:`train` it,
-    and return its validation metric."""
+def _fit(g: Genotype, dataset, train_rows, val_rows, cfg: TrainConfig) -> tuple[DenseNetwork, PerfReport]:
+    """Materialize ``g`` from ``cfg.seed`` in :data:`SCORE_DTYPE` and :func:`train`
+    it: every training the CLI runs. Returns the network and its report."""
     net = materialize(g, dataset.feature_count, cfg.seed, SCORE_DTYPE)
-    return train(net, dataset, train_rows, val_rows, cfg).value
+    return net, train(net, dataset, train_rows, val_rows, cfg)
 
 
 def kfold_evaluate(g: Genotype, dataset: data_mod.Dataset, k: int, cfg: TrainConfig):
     """Mean and standard deviation of the metric over k train/validate folds.
 
     Every fold trains a fresh materialization from the same seed, so the
-    only variation between folds is the data split itself. Each fold's
-    network only yields a score, so it trains in :data:`SCORE_DTYPE`.
+    only variation between folds is the data split itself. Each fold trains
+    in :data:`SCORE_DTYPE`, as the final model of ``evonas train`` does.
     """
     values = []
     for i, (train_rows, val_rows) in enumerate(data_mod.kfold(dataset, k, cfg.seed)):
-        value = _score(g, dataset, train_rows, val_rows, cfg)
+        value = _fit(g, dataset, train_rows, val_rows, cfg)[1].value
         values.append(value)
         log.debug("fold %d/%d: %s=%.4f", i + 1, k, METRIC_NAME[dataset.problem], value)
     return float(np.mean(values)), float(np.std(values))
@@ -493,7 +492,7 @@ def make_evaluator(dataset: data_mod.Dataset, cv_ratio: float, cfg: TrainConfig)
     train_rows, val_rows = data_mod.split(dataset, cv_ratio, cfg.seed)
 
     def evaluate(genotype: Genotype, seed: int) -> float:
-        return _score(genotype, dataset, train_rows, val_rows, replace(cfg, seed=seed))
+        return _fit(genotype, dataset, train_rows, val_rows, replace(cfg, seed=seed))[1].value
 
     return evaluate
 
@@ -505,12 +504,16 @@ def _model_paths(base_path) -> tuple[Path, Path]:
 
 
 def save_model(net: DenseNetwork, g: Genotype, history: list[float], base_path) -> tuple[Path, Path]:
-    """Write ``<base>.json`` (header) and ``<base>.bin`` (little-endian f32 params).
+    """Write ``<base>.bin`` (little-endian f32 params), then ``<base>.json`` (header).
 
     The suffixes are appended, so ``model.v1`` and ``model.v2`` write four
     files. Parameters are flattened in layer order, each layer's weights
-    before its biases.
+    before its biases. Each file is written whole or not at all, the blob
+    first: an export that fails while writing it leaves an earlier pair as
+    it was, and one with no earlier pair leaves no header to load.
     """
+    from .rundir import write_whole  # rundir imports evolution, which imports this module
+
     header = {
         "genotype": to_dict(g),
         "input_dim": net.input_dim,
@@ -519,18 +522,19 @@ def save_model(net: DenseNetwork, g: Genotype, history: list[float], base_path) 
         "param_count": net.param_count,
     }
     json_path, bin_path = _model_paths(base_path)
-    json_path.write_text(json.dumps(header, indent=2))
-    bin_path.write_bytes(net.flat.astype("<f4").tobytes())
+    write_whole(bin_path, net.flat.astype("<f4").tobytes())
+    write_whole(json_path, json.dumps(header, indent=2).encode())
     return json_path, bin_path
 
 
 def load_model(base_path) -> tuple[Genotype, DenseNetwork, dict]:
-    """Inverse of :func:`save_model`: a float64 network laid out by the
-    genotype, its parameters read from the blob and none drawn."""
+    """Inverse of :func:`save_model`: a float32 network, the precision of the
+    blob and of the training ``evonas train`` ran, laid out by the genotype,
+    its parameters read from the blob and none drawn."""
     json_path, bin_path = _model_paths(base_path)
     header = json.loads(json_path.read_text())
     g = from_dict(header["genotype"])
-    net = DenseNetwork(dense_layers(g, header["input_dim"]), header["input_dim"])
+    net = DenseNetwork(dense_layers(g, header["input_dim"]), header["input_dim"], np.float32)
     floats = np.frombuffer(bin_path.read_bytes(), dtype="<f4")
     if floats.size != net.param_count:
         raise ValueError(

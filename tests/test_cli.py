@@ -745,7 +745,7 @@ class TestTrainCommand:
         assert code == 2
         assert message in capsys.readouterr().err
 
-    def test_folds_train_in_float32_and_the_final_model_in_float64(self, workdir, monkeypatch):
+    def test_folds_and_the_final_model_train_in_float32(self, workdir, monkeypatch):
         seen = []
         train = trainer.train
 
@@ -758,7 +758,7 @@ class TestTrainCommand:
         gpath.write_text(serialize(mlp([(16, A.RELU)], LayerGene.dense(2, A.SOFTMAX))))
         code = main(["train", str(gpath), str(workdir / "data.json"), "--epochs", "1", "--kfold", "3"])
         assert code == 0
-        assert seen == [np.float32] * 3 + [np.float64]
+        assert seen == [np.float32] * 4
 
     def test_zero_epochs_still_reports(self, workdir, capsys):
         g = mlp([(16, A.RELU)], LayerGene.dense(2, A.SOFTMAX))

@@ -502,8 +502,16 @@ KFOLD_GOLDEN = {
 }
 
 #: sha256 of ``model.bin`` from ``evonas train --kfold 3`` on
-#: :func:`golden_data`'s classification set, recorded with ``KFOLD_GOLDEN``.
-TRAIN_MODEL_DIGEST = "2e136115caf8638c2d4065c5d463b8bf98fc18a03fd7a6a4f944589d4db711b8"
+#: :func:`golden_data`'s classification set, by OpenBLAS kernel: the final
+#: model trains in float32, whose last bits the kernel moves. Recorded at the
+#: default BLAS thread count, SkylakeX as picked by an AVX-512 CPU, Haswell and
+#: Sandybridge forced with ``OPENBLAS_CORETYPE``; one thread gives the same.
+#: With ``SCORE_DTYPE`` forced to float64, every kernel gives 2e136115caf8638c....
+TRAIN_MODEL_DIGEST = {
+    "SkylakeX": "dc88276015751fce55c697e4af1872bf7010f6b22c015010988d039142a856fa",
+    "Haswell": "a2813e19f4cb18574ea71cf8d734fe6ce06e10998039c8babfc536bc7d5ba092",
+    "Sandybridge": "02a40a86a0970a2101cdcc5775d4a791a7b98787ca7992092aff6c2c7c9ddfe6",
+}
 
 
 @pytest.mark.parametrize("problem", [C, R])
@@ -515,26 +523,41 @@ def test_kfold_reproduces_recorded_numbers(problem):
     assert kfold_evaluate(g, golden_data(problem), 3, cfg) == expected
 
 
-def test_train_command_reproduces_recorded_model(tmp_path, capsys):
-    ds = golden_data(C)
+def write_golden_manifest(path: Path, problem) -> Dataset:
+    """Write :func:`golden_data` as a CSV and its manifest ``data.json`` into
+    ``path``; returns the data."""
+    ds = golden_data(problem)
     columns = [f"f{i}" for i in range(ds.feature_count)]
     rows = [",".join(columns + ["y"])]
-    rows += [",".join([*map(repr, map(float, x)), str(y)]) for x, y in zip(ds.features, ds.targets)]
-    (tmp_path / "golden.csv").write_text("\n".join(rows) + "\n")
+    rows += [",".join([*map(repr, map(float, x)), repr(y.item())]) for x, y in zip(ds.features, ds.targets)]
+    (path / "golden.csv").write_text("\n".join(rows) + "\n")
     manifest = {"format": "csv", "path": "golden.csv", "feature_columns": columns,
-                "target_column": "y", "problem": "classification"}
-    (tmp_path / "data.json").write_text(json.dumps(manifest))
-    (tmp_path / "g.json").write_text(serialize(mlp(KFOLD_GOLDEN[C][0], LayerGene.dense(3, A.SOFTMAX))))
+                "target_column": "y", "problem": problem.value}
+    (path / "data.json").write_text(json.dumps(manifest))
+    return ds
+
+
+#: The flags of the recorded ``evonas train`` runs.
+GOLDEN_TRAIN_FLAGS = ["--epochs", "3", "--seed", "5", "--batch-size", "32", "--learning-rate", "0.01"]
+
+
+def test_train_command_reproduces_recorded_model(tmp_path, capsys):
+    ds = write_golden_manifest(tmp_path, C)
+    g = mlp(KFOLD_GOLDEN[C][0], LayerGene.dense(3, A.SOFTMAX))
+    (tmp_path / "g.json").write_text(serialize(g))
     code = main([
         "train", str(tmp_path / "g.json"), str(tmp_path / "data.json"), "--kfold", "3",
-        "--epochs", "3", "--seed", "5", "--batch-size", "32", "--learning-rate", "0.01",
-        "--out-model", str(tmp_path / "model"),
+        *GOLDEN_TRAIN_FLAGS, "--out-model", str(tmp_path / "model"),
     ])
     assert code == 0
     assert capsys.readouterr().out.splitlines()[:2] == [
         "3-fold accuracy: 0.2778 +/- 0.1227", "validation accuracy: 0.2222 (3 epochs)"
     ]
-    assert hashlib.sha256((tmp_path / "model.bin").read_bytes()).hexdigest() == TRAIN_MODEL_DIGEST
+    blob = (tmp_path / "model.bin").read_bytes()
+    cfg = TrainConfig(3, learning_rate=0.01, batch_size=32, seed=5)
+    _, _, flat = reference_train(g, ds, *holdout(ds, SearchConfig.cv_ratio, 5), cfg, np.float32)
+    assert flat.astype("<f4").tobytes() == blob
+    assert hashlib.sha256(blob).hexdigest() == on_this_kernel(TRAIN_MODEL_DIGEST)
 
 
 @st.composite
@@ -583,9 +606,9 @@ class TestReferenceTrainer:
 
 
 class TestFloat32:
-    """Trainings that only yield a score (search fitness, k-fold folds) run in
-    float32; ``train``'s default, the final model, model export and the
-    gradient check keep float64."""
+    """Every training the CLI runs (search fitness, k-fold folds, the final
+    model) is float32; ``materialize``'s default and the gradient check keep
+    float64."""
 
     GENOTYPE = [(16, A.RELU), 0.3, (8, A.SIGMOID)]
 
@@ -834,7 +857,7 @@ class TestModelExport:
     def test_roundtrip_preserves_predictions(self, tmp_path, blob_dataset):
         tr, va = holdout(blob_dataset, 0.2, seed=1)
         g = mlp([(16, A.RELU), 0.25], LayerGene.dense(2, A.SOFTMAX))
-        net = materialize(g, 4, seed=0)
+        net = materialize(g, 4, seed=0, dtype=np.float32)
         report = train(net, blob_dataset, tr, va, TrainConfig(5, seed=0, batch_size=32))
         base = tmp_path / "model"
         save_model(net, g, report.loss_curve, base)
@@ -842,7 +865,7 @@ class TestModelExport:
         assert g2 == g
         assert header["param_count"] == net.param_count
         X = blob_dataset.features[va]
-        np.testing.assert_allclose(net2.forward(X), net.forward(X), rtol=1e-5, atol=1e-6)
+        np.testing.assert_array_equal(net2.forward(X), net.forward(X))
 
     def test_loaded_model_trains_and_round_trips_exactly(self, tmp_path, blob_dataset):
         tr, va = holdout(blob_dataset, 0.2, seed=1)
@@ -885,8 +908,51 @@ class TestModelExport:
 
         monkeypatch.setattr(trainer.np.random, "default_rng", no_draws)
         _, loaded, _ = load_model(tmp_path / "model")
-        assert loaded.flat.dtype == np.float64 and loaded.layers[0].dropout == 0.5
+        assert loaded.flat.dtype == np.float32 and loaded.layers[0].dropout == 0.5
         np.testing.assert_array_equal(loaded.flat, net.flat.astype(np.float32))
+
+    @pytest.mark.parametrize("problem", [C, R])
+    def test_loaded_model_is_the_validated_model(self, tmp_path, monkeypatch, problem):
+        reports = []
+        fit = trainer._fit
+
+        def spy(*args):
+            net, report = fit(*args)
+            reports.append(report)
+            return net, report
+
+        monkeypatch.setattr(trainer, "_fit", spy)
+        ds = write_golden_manifest(tmp_path, problem)
+        g = mlp([(16, A.RELU), 0.5, (8, A.TANH)], LayerGene.dense(3, A.SOFTMAX) if problem == C else LayerGene.dense(1, A.LINEAR))
+        (tmp_path / "g.json").write_text(serialize(g))
+        base = tmp_path / "model"
+        argv = ["train", str(tmp_path / "g.json"), str(tmp_path / "data.json"), *GOLDEN_TRAIN_FLAGS]
+        assert main([*argv, "--out-model", str(base)]) == 0
+        _, net, _ = load_model(base)
+        assert net.flat.dtype == np.float32
+        assert net.flat.tobytes() == (tmp_path / "model.bin").read_bytes()
+        val = ds.take(holdout(ds, SearchConfig.cv_ratio, 5)[1], np.float32)
+        assert metric(problem, net.forward(val.features), val.targets) == reports[-1].value
+
+    def test_failed_blob_write_leaves_the_earlier_pair(self, tmp_path, monkeypatch):
+        g = mlp([(8, A.RELU)], LayerGene.dense(2, A.SOFTMAX))
+        base = tmp_path / "model"
+        save_model(materialize(g, 4, seed=0, dtype=np.float32), g, [1.0], base)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        write_bytes = Path.write_bytes
+
+        def disk_full(path, content):
+            if path.name.endswith(".bin.tmp"):
+                write_bytes(path, content[: len(content) // 2])
+                raise OSError("disk full")
+            return write_bytes(path, content)
+
+        monkeypatch.setattr(Path, "write_bytes", disk_full)
+        with pytest.raises(OSError, match="disk full"):
+            save_model(materialize(g, 4, seed=1, dtype=np.float32), g, [2.0], base)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        monkeypatch.undo()
+        assert load_model(base)[2]["loss_history"] == [1.0]
 
     def test_blob_length_checked(self, tmp_path):
         g = mlp([(8, A.RELU)], LayerGene.dense(2, A.SOFTMAX))
