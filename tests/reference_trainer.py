@@ -50,6 +50,13 @@ def _derivative(a, kind):
     return 1.0  # linear
 
 
+def _dropout(x, keep, rate, dt):
+    """``x`` times the boolean mask, then times ``1 / (1 - rate)`` in ``dt``
+    unless the rate keeps nothing."""
+    x = x * keep
+    return x * (dt(1.0) / dt(1.0 - rate)) if rate < 1.0 else x
+
+
 def reference_train(genotype, dataset, train_rows, val_rows, cfg, dtype):
     """Train ``genotype`` as ``trainer.train`` does a network materialized from
     ``cfg.seed`` in ``dtype``. Returns ``(metric, loss_curve, flat)``: the
@@ -90,13 +97,9 @@ def reference_train(genotype, dataset, train_rows, val_rows, cfg, dtype):
                     h = _activation(a @ W + b, act)
                     outs.append(h)
                     keep = None
-                    if rate > 0.0:
+                    if rate > 0.0:  # a rate of 1 keeps nothing and draws nothing
                         keep = np.zeros(h.shape, bool) if rate >= 1.0 else rng.random(h.shape) >= rate
-                        a = h * keep
-                        if rate < 1.0:
-                            a = a * (dt(1.0) / dt(1.0 - rate))
-                    else:
-                        a = h
+                    a = h if keep is None else _dropout(h, keep, rate, dt)
                     keeps.append(keep)
                 if softmax:
                     loss = float(-np.sum(Y * np.log(np.clip(a, 1e-12, 1.0))) / n)
@@ -117,18 +120,16 @@ def reference_train(genotype, dataset, train_rows, val_rows, cfg, dtype):
                     if k:
                         delta = delta @ Ws[k].T
                         if keeps[k - 1] is not None:
-                            delta = delta * keeps[k - 1]
-                            if rates[k - 1] < 1.0:
-                                delta = delta * (dt(1.0) / dt(1.0 - rates[k - 1]))
+                            delta = _dropout(delta, keeps[k - 1], rates[k - 1], dt)
                         delta = delta * _derivative(outs[k - 1], acts[k - 1])
 
                 # Adam, every parameter after the whole backward pass
                 t += 1
-                rate = cfg.learning_rate * (math.sqrt(1.0 - b2**t) / (1.0 - b1**t))
+                lr_t = cfg.learning_rate * (math.sqrt(1.0 - b2**t) / (1.0 - b1**t))
                 for i, (p, g) in enumerate(zip(Ws + bs, gWs + gbs)):
                     ms[i] = ms[i] * b1 + g * (1.0 - b1)
                     vs[i] = vs[i] * b2 + (g * (1.0 - b2)) * g
-                    p -= (ms[i] * rate) / (np.sqrt(vs[i]) + eps)
+                    p -= (ms[i] * lr_t) / (np.sqrt(vs[i]) + eps)
         curve.append(float(np.mean(losses)))
 
     a = dataset.rows(val_rows, dt)

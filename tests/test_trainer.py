@@ -923,11 +923,13 @@ class TestModelExport:
 
         monkeypatch.setattr(trainer, "_fit", spy)
         ds = write_golden_manifest(tmp_path, problem)
-        g = mlp([(16, A.RELU), 0.5, (8, A.TANH)], LayerGene.dense(3, A.SOFTMAX) if problem == C else LayerGene.dense(1, A.LINEAR))
-        (tmp_path / "g.json").write_text(serialize(g))
+        output = LayerGene.dense(3, A.SOFTMAX) if problem == C else LayerGene.dense(1, A.LINEAR)
+        (tmp_path / "g.json").write_text(serialize(mlp([(16, A.RELU), 0.5, (8, A.TANH)], output)))
         base = tmp_path / "model"
-        argv = ["train", str(tmp_path / "g.json"), str(tmp_path / "data.json"), *GOLDEN_TRAIN_FLAGS]
-        assert main([*argv, "--out-model", str(base)]) == 0
+        assert main([
+            "train", str(tmp_path / "g.json"), str(tmp_path / "data.json"), *GOLDEN_TRAIN_FLAGS,
+            "--out-model", str(base),
+        ]) == 0
         _, net, _ = load_model(base)
         assert net.flat.dtype == np.float32
         assert net.flat.tobytes() == (tmp_path / "model.bin").read_bytes()
